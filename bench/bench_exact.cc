@@ -400,11 +400,12 @@ void PrintComparison() {
     seedbb::Result seed_result;
     double seed_ms =
         BestMs([&] { seed_result = seedbb::SolveMinHittingSet(sets); });
+    const HittingSetFamily family = HittingSetFamily::From(sets);
     HittingSetResult new_result;
     ExactStats stats;
     double new_ms = BestMs([&] {
       stats = ExactStats{};
-      new_result = SolveMinHittingSet(sets, ExactOptions{}, &stats);
+      new_result = SolveMinHittingSet(family, ExactOptions{}, &stats);
     });
     const char* agree = seed_result.size == new_result.size ? "" : "  DISAGREE";
     std::printf(
@@ -426,10 +427,10 @@ void BM_SeedHittingSet(benchmark::State& state, const char* scenario) {
 
 void BM_ComponentFlowHittingSet(benchmark::State& state,
                                 const char* scenario) {
-  std::vector<std::vector<int>> sets =
-      ScenarioHittingSets(scenario, static_cast<int>(state.range(0)), 1);
+  const HittingSetFamily family = HittingSetFamily::From(
+      ScenarioHittingSets(scenario, static_cast<int>(state.range(0)), 1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveMinHittingSet(sets));
+    benchmark::DoNotOptimize(SolveMinHittingSet(family));
   }
 }
 

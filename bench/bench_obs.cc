@@ -137,13 +137,13 @@ std::vector<std::vector<int>> SolveFamily() {
 }
 
 void ProbeExactSolve() {
-  std::vector<std::vector<int>> sets = SolveFamily();
+  const HittingSetFamily family = HittingSetFamily::From(SolveFamily());
   for (int threads : {1, 4}) {
     ExactOptions options;
     options.solver_threads = threads;
     Measure("exact-solve-t" + std::to_string(threads), /*enforced=*/true, [&] {
       ExactStats stats;
-      benchmark::DoNotOptimize(SolveMinHittingSet(sets, options, &stats));
+      benchmark::DoNotOptimize(SolveMinHittingSet(family, options, &stats));
     });
   }
 }

@@ -142,8 +142,8 @@ void PrintSolveScaling() {
               "family", "size", "copies", "sets", "rho", "comp", "t1_ms",
               "t2_ms", "t4_ms", "x2", "x4");
   for (const Case& c : cases) {
-    std::vector<std::vector<int>> sets =
-        MultiComponentFamily(c.scenario, c.size, c.copies);
+    const HittingSetFamily sets = HittingSetFamily::From(
+        MultiComponentFamily(c.scenario, c.size, c.copies));
     SolveRow row;
     row.family = c.scenario;
     row.copies = c.copies;
@@ -264,7 +264,8 @@ void PrintPoolUtilization() {
       "variables (slot 0 is the Run caller). High idle at 4 workers on "
       "few components is expected: the pool parks whoever runs out of "
       "components.");
-  std::vector<std::vector<int>> sets = MultiComponentFamily("vc_er", 24, 8);
+  const HittingSetFamily sets =
+      HittingSetFamily::From(MultiComponentFamily("vc_er", 24, 8));
   std::printf("%-9s %7s | %8s %8s %10s\n", "workers", "runs", "tasks",
               "workers", "idle_ms");
   obs::SetMetricsEnabled(true);
@@ -332,9 +333,9 @@ void WriteSnapshot(const char* path) {
 // --- Timing series ----------------------------------------------------------
 
 void BM_ParallelHittingSet(benchmark::State& state, const char* scenario) {
-  std::vector<std::vector<int>> sets =
+  const HittingSetFamily sets = HittingSetFamily::From(
       MultiComponentFamily(scenario, scenario == std::string("perm") ? 14 : 20,
-                           /*copies=*/8);
+                           /*copies=*/8));
   ExactOptions options;
   options.solver_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -7,8 +7,11 @@ namespace rescq {
 VertexCoverResult MinVertexCover(const Graph& g) {
   VertexCoverResult result;
   if (g.edges.empty()) return result;
-  std::vector<std::vector<int>> sets;
-  for (auto [u, v] : g.edges) sets.push_back({u, v});
+  HittingSetFamily sets;
+  for (auto [u, v] : g.edges) {
+    const int edge[] = {u, v};
+    sets.Add(edge, 2);
+  }
   HittingSetResult hs = SolveMinHittingSet(sets);
   result.size = hs.size;
   result.cover = hs.chosen;

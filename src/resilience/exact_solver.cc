@@ -121,6 +121,16 @@ int FractionalMatchingBound(const std::vector<std::pair<int, int>>& edges,
   return static_cast<int>((f + 1) / 2);
 }
 
+int MaxElementPlusOne(const Family& f) {
+  int num_elements = 0;
+  for (size_t i = 0; i < f.size(); ++i) {
+    for (const int* p = f.begin(i); p != f.end(i); ++p) {
+      num_elements = std::max(num_elements, *p + 1);
+    }
+  }
+  return num_elements;
+}
+
 // Sorts every span in place, deduplicates the family, and drops
 // supersets (hitting a subset hits all of its supersets). Output spans
 // are size-ascending; the pool is shared and never copied — dedup
@@ -150,19 +160,35 @@ Family ReduceFamily(Family f) {
                                                pool + b.offset);
                            }),
                f.sets.end());
+  // A kept set t that is a proper subset of s contains its minimum
+  // element, which then lies in s: kept sets are chained by their
+  // minimum element, so s is only checked against the chains of its
+  // own elements.
+  std::vector<int> first_head(static_cast<size_t>(MaxElementPlusOne(f)), -1);
+  std::vector<int> first_next;
   std::vector<SetSpan> out;
   out.reserve(f.sets.size());
+  first_next.reserve(f.sets.size());
   for (SetSpan s : f.sets) {
     bool has_subset = false;
-    for (SetSpan t : out) {
-      if (t.len >= s.len) continue;
-      if (std::includes(pool + s.offset, pool + s.offset + s.len,
-                        pool + t.offset, pool + t.offset + t.len)) {
-        has_subset = true;
-        break;
+    for (const int* e = pool + s.offset;
+         !has_subset && e != pool + s.offset + s.len; ++e) {
+      for (int k = first_head[static_cast<size_t>(*e)]; k >= 0;
+           k = first_next[static_cast<size_t>(k)]) {
+        const SetSpan t = out[static_cast<size_t>(k)];
+        if (t.len < s.len &&
+            std::includes(pool + s.offset, pool + s.offset + s.len,
+                          pool + t.offset, pool + t.offset + t.len)) {
+          has_subset = true;
+          break;
+        }
       }
     }
-    if (!has_subset) out.push_back(s);
+    if (has_subset) continue;
+    int& head = first_head[static_cast<size_t>(pool[s.offset])];
+    first_next.push_back(head);
+    head = static_cast<int>(out.size());
+    out.push_back(s);
   }
   f.sets = std::move(out);
   return f;
@@ -207,16 +233,6 @@ struct ElementSets {
            offsets[static_cast<size_t>(e)];
   }
 };
-
-int MaxElementPlusOne(const Family& f) {
-  int num_elements = 0;
-  for (size_t i = 0; i < f.size(); ++i) {
-    for (const int* p = f.begin(i); p != f.end(i); ++p) {
-      num_elements = std::max(num_elements, *p + 1);
-    }
-  }
-  return num_elements;
-}
 
 // State for the branch-and-bound search. Sets are spans into the
 // component's pool; "open" sets are those not yet hit by the current
@@ -679,11 +695,6 @@ Family ReduceToFixpoint(Family f) {
 
 }  // namespace
 
-HittingSetResult SolveMinHittingSet(
-    const std::vector<std::vector<int>>& sets) {
-  return SolveMinHittingSet(sets, ExactOptions{}, nullptr);
-}
-
 int HittingSetLowerBound(const HittingSetFamily& family) {
   if (family.empty()) return 0;
   Solver solver;  // ctx stays null: the root bounds never take a node
@@ -692,16 +703,6 @@ int HittingSetLowerBound(const HittingSetFamily& family) {
   // subsumes the packing one only on 2-set-heavy families, so take the
   // max.
   return std::max(solver.PackingLowerBound(), solver.FlowLowerBound());
-}
-
-int HittingSetLowerBound(const std::vector<std::vector<int>>& sets) {
-  return HittingSetLowerBound(HittingSetFamily::From(sets));
-}
-
-HittingSetResult SolveMinHittingSet(const std::vector<std::vector<int>>& sets,
-                                    const ExactOptions& options,
-                                    ExactStats* stats) {
-  return SolveMinHittingSet(HittingSetFamily::From(sets), options, stats);
 }
 
 HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
@@ -728,44 +729,43 @@ HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
     const int* s = reduced.begin(i);
     for (size_t j = 1; j < reduced.len(i); ++j) components.Union(s[0], s[j]);
   }
-  std::map<int, std::vector<uint32_t>> groups;  // root -> span ids
+  // (root, span id) pairs in ascending order: the components in
+  // ascending-root order, each listing its spans in ascending order —
+  // one flat sort instead of a container per component.
+  std::vector<std::pair<int, uint32_t>> by_root(reduced.size());
   for (size_t i = 0; i < reduced.size(); ++i) {
-    groups[components.Find(reduced.begin(i)[0])].push_back(
-        static_cast<uint32_t>(i));
+    by_root[i] = {components.Find(reduced.begin(i)[0]),
+                  static_cast<uint32_t>(i)};
   }
+  std::sort(by_root.begin(), by_root.end());
 
-  // Localize every component up front (serial, in deterministic
-  // map-of-roots order): dense local ids keep each component's solver
-  // small, and a flat task vector is what the worker pool fans out over.
+  // Localize every component up front (serial, in that deterministic
+  // order): dense local ids keep each component's solver small, and a
+  // flat task vector is what the worker pool fans out over.
   struct ComponentTask {
     std::vector<int> local_to_global;
     Family local;
     bool all_small = true;
   };
   std::vector<ComponentTask> tasks;
-  tasks.reserve(groups.size());
   std::vector<int> global_to_local(static_cast<size_t>(num_elements), -1);
-  for (const auto& [root, group] : groups) {
-    ComponentTask task;
-    task.local.sets.reserve(group.size());
-    for (uint32_t si : group) {
-      const uint32_t offset = static_cast<uint32_t>(task.local.pool.size());
-      for (const int* p = reduced.begin(si); p != reduced.end(si); ++p) {
-        int& slot = global_to_local[static_cast<size_t>(*p)];
-        if (slot < 0) {
-          slot = static_cast<int>(task.local_to_global.size());
-          task.local_to_global.push_back(*p);
-        }
-        task.local.pool.push_back(slot);
+  for (size_t k = 0; k < by_root.size(); ++k) {
+    if (k == 0 || by_root[k].first != by_root[k - 1].first) {
+      tasks.emplace_back();
+    }
+    ComponentTask& task = tasks.back();
+    const uint32_t si = by_root[k].second;
+    const uint32_t offset = static_cast<uint32_t>(task.local.pool.size());
+    for (const int* p = reduced.begin(si); p != reduced.end(si); ++p) {
+      int& slot = global_to_local[static_cast<size_t>(*p)];
+      if (slot < 0) {
+        slot = static_cast<int>(task.local_to_global.size());
+        task.local_to_global.push_back(*p);
       }
-      task.all_small = task.all_small && reduced.len(si) <= 2;
-      task.local.sets.push_back(
-          SetSpan{offset, reduced.sets[si].len});
+      task.local.pool.push_back(slot);
     }
-    for (int e : task.local_to_global) {
-      global_to_local[static_cast<size_t>(e)] = -1;
-    }
-    tasks.push_back(std::move(task));
+    task.all_small = task.all_small && reduced.len(si) <= 2;
+    task.local.sets.push_back(SetSpan{offset, reduced.sets[si].len});
   }
 
   // One budget for the whole solve, one counter slot per component.
@@ -784,6 +784,13 @@ HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
   auto solve_component = [&](size_t i) {
     obs::Span span("component-solve", "exact");
     ComponentTask& task = tasks[i];
+    if (task.local.size() == 1) {
+      // The reduction leaves a one-set component as a single forced
+      // element: one root node, as the cover search would take.
+      ctxs[i].TakeNode();
+      chosen[i].push_back(0);
+      return;
+    }
     chosen[i] =
         task.all_small
             ? SolveAsVertexCover(task.local,
@@ -813,9 +820,9 @@ HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
   result.size = static_cast<int>(result.chosen.size());
 
   // Partition-order merge of the per-component slots (the order is the
-  // deterministic map-of-roots order the tasks were built in).
+  // deterministic ascending-root order the tasks were built in).
   ExactStats search;
-  search.components = static_cast<int>(groups.size());
+  search.components = static_cast<int>(tasks.size());
   for (const SearchCtx& c : ctxs) {
     search.nodes += c.nodes;
     search.packing_prunes += c.packing_prunes;

@@ -115,31 +115,21 @@ struct HittingSetResult {
 ///    the maximum matching of the bipartite double cover, stacked on a
 ///    disjoint packing of the larger sets,
 ///  - upper bound: greedy max-frequency hitting seeds the incumbent.
-/// `sets` must be non-empty sets of non-negative element ids.
-HittingSetResult SolveMinHittingSet(const std::vector<std::vector<int>>& sets);
-
-/// As above with budgets and counters. `stats` may be null.
-HittingSetResult SolveMinHittingSet(const std::vector<std::vector<int>>& sets,
-                                    const ExactOptions& options,
-                                    ExactStats* stats);
-
-/// Span-native core the vector overloads wrap: identical search,
-/// identical counters (the fuzz sweeps assert it), no per-set copies.
+/// Every set must be non-empty, of non-negative element ids. `stats`
+/// may be null. This is the one hitting-set solver: the engine's exact
+/// path and every incremental epoch's re-solve run through it.
 HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
-                                    const ExactOptions& options,
-                                    ExactStats* stats);
+                                    const ExactOptions& options = {},
+                                    ExactStats* stats = nullptr);
 
-/// Root-level lower bound on the minimum hitting set of `sets`, without
-/// searching: the family is reduced exactly as SolveMinHittingSet would
-/// (dedup / supersets / element domination to fixpoint, all
-/// value-preserving) and the branch-and-bound's packing and
-/// fractional-matching flow bounds are evaluated once at the root.
-/// Always <= SolveMinHittingSet(sets).size; 0 for an empty family. This
-/// is what keeps incremental sessions warm: when it meets a feasible
-/// upper bound, the exact search need not run at all.
-int HittingSetLowerBound(const std::vector<std::vector<int>>& sets);
-
-/// Span-native form of the root bound (same reduction, same bounds).
+/// Root-level lower bound on the minimum hitting set of `family`,
+/// without searching: the family is reduced exactly as
+/// SolveMinHittingSet would (dedup / supersets / element domination to
+/// fixpoint, all value-preserving) and the branch-and-bound's packing
+/// and fractional-matching flow bounds are evaluated once at the root.
+/// Always <= SolveMinHittingSet(family).size; 0 for an empty family.
+/// Incremental sessions use it to certify the components of an epoch
+/// whose re-solve a node budget stopped.
 int HittingSetLowerBound(const HittingSetFamily& family);
 
 /// Exact resilience of q over the active tuples of db: stream witnesses

@@ -28,159 +28,6 @@ std::string WitnessBudgetError(size_t limit) {
          "cannot answer";
 }
 
-/// Greedy packing of pairwise element-disjoint sets — each packed set
-/// needs its own element, so the count bounds the minimum hitting set
-/// from below. No reduction, no flow: the O(total set size) bound that
-/// certifies the tree-shaped components sparse churn mostly touches;
-/// the branch-and-bound core (with its own domination and flow-bound
-/// machinery) is the escalation when this one leaves a gap.
-int QuickPackingBound(const HittingSetFamily& sets, int num_elements) {
-  std::vector<bool> used(static_cast<size_t>(num_elements), false);
-  int packed = 0;
-  for (size_t i = 0; i < sets.size(); ++i) {
-    bool disjoint = true;
-    for (const int* p = sets.begin(i); p != sets.end(i); ++p) {
-      if (used[static_cast<size_t>(*p)]) disjoint = false;
-    }
-    if (!disjoint) continue;
-    ++packed;
-    for (const int* p = sets.begin(i); p != sets.end(i); ++p) {
-      used[static_cast<size_t>(*p)] = true;
-    }
-  }
-  return packed;
-}
-
-/// Repairs `incumbent` (element ids of a previously good hitting set)
-/// into a feasible, inclusion-tight hitting set of `sets`: uncovered
-/// sets are greedily covered by the max-frequency element, then members
-/// every one of whose sets is multiply covered are stripped — the warm
-/// upper bound of a touched component. Deliberately set-major
-/// (membership is rescanned instead of materializing element->sets
-/// lists): touched components are small and the pass must stay
-/// allocation-light.
-std::vector<int> RepairIncumbent(const HittingSetFamily& sets,
-                                 int num_elements,
-                                 std::vector<int> incumbent) {
-  std::sort(incumbent.begin(), incumbent.end());
-  incumbent.erase(std::unique(incumbent.begin(), incumbent.end()),
-                  incumbent.end());
-  std::vector<bool> chosen(static_cast<size_t>(num_elements), false);
-  for (int e : incumbent) chosen[static_cast<size_t>(e)] = true;
-  std::vector<int> cover(sets.size(), 0);
-  size_t uncovered = 0;
-  for (size_t s = 0; s < sets.size(); ++s) {
-    for (const int* p = sets.begin(s); p != sets.end(s); ++p) {
-      cover[s] += chosen[static_cast<size_t>(*p)] ? 1 : 0;
-    }
-    uncovered += cover[s] == 0 ? 1 : 0;
-  }
-  std::vector<int> freq(static_cast<size_t>(num_elements), 0);
-  while (uncovered > 0) {
-    std::fill(freq.begin(), freq.end(), 0);
-    for (size_t s = 0; s < sets.size(); ++s) {
-      if (cover[s] > 0) continue;
-      for (const int* p = sets.begin(s); p != sets.end(s); ++p) {
-        ++freq[static_cast<size_t>(*p)];
-      }
-    }
-    int best = 0;
-    for (size_t e = 1; e < freq.size(); ++e) {
-      if (freq[e] > freq[static_cast<size_t>(best)]) best = static_cast<int>(e);
-    }
-    RESCQ_CHECK(freq[static_cast<size_t>(best)] > 0);
-    chosen[static_cast<size_t>(best)] = true;
-    incumbent.push_back(best);
-    for (size_t s = 0; s < sets.size(); ++s) {
-      bool has = false;
-      for (const int* p = sets.begin(s); p != sets.end(s); ++p) {
-        has = has || *p == best;
-      }
-      if (has && cover[s]++ == 0) --uncovered;
-    }
-  }
-  // Redundancy strip: a member every one of whose sets is multiply
-  // covered can go (keeps delete-churn upper bounds tight).
-  std::sort(incumbent.begin(), incumbent.end());
-  std::vector<int> repaired;
-  repaired.reserve(incumbent.size());
-  for (int e : incumbent) {
-    bool needed = false;
-    for (size_t s = 0; s < sets.size(); ++s) {
-      if (cover[s] != 1) continue;
-      for (const int* p = sets.begin(s); p != sets.end(s); ++p) {
-        needed = needed || *p == e;
-      }
-      if (needed) break;
-    }
-    if (!needed) {
-      for (size_t s = 0; s < sets.size(); ++s) {
-        for (const int* p = sets.begin(s); p != sets.end(s); ++p) {
-          if (*p == e) {
-            --cover[s];
-            break;
-          }
-        }
-      }
-      continue;
-    }
-    repaired.push_back(e);
-  }
-  return repaired;
-}
-
-// Exhaustive first-open-set branch and bound for tiny components — no
-// reductions, no heap churn. The odd (non-star, non-tree) components
-// sparse churn leaves behind have a handful of small sets; the full
-// SolveMinHittingSet pipeline (sort/dedup/domination fixpoint/flow)
-// costs more than this whole search there. Bounded: <= kTinySets sets
-// of size <= kTinySetSize, so the tree is at most 4^8 nodes and the
-// incumbent prune keeps it far below that.
-constexpr size_t kTinySets = 8;
-constexpr size_t kTinySetSize = 4;
-
-struct TinySolver {
-  const HittingSetFamily& sets;
-  std::vector<bool> chosen;
-  std::vector<int> current;
-  std::vector<int> best;  // seeded with a feasible incumbent
-
-  void Search() {
-    if (current.size() + 1 > best.size()) return;  // can't beat incumbent
-    size_t open = sets.size();
-    for (size_t s = 0; s < sets.size(); ++s) {
-      bool hit = false;
-      for (const int* p = sets.begin(s); p != sets.end(s); ++p) {
-        hit = hit || chosen[static_cast<size_t>(*p)];
-      }
-      if (!hit) {
-        open = s;
-        break;
-      }
-    }
-    if (open == sets.size()) {
-      best = current;
-      return;
-    }
-    for (const int* p = sets.begin(open); p != sets.end(open); ++p) {
-      const int e = *p;
-      chosen[static_cast<size_t>(e)] = true;
-      current.push_back(e);
-      Search();
-      current.pop_back();
-      chosen[static_cast<size_t>(e)] = false;
-    }
-  }
-};
-
-bool TinyEligible(const HittingSetFamily& sets) {
-  if (sets.size() > kTinySets) return false;
-  for (size_t s = 0; s < sets.size(); ++s) {
-    if (sets.len(s) > kTinySetSize) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int IncrementalSession::DenseId(TupleId t) {
@@ -447,25 +294,22 @@ void IncrementalSession::Refresh(EpochOutcome* out) {
   }
 
   // Dissolve the touched components and collect the region to rebuild:
-  // their surviving sets, this epoch's fresh sets, and — as the repair
-  // seed — their old solutions. Components outside the region are
-  // untouched and keep their records, so the work below scales with the
-  // churn's footprint. This runs even while the query is unbreakable:
-  // the decomposition must be current the moment breakability resumes.
+  // their surviving sets and this epoch's fresh sets. Components outside
+  // the region are untouched and keep their records, so the work below
+  // scales with the churn's footprint. This runs even while the query is
+  // unbreakable: the decomposition must be current the moment
+  // breakability resumes.
   std::sort(affected_labels_.begin(), affected_labels_.end());
   affected_labels_.erase(
       std::unique(affected_labels_.begin(), affected_labels_.end()),
       affected_labels_.end());
   std::vector<int32_t> region;  // SetIds
-  std::vector<int> seeds;
   for (int label : affected_labels_) {
     auto it = components_.find(label);
     if (it == components_.end()) continue;  // stale element label
     for (int32_t s : it->second.sets) {
       if (s >= 0) region.push_back(s);
     }
-    seeds.insert(seeds.end(), it->second.solution.begin(),
-                 it->second.solution.end());
     total_size_ -= it->second.size;
     total_lower_ -= it->second.lower;
     if (!it->second.proven) --unproven_components_;
@@ -478,9 +322,9 @@ void IncrementalSession::Refresh(EpochOutcome* out) {
   fresh_sets_.clear();
 
   if (!region.empty()) {
-    // Local dense ids over the region and its sub-components. The
-    // localized region is itself a span family — one pool, no per-set
-    // vectors.
+    // Local dense ids over the region. The localized region is itself a
+    // span family — one pool, no per-set vectors — and the exact
+    // solver's input.
     if (global_to_local_.size() < dense_tuples_.size()) {
       global_to_local_.resize(dense_tuples_.size(), -1);
     }
@@ -509,258 +353,91 @@ void IncrementalSession::Refresh(EpochOutcome* out) {
         dsu.Union(p[0], p[static_cast<size_t>(j)]);
       }
     }
-    // Group region sets by sub-component, first-seen order.
+    // Group region sets into the new components, first-seen order.
     std::vector<int> root_group(local_to_dense.size(), -1);
-    std::vector<std::vector<int>> group_sets;  // indices into region
+    std::vector<Component> comps;
     for (size_t s = 0; s < region.size(); ++s) {
-      int root = dsu.Find(region_local.begin(s)[0]);
-      int& g = root_group[static_cast<size_t>(root)];
+      int& g = root_group[static_cast<size_t>(
+          dsu.Find(region_local.begin(s)[0]))];
       if (g < 0) {
-        g = static_cast<int>(group_sets.size());
-        group_sets.emplace_back();
+        g = static_cast<int>(comps.size());
+        comps.emplace_back();
       }
-      group_sets[static_cast<size_t>(g)].push_back(static_cast<int>(s));
-    }
-    // Distribute the seed elements to their sub-components.
-    std::vector<std::vector<int>> group_seeds(group_sets.size());
-    for (int e : seeds) {
-      int slot = global_to_local_[static_cast<size_t>(e)];
-      if (slot < 0) continue;  // the seed's element dropped out entirely
-      int g = root_group[static_cast<size_t>(dsu.Find(slot))];
-      if (g >= 0) group_seeds[static_cast<size_t>(g)].push_back(e);
+      comps[static_cast<size_t>(g)].sets.push_back(region[s]);
     }
 
-    // The rebuild is three passes so the hard solves can fan out to a
-    // worker pool without touching shared session state:
-    //  1. (serial) label assignment, comp_label_/SetState mutation, and
-    //     the closed-form tiers — all the passes that write shared
-    //     structures are cheap;
-    //  2. (parallel when solver_threads > 1) the hard sub-components —
-    //     each task reads only its own comp.sets / seeds and writes
-    //     only its own GroupTask slot, with the nested exact solve kept
-    //     serial (the pool is not reentrant);
-    //  3. (serial, partition order) adoption into components_ and the
-    //     running totals.
-    // Pass 2 tasks are self-contained and internally serial, so every
-    // epoch outcome is byte-identical to the serial session.
-    struct GroupTask {
-      int label = -1;
-      Component comp;
-      bool done = false;      // a pass-1 closed form finished it
-      bool resolved = false;  // a pass-2 search tier ran
-    };
-    std::vector<GroupTask> tasks(group_sets.size());
-
-    for (size_t g = 0; g < group_sets.size(); ++g) {
-      const std::vector<int>& members = group_sets[g];
-      Component& comp = tasks[g].comp;
-      comp.sets.reserve(members.size());
-      // The label is the component's minimum dense element: unique per
-      // component, stable while the component is untouched.
+    // Label the new components. A label is the component's minimum
+    // dense element: unique per component, stable while the component
+    // is untouched.
+    std::vector<int> labels(comps.size());
+    for (size_t g = 0; g < comps.size(); ++g) {
+      const std::vector<int32_t>& sets = comps[g].sets;
       int label = std::numeric_limits<int>::max();
-      for (int m : members) {
-        const int32_t id = region[static_cast<size_t>(m)];
+      for (int32_t id : sets) {
         const int* e = DenseBegin(id);
-        const uint32_t len = SetLen(id);
-        for (uint32_t i = 0; i < len; ++i) label = std::min(label, e[i]);
-        comp.sets.push_back(id);
+        label = std::min(label, *std::min_element(e, e + SetLen(id)));
       }
-      for (size_t k = 0; k < members.size(); ++k) {
-        SetState& s = set_states_[static_cast<size_t>(comp.sets[k])];
-        s.label = label;
-        s.label_slot = static_cast<int>(k);
-        const int* e = DenseBegin(comp.sets[k]);
-        const uint32_t len = SetLen(comp.sets[k]);
-        for (uint32_t i = 0; i < len; ++i) {
+      for (size_t k = 0; k < sets.size(); ++k) {
+        SetState& state = set_states_[static_cast<size_t>(sets[k])];
+        state.label = label;
+        state.label_slot = static_cast<int>(k);
+        const int* e = DenseBegin(sets[k]);
+        for (uint32_t i = 0; i < SetLen(sets[k]); ++i) {
           comp_label_[static_cast<size_t>(e[i])] = label;
         }
       }
-      tasks[g].label = label;
-
-      // Tiered solve. Closed forms first: one set (any element), two
-      // sets (a shared element or one of each), a common element across
-      // all sets (the star shape a graph vertex's edges produce).
-      const size_t count = comp.sets.size();
-      bool done = false;
-      if (count == 1) {
-        const int* s0 = DenseBegin(comp.sets[0]);
-        comp.size = 1;
-        comp.solution.push_back(
-            *std::min_element(s0, s0 + SetLen(comp.sets[0])));
-        done = true;
-      } else if (count == 2) {
-        const int* s0 = DenseBegin(comp.sets[0]);
-        const uint32_t n0 = SetLen(comp.sets[0]);
-        const int* s1 = DenseBegin(comp.sets[1]);
-        const uint32_t n1 = SetLen(comp.sets[1]);
-        int common = -1;
-        for (uint32_t i = 0; i < n0; ++i) {
-          for (uint32_t j = 0; j < n1; ++j) {
-            if (s0[i] == s1[j] && (common < 0 || s0[i] < common)) {
-              common = s0[i];
-            }
-          }
-        }
-        if (common >= 0) {
-          comp.size = 1;
-          comp.solution.push_back(common);
-        } else {
-          comp.size = 2;
-          comp.solution.push_back(*std::min_element(s0, s0 + n0));
-          comp.solution.push_back(*std::min_element(s1, s1 + n1));
-        }
-        done = true;
-      } else {
-        std::vector<int> common(DenseBegin(comp.sets[0]),
-                                DenseBegin(comp.sets[0]) +
-                                    SetLen(comp.sets[0]));
-        for (size_t k = 1; !common.empty() && k < count; ++k) {
-          const int* s = DenseBegin(comp.sets[k]);
-          const uint32_t n = SetLen(comp.sets[k]);
-          std::vector<int> kept;
-          for (int e : common) {
-            for (uint32_t i = 0; i < n; ++i) {
-              if (s[i] == e) {
-                kept.push_back(e);
-                break;
-              }
-            }
-          }
-          common.swap(kept);
-        }
-        if (!common.empty()) {
-          comp.size = 1;
-          comp.solution.push_back(
-              *std::min_element(common.begin(), common.end()));
-          done = true;
-        }
-      }
-      if (done) {
-        comp.lower = comp.size;
-        comp.proven = true;
-        std::sort(comp.solution.begin(), comp.solution.end());
-        tasks[g].done = true;
-      }
+      labels[g] = label;
     }
 
-    // Pass 2: the hard sub-components. Each task is self-contained —
-    // compact local ids, repair the dissolved incumbent for the upper
-    // bound, certify with the packing dual, and only a remaining gap
-    // pays for the branch-and-bound core (whose own domination / flow
-    // machinery then runs on this component alone).
-    std::vector<size_t> hard;
-    for (size_t g = 0; g < tasks.size(); ++g) {
-      if (!tasks[g].done) hard.push_back(g);
+    // One exact solve over the whole region. Its components refine
+    // these (its reduction can only drop elements), so each chosen
+    // element belongs to exactly one new component, and a minimum
+    // hitting set of the region restricts to a minimum one of each
+    // component.
+    ExactOptions exact;
+    exact.node_budget = options_.exact_node_budget;
+    exact.solver_threads = options_.solver_threads;
+    ExactStats stats;
+    HittingSetResult hs = SolveMinHittingSet(region_local, exact, &stats);
+    // Every component takes its root node; more means some search
+    // branched.
+    out->resolved = stats.nodes > static_cast<uint64_t>(stats.components);
+    if (out->resolved) obs::Count("incremental.hard_solves");
+    for (int e : hs.chosen) {
+      const int g = root_group[static_cast<size_t>(dsu.Find(e))];
+      comps[static_cast<size_t>(g)].solution.push_back(
+          local_to_dense[static_cast<size_t>(e)]);
     }
-    auto solve_hard = [&](size_t idx) {
-      const size_t g = hard[idx];
-      GroupTask& task = tasks[g];
-      Component& comp = task.comp;
-      const size_t count = comp.sets.size();
-      std::vector<int> sub_to_dense;
-      HittingSetFamily local_sets;
-      local_sets.sets.reserve(count);
-      {
-        std::unordered_map<int, int> sub_ids;
-        sub_ids.reserve(16);
-        for (size_t k = 0; k < count; ++k) {
-          const int* s = DenseBegin(comp.sets[k]);
-          const uint32_t n = SetLen(comp.sets[k]);
-          const uint32_t offset =
-              static_cast<uint32_t>(local_sets.pool.size());
-          for (uint32_t i = 0; i < n; ++i) {
-            auto [it, inserted] =
-                sub_ids.emplace(s[i], static_cast<int>(sub_to_dense.size()));
-            if (inserted) sub_to_dense.push_back(s[i]);
-            local_sets.pool.push_back(it->second);
-          }
-          local_sets.sets.push_back(SetSpan{offset, n});
-        }
-        std::vector<int> incumbent;
-        for (int e : group_seeds[g]) {
-          auto it = sub_ids.find(e);
-          if (it != sub_ids.end()) incumbent.push_back(it->second);
-        }
-        std::vector<int> repaired =
-            RepairIncumbent(local_sets, static_cast<int>(sub_to_dense.size()),
-                            std::move(incumbent));
-        const int upper = static_cast<int>(repaired.size());
-        const int packing = QuickPackingBound(
-            local_sets, static_cast<int>(sub_to_dense.size()));
-        if (packing == upper) {
-          comp.size = upper;
-          comp.lower = upper;
-          comp.proven = true;
-          for (int e : repaired) {
-            comp.solution.push_back(sub_to_dense[static_cast<size_t>(e)]);
-          }
-        } else if (TinyEligible(local_sets)) {
-          task.resolved = true;
-          TinySolver tiny{local_sets,
-                          std::vector<bool>(sub_to_dense.size(), false),
-                          {},
-                          repaired};
-          tiny.Search();
-          comp.size = static_cast<int>(tiny.best.size());
-          comp.lower = comp.size;
-          comp.proven = true;
-          for (int e : tiny.best) {
-            comp.solution.push_back(sub_to_dense[static_cast<size_t>(e)]);
-          }
-        } else if (HittingSetLowerBound(local_sets) == upper) {
-          // The full root bound (domination + fractional matching) can
-          // still certify a big component the cheap packing could not —
-          // one reduction pass instead of a search.
-          comp.size = upper;
-          comp.lower = upper;
-          comp.proven = true;
-          for (int e : repaired) {
-            comp.solution.push_back(sub_to_dense[static_cast<size_t>(e)]);
-          }
-        } else {
-          task.resolved = true;
-          ExactOptions exact;
-          exact.witness_limit = kNoWitnessLimit;  // stream already budgeted
-          exact.node_budget = options_.exact_node_budget;
-          // Deliberately serial (the default): this task already runs
-          // on a pool worker and the pool is not reentrant, and a
-          // serial inner solve keeps the component's answer — size,
-          // proof, and chosen set — byte-identical to the serial
-          // session.
-          ExactStats stats;
-          HittingSetResult hs = SolveMinHittingSet(local_sets, exact, &stats);
-          if (!hs.proven_optimal && upper < hs.size) {
-            // The budget-stopped search's incumbent lost to the
-            // repaired restriction — keep the better feasible answer.
-            hs.size = upper;
-            hs.chosen = std::move(repaired);
-          }
-          comp.size = hs.size;
-          comp.proven = hs.proven_optimal;
-          comp.lower = comp.proven ? hs.size : std::max(packing, 1);
-          for (int e : hs.chosen) {
-            comp.solution.push_back(sub_to_dense[static_cast<size_t>(e)]);
-          }
-        }
-      }
+
+    obs::Span adopt_span("adopt", "incremental");
+    std::vector<int> sub_ids;  // region-local -> component-local ids
+    if (!hs.proven_optimal) sub_ids.assign(local_to_dense.size(), -1);
+    for (size_t g = 0; g < comps.size(); ++g) {
+      Component& comp = comps[g];
       std::sort(comp.solution.begin(), comp.solution.end());
-    };
-    obs::Count("incremental.hard_solves", hard.size());
-    const int threads = std::max(1, options_.solver_threads);
-    if (threads > 1 && hard.size() > 1) {
-      if (pool_ == nullptr) pool_.reset(new WorkerPool(threads));
-      pool_->Run(hard.size(), solve_hard);
-    } else {
-      for (size_t idx = 0; idx < hard.size(); ++idx) solve_hard(idx);
-    }
-
-    // Pass 3: adopt in partition order.
-    {
-      obs::Span adopt_span("adopt", "incremental");
-      for (GroupTask& task : tasks) {
-        out->resolved = out->resolved || task.resolved;
-        AdoptComponent(task.label, std::move(task.comp));
+      comp.size = static_cast<int>(comp.solution.size());
+      comp.lower = comp.size;
+      if (!hs.proven_optimal) {
+        // The budget stopped the search somewhere in the region: certify
+        // each component with the root bound on its own sets, which may
+        // still meet the feasible answer.
+        HittingSetFamily sub;
+        int next = 0;
+        for (int32_t id : comp.sets) {
+          const uint32_t offset = static_cast<uint32_t>(sub.pool.size());
+          const int* e = DenseBegin(id);
+          for (uint32_t i = 0; i < SetLen(id); ++i) {
+            int& sub_id = sub_ids[static_cast<size_t>(
+                global_to_local_[static_cast<size_t>(e[i])])];
+            if (sub_id < 0) sub_id = next++;
+            sub.pool.push_back(sub_id);
+          }
+          sub.sets.push_back(SetSpan{offset, SetLen(id)});
+        }
+        comp.lower = HittingSetLowerBound(sub);
+        comp.proven = comp.lower == comp.size;
       }
+      AdoptComponent(labels[g], std::move(comp));
     }
     for (int e : local_to_dense) {
       global_to_local_[static_cast<size_t>(e)] = -1;

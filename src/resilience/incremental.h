@@ -13,7 +13,6 @@
 #include "db/witness.h"
 #include "obs/memstats.h"
 #include "resilience/engine.h"
-#include "util/parallel.h"
 #include "util/span_arena.h"
 
 namespace rescq {
@@ -29,13 +28,16 @@ struct EpochOutcome {
   size_t family_sets = 0;      // live distinct endogenous sets afterwards
   /// Certified interval around the answer: `upper_bound` is the size of
   /// the maintained feasible contingency set (= `resilience`), and
-  /// `lower_bound` the sum of per-component proven optima and duals.
+  /// `lower_bound` the sum over components of their proven optima or,
+  /// for a component left unproven, of HittingSetLowerBound on its sets.
   /// They are equal whenever every component's proof is complete; they
-  /// separate only when an exact_node_budget stopped some component's
-  /// search.
+  /// separate only when an exact_node_budget stopped the search of an
+  /// epoch's re-solve.
   int lower_bound = 0;
   int upper_bound = 0;
-  bool resolved = false;  // some component re-ran the exact search
+  /// The epoch's re-solve branched: some component of its exact search
+  /// expanded more than its root node (ExactStats::nodes > components).
+  bool resolved = false;
   bool unbreakable = false;
   int resilience = 0;
   std::vector<TupleId> contingency;  // a minimum contingency set
@@ -73,30 +75,25 @@ struct EpochOutcome {
 /// components (sets sharing no element are independent, so minima add)
 /// are kept as labelled component records with per-element labels.
 /// An epoch dissolves only the components its set additions/removals
-/// actually touch, re-partitions that region, and answers each new
-/// piece through a tier of warm paths — closed forms for one-set,
-/// two-set, and common-element (star) components; an incumbent repaired
-/// from the dissolved components' solutions, certified by a greedy
-/// packing dual; and, last, the branch-and-bound core (whose own
-/// domination / flow-bound machinery then runs on that component
-/// alone). Untouched components cost nothing, so epoch work scales with
-/// the churn's footprint, not the database.
+/// actually touch and re-answers that region with one
+/// SolveMinHittingSet call — the same exact solver every other path
+/// uses, so the session has no hitting-set logic of its own. The
+/// region's solution is split back into the new components and adopted
+/// in partition order. Untouched components cost nothing, so epoch work
+/// scales with the churn's footprint, not the database.
 ///
-/// EngineOptions budgets thread through: `witness_limit` caps the
-/// witness stream per epoch (exceeding it is a structured error, never
-/// a silently wrong answer) and `exact_node_budget` caps each
-/// per-component re-solve (an unproven component keeps its feasible
-/// upper bound and retries when next touched).
-///
-/// With `EngineOptions::solver_threads > 1` an epoch's hard
-/// sub-components (those the closed forms don't finish) re-answer in
-/// parallel on a worker pool the session keeps warm across epochs.
-/// Every per-component solve is self-contained and runs serially
-/// inside its worker (the nested exact solve stays at one thread —
-/// the pool is not reentrant), and components are adopted in
-/// partition order afterwards, so every epoch outcome — including the
-/// contingency set — is byte-identical to the serial session at any
-/// thread count.
+/// EngineOptions thread straight into ExactOptions: `witness_limit`
+/// caps the witness stream per epoch (exceeding it is a structured
+/// error, never a silently wrong answer), `exact_node_budget` caps the
+/// node count of each epoch's whole re-solve, and `solver_threads` fans
+/// the re-solve's components out to workers. Epochs therefore carry the
+/// exact solver's determinism contract: every outcome — contingency set
+/// included — is byte-identical at any thread count, except that an
+/// epoch which exhausts its node budget under `solver_threads > 1` may
+/// stop at a different point on different runs. A budget-stopped epoch
+/// keeps each re-solved component's feasible upper bound, certifies it
+/// with HittingSetLowerBound where it can, and retries an unproven
+/// component when next touched.
 ///
 /// Thread contract — one writer, concurrent readers of published
 /// answers: Apply and EvictColdState are the only mutators and must be
@@ -192,8 +189,8 @@ class IncrementalSession {
   /// One live component: its member SetIds (-1 tombstones keep
   /// label_slots stable; the record is dissolved and rebuilt whenever a
   /// member set is added or removed), a feasible minimum-or-upper-bound
-  /// `size` with its solution, and the proven lower bound (`size` when
-  /// `proven`).
+  /// `size` with its solution, and the certified lower bound (`size`
+  /// when `proven`).
   struct Component {
     std::vector<int32_t> sets;
     int size = 0;
@@ -227,7 +224,8 @@ class IncrementalSession {
                     EpochOutcome* out);
 
   /// Dissolves the affected components, re-partitions their sets plus
-  /// the epoch's fresh ones, solves each new piece, and fills `out`.
+  /// the epoch's fresh ones, re-solves that region with one exact call,
+  /// and fills `out`.
   void Refresh(EpochOutcome* out);
 
   /// Installs a finished component record and updates the running
@@ -284,10 +282,6 @@ class IncrementalSession {
   // the array stays clean between epochs and only grows with the
   // universe). Dropped by EvictColdState, re-grown on demand.
   std::vector<int> global_to_local_;
-
-  // Lazily created when solver_threads > 1 and an epoch leaves more
-  // than one hard sub-component; kept warm across epochs.
-  std::unique_ptr<WorkerPool> pool_;
 
   bool poisoned_ = false;  // witness budget tripped; family incomplete
   std::string poison_error_;

@@ -251,47 +251,6 @@ TEST(Fuzz, SpanFamilyMatchesLegacyEnumerationAcrossTheCatalog) {
   }
 }
 
-TEST(Fuzz, SpanAndVectorSolverAreIdenticalDownToTheCounters) {
-  // The vector SolveMinHittingSet overload is a thin wrapper over the
-  // span-native core; this sweep pins that they stay one algorithm —
-  // same answer, same chosen set, same node/prune counters — on random
-  // multi-set instances including duplicates and supersets.
-  Rng rng(0x5BA2F00D);
-  for (int round = 0; round < 40; ++round) {
-    std::vector<std::vector<int>> sets;
-    int family = 4 + static_cast<int>(rng.Below(10));
-    int num_elements = 0;
-    for (int s = 0; s < family; ++s) {
-      std::vector<int> set;
-      int arity = 1 + static_cast<int>(rng.Below(4));
-      for (int k = 0; k < arity; ++k) {
-        int e = static_cast<int>(rng.Below(12));
-        set.push_back(e);
-        num_elements = std::max(num_elements, e + 1);
-      }
-      sets.push_back(set);
-      if (rng.Chance(1, 5)) sets.push_back(sets.back());  // duplicate
-    }
-    ExactOptions options;
-    ExactStats vec_stats, span_stats;
-    HittingSetResult vec = SolveMinHittingSet(sets, options, &vec_stats);
-    ASSERT_EQ(vec.size, ReferenceHittingSet(sets, num_elements))
-        << "round " << round;
-    HittingSetResult spn =
-        SolveMinHittingSet(HittingSetFamily::From(sets), options, &span_stats);
-    ASSERT_EQ(spn.size, vec.size) << "round " << round;
-    ASSERT_EQ(spn.chosen, vec.chosen) << "round " << round;
-    ASSERT_EQ(spn.proven_optimal, vec.proven_optimal) << "round " << round;
-    ASSERT_EQ(span_stats.nodes, vec_stats.nodes) << "round " << round;
-    ASSERT_EQ(span_stats.components, vec_stats.components)
-        << "round " << round;
-    ASSERT_EQ(span_stats.packing_prunes, vec_stats.packing_prunes)
-        << "round " << round;
-    ASSERT_EQ(span_stats.flow_prunes, vec_stats.flow_prunes)
-        << "round " << round;
-  }
-}
-
 TEST(Fuzz, ParallelExactDifferentialSweep) {
   // Randomized multi-component hitting-set instances: the parallel
   // solver (2 and 4 workers, self-contained component searches) against
@@ -317,13 +276,14 @@ TEST(Fuzz, ParallelExactDifferentialSweep) {
       }
     }
     int reference = ReferenceHittingSet(sets, num_elements);
-    HittingSetResult serial = SolveMinHittingSet(sets);
+    const HittingSetFamily family = HittingSetFamily::From(sets);
+    HittingSetResult serial = SolveMinHittingSet(family);
     ASSERT_EQ(serial.size, reference) << "round " << round;
     for (int threads : {2, 4}) {
       ExactOptions options;
       options.solver_threads = threads;
       ExactStats stats;
-      HittingSetResult parallel = SolveMinHittingSet(sets, options, &stats);
+      HittingSetResult parallel = SolveMinHittingSet(family, options, &stats);
       ASSERT_EQ(parallel.size, reference)
           << "round " << round << " threads " << threads;
       ASSERT_TRUE(parallel.proven_optimal)
@@ -428,8 +388,7 @@ TEST(Fuzz, IncrementalSessionDifferentialSweep) {
   // IncrementalSession after every epoch must agree exactly with
   // ComputeResilienceExact from scratch over the session's database —
   // the witness-delta maintenance, the component decomposition, and
-  // every warm path (closed forms, incumbent repair, packing certify,
-  // proof cache) all sit between those two answers.
+  // the per-epoch region re-solve all sit between those two answers.
   for (const CatalogEntry& entry : PaperCatalog()) {
     Query q = MustParseQuery(entry.text);
     uint64_t seed_base = std::hash<std::string>()(entry.name);

@@ -469,13 +469,15 @@ TEST(IncrementalSession, NodeBudgetYieldsAVerifiedUpperBound) {
   const EpochOutcome& out = session.current();
   ResilienceResult exact = ComputeResilienceExact(q, session.db());
   ASSERT_FALSE(exact.unbreakable);
-  if (out.budget_exceeded) {
-    EXPECT_NE(out.error.find("node budget"), std::string::npos);
-    EXPECT_GE(out.resilience, exact.resilience);  // upper bound only
-  } else {
-    EXPECT_EQ(out.resilience, exact.resilience);
-  }
-  // Either way the reported contingency set must falsify the query.
+  // One node cannot finish this search, and the root bound cannot
+  // certify the incumbent either: the budget surfaces.
+  ASSERT_TRUE(out.budget_exceeded);
+  EXPECT_NE(out.error.find("node budget"), std::string::npos);
+  // The certified interval brackets the true optimum.
+  EXPECT_EQ(out.upper_bound, out.resilience);
+  EXPECT_LE(out.lower_bound, exact.resilience);
+  EXPECT_LE(exact.resilience, out.upper_bound);
+  // The reported contingency set must still falsify the query.
   Database copy = session.db();
   EXPECT_TRUE(VerifyContingency(q, copy, out.contingency));
 }

@@ -108,15 +108,16 @@ bool HitsEverySet(const std::vector<std::vector<int>>& sets,
 // node and prune counters.
 void ExpectThreadInvariantHittingSet(const std::vector<std::vector<int>>& sets,
                                      const std::string& label) {
+  const HittingSetFamily family = HittingSetFamily::From(sets);
   ExactStats serial_stats;
   HittingSetResult serial =
-      SolveMinHittingSet(sets, ExactOptions{}, &serial_stats);
+      SolveMinHittingSet(family, ExactOptions{}, &serial_stats);
   EXPECT_TRUE(serial.proven_optimal) << label;
   for (int threads : {2, 4}) {
     ExactOptions options;
     options.solver_threads = threads;
     ExactStats stats;
-    HittingSetResult out = SolveMinHittingSet(sets, options, &stats);
+    HittingSetResult out = SolveMinHittingSet(family, options, &stats);
     ASSERT_EQ(out.size, serial.size) << label << " threads " << threads;
     ASSERT_EQ(static_cast<int>(out.chosen.size()), out.size)
         << label << " threads " << threads;
@@ -155,7 +156,8 @@ TEST(ComponentParallel, ManyEqualComponentsStayExact) {
     sets.push_back({a, b, d});
   }
   ExactStats stats;
-  HittingSetResult serial = SolveMinHittingSet(sets, ExactOptions{}, &stats);
+  HittingSetResult serial =
+      SolveMinHittingSet(HittingSetFamily::From(sets), ExactOptions{}, &stats);
   EXPECT_EQ(serial.size, 12 * 2 + 8 * 1);
   EXPECT_EQ(stats.components, 20);
   ExpectThreadInvariantHittingSet(sets, "equal components");
@@ -214,14 +216,15 @@ std::vector<std::vector<int>> HardMultiComponentFamily() {
 
 TEST(NodeBudget, TrippingMidFlightKeepsAFeasibleIncumbent) {
   std::vector<std::vector<int>> sets = HardMultiComponentFamily();
-  HittingSetResult optimal = SolveMinHittingSet(sets);
+  const HittingSetFamily family = HittingSetFamily::From(sets);
+  HittingSetResult optimal = SolveMinHittingSet(family);
   ASSERT_TRUE(optimal.proven_optimal);
   for (int threads : {1, 2, 4}) {
     ExactOptions options;
     options.solver_threads = threads;
     options.node_budget = 4;  // trips inside the first components' searches
     ExactStats stats;
-    HittingSetResult out = SolveMinHittingSet(sets, options, &stats);
+    HittingSetResult out = SolveMinHittingSet(family, options, &stats);
     EXPECT_TRUE(stats.node_budget_exceeded) << "threads " << threads;
     EXPECT_FALSE(out.proven_optimal) << "threads " << threads;
     // The incumbent is still a real hitting set (the greedy seeds run
@@ -239,13 +242,14 @@ TEST(NodeBudget, TrippingMidFlightKeepsAFeasibleIncumbent) {
 }
 
 TEST(NodeBudget, GenerousBudgetIsNeverTrippedInParallel) {
-  std::vector<std::vector<int>> sets = HardMultiComponentFamily();
-  HittingSetResult optimal = SolveMinHittingSet(sets);
+  const HittingSetFamily family =
+      HittingSetFamily::From(HardMultiComponentFamily());
+  HittingSetResult optimal = SolveMinHittingSet(family);
   ExactOptions options;
   options.solver_threads = 4;
   options.node_budget = 1u << 20;
   ExactStats stats;
-  HittingSetResult out = SolveMinHittingSet(sets, options, &stats);
+  HittingSetResult out = SolveMinHittingSet(family, options, &stats);
   EXPECT_FALSE(stats.node_budget_exceeded);
   EXPECT_TRUE(out.proven_optimal);
   EXPECT_EQ(out.size, optimal.size);
@@ -352,30 +356,49 @@ TEST(ParallelInvariance, EveryScenarioMatchesAcrossThreadCounts) {
 
 TEST(ParallelInvariance, IncrementalEpochsAreByteIdentical) {
   // Unlike the engine path, the incremental contract promises FULL
-  // determinism — contingency included — because per-component solves
-  // stay internally serial and adoption runs in partition order.
+  // determinism — contingency included — because every epoch's region
+  // re-solve is the exact solver, whose component fan-out is
+  // byte-identical at any thread count, and adoption runs in partition
+  // order.
+  struct Input {
+    std::string text;
+    Database base;
+  };
+  std::vector<Input> inputs;
   for (const char* text : {"R(x,y), R(y,x)", "R(x,y), R(y,z)",
                            "R(x,y), R(y,z), S^x(z,w)"}) {
+    ScenarioParams params;
+    params.size = 6;
+    params.density = 0.5;
+    params.seed = 7;
+    inputs.push_back({text, GenerateUniform(MustParseQuery(text), params)});
+  }
+  {
+    // A super-critical q_vc base (average degree ~3): one giant
+    // component that nearly every epoch dissolves and re-solves whole.
+    ScenarioParams params;
+    params.size = 80;
+    params.density = 0.04;
+    params.seed = 7;
+    inputs.push_back({"R(x), S(x,y), R(y)", GenerateErdosRenyiVC(params)});
+  }
+  for (const Input& input : inputs) {
+    const std::string& text = input.text;
     Query q = MustParseQuery(text);
     for (const ChurnKind& kind : ChurnCatalog()) {
-      ScenarioParams params;
-      params.size = 6;
-      params.density = 0.5;
-      params.seed = 7;
-      Database base = GenerateUniform(q, params);
       ChurnParams churn;
       churn.epochs = 4;
       churn.rate = 0.3;
       churn.seed = 11;
-      UpdateLog log = GenerateChurn(base, kind.name, churn);
+      UpdateLog log = GenerateChurn(input.base, kind.name, churn);
 
       EngineOptions parallel_options;
       parallel_options.solver_threads = 4;
-      IncrementalSession serial(q, base, EngineOptions{});
-      IncrementalSession parallel(q, base, parallel_options);
+      IncrementalSession serial(q, input.base, EngineOptions{});
+      IncrementalSession parallel(q, input.base, parallel_options);
       int epoch = 0;
       auto check = [&](const EpochOutcome& a, const EpochOutcome& b) {
-        std::string label = std::string(text) + " " + kind.name + " epoch " +
+        std::string label = text + " " + kind.name + " epoch " +
                             std::to_string(epoch);
         ASSERT_EQ(a.unbreakable, b.unbreakable) << label;
         ASSERT_EQ(a.resilience, b.resilience) << label;
