@@ -1,7 +1,5 @@
 #include "db/delta.h"
 
-#include <unordered_map>
-
 #include "util/check.h"
 
 namespace rescq {
@@ -14,32 +12,35 @@ size_t UpdateLog::size() const {
 
 bool ValidateUpdateLog(const UpdateLog& log, const Database& db,
                        std::string* error) {
-  // Arity of every relation seen so far: the database's relations first,
-  // then relations the log itself introduces.
-  std::unordered_map<std::string, int> arity;
-  for (int rel = 0; rel < db.num_relations(); ++rel) {
-    arity[db.relation_name(rel)] = db.relation_arity(rel);
-  }
+  UpdateArityCheck check;
   int epoch_no = 0;
   for (const Epoch& epoch : log.epochs) {
     ++epoch_no;
     for (const Update& u : epoch.updates) {
-      if (u.relation.empty() || u.constants.empty()) {
-        *error = "epoch " + std::to_string(epoch_no) +
-                 ": update with an empty relation or no constants";
-        return false;
-      }
-      auto [it, inserted] =
-          arity.emplace(u.relation, static_cast<int>(u.constants.size()));
-      if (!inserted && it->second != static_cast<int>(u.constants.size())) {
-        *error = "epoch " + std::to_string(epoch_no) + ": relation '" +
-                 u.relation + "' used with arity " +
-                 std::to_string(u.constants.size()) +
-                 ", but its other facts have arity " +
-                 std::to_string(it->second);
-        return false;
-      }
+      if (!check.Admit(u, db, epoch_no, error)) return false;
     }
+  }
+  return true;
+}
+
+bool UpdateArityCheck::Admit(const Update& u, const Database& db,
+                             int epoch_no, std::string* error) {
+  if (u.relation.empty() || u.constants.empty()) {
+    *error = "epoch " + std::to_string(epoch_no) +
+             ": update with an empty relation or no constants";
+    return false;
+  }
+  // The database's arity wins over the log's: a relation it has is
+  // checked against it and never recorded here.
+  int used = static_cast<int>(u.constants.size());
+  int rel = db.RelationId(u.relation);
+  int known = rel >= 0 ? db.relation_arity(rel)
+                       : arity_.emplace(u.relation, used).first->second;
+  if (known != used) {
+    *error = "epoch " + std::to_string(epoch_no) + ": relation '" +
+             u.relation + "' used with arity " + std::to_string(used) +
+             ", but its other facts have arity " + std::to_string(known);
+    return false;
   }
   return true;
 }

@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "db/database.h"
@@ -55,6 +56,24 @@ struct UpdateLog {
 /// programmer bug and aborts, so untrusted logs are vetted here first.
 bool ValidateUpdateLog(const UpdateLog& log, const Database& db,
                        std::string* error);
+
+/// ValidateUpdateLog's check, one update at a time, for callers that
+/// admit updates as they arrive (the server's pending epoch): an update
+/// is checked against db's relations and against the updates admitted
+/// since the last Clear, never re-checking those.
+class UpdateArityCheck {
+ public:
+  /// Checks u; on success remembers the arity of a relation db lacks.
+  /// `epoch_no` (1-based) only labels the error, which is worded
+  /// exactly as ValidateUpdateLog's.
+  bool Admit(const Update& u, const Database& db, int epoch_no,
+             std::string* error);
+  void Clear() { arity_.clear(); }
+
+ private:
+  /// Arities of the admitted updates' relations that db did not have.
+  std::unordered_map<std::string, int> arity_;
+};
 
 /// Applies one update to db. Insert activates the fact, creating the
 /// tuple (and relation) on first use; Delete deactivates it. Returns the

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -19,6 +20,11 @@ namespace {
 // A request line longer than this is hostile or garbage; the connection
 // gets one structured error and is dropped.
 constexpr size_t kMaxLineBytes = 64 * 1024;
+
+// Coalesced replies are sent early once they reach this size: a read's
+// worth of short requests with long replies (`sessions`, `stats`) must
+// not grow the output buffer without bound.
+constexpr size_t kMaxPendingReplyBytes = 64 * 1024;
 
 /// send() the whole buffer, riding out EINTR and partial writes.
 /// MSG_NOSIGNAL: a client that hung up mid-reply costs us an EPIPE
@@ -159,32 +165,52 @@ void LineServer::HandlerLoop() {
 }
 
 void LineServer::ServeConnection(int fd) {
+  // Replies leave in batches the client is already waiting for; Nagle
+  // would only hold a batch's tail until the client's delayed ACK.
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   std::unique_ptr<LineConnectionHandler> handler = factory_();
-  std::string buffer;
-  char chunk[4096];
+  std::string in;   // received bytes; [cursor, size) not yet handled
+  size_t cursor = 0;
+  std::string out;  // replies not yet sent, in request order
+  char chunk[64 * 1024];
   for (;;) {
-    size_t newline;
-    while ((newline = buffer.find('\n')) == std::string::npos) {
-      if (buffer.size() > kMaxLineBytes) {
-        SendAll(fd, "err bad-request request line over 64KiB\n");
-        return;
-      }
-      ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return;  // peer hung up, or RequestStop shut us down
-      buffer.append(chunk, static_cast<size_t>(n));
-    }
-    std::string line = buffer.substr(0, newline);
-    buffer.erase(0, newline + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-
-    LineResult result = handler->Handle(line);
-    if (!result.response.empty() && !SendAll(fd, result.response)) return;
-    if (result.stop_server) {
-      RequestStop();
+    size_t newline = in.find('\n', cursor);
+    size_t line_end = newline == std::string::npos ? in.size() : newline;
+    if (line_end - cursor > kMaxLineBytes) {
+      SendAll(fd, out + "err bad-request request line over 64KiB\n");
       return;
     }
-    if (result.close_connection) return;
+    if (newline != std::string::npos) {
+      std::string_view line(in.data() + cursor, newline - cursor);
+      cursor = newline + 1;
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      LineResult result = handler->Handle(line);
+      out += result.response;
+      if (result.close_connection || result.stop_server) {
+        SendAll(fd, out);
+        if (result.stop_server) RequestStop();
+        return;
+      }
+      if (out.size() >= kMaxPendingReplyBytes) {
+        if (!SendAll(fd, out)) return;
+        out.clear();
+      }
+      continue;
+    }
+    // Every complete line received so far is handled: send their
+    // replies before waiting for more input, and keep only the partial
+    // line.
+    if (!out.empty()) {
+      if (!SendAll(fd, out)) return;
+      out.clear();
+    }
+    in.erase(0, cursor);
+    cursor = 0;
+    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;  // peer hung up, or RequestStop shut us down
+    in.append(chunk, static_cast<size_t>(n));
   }
 }
 

@@ -60,6 +60,13 @@ struct LineServerOptions {
 /// (ShardRouter) are both this transport under different
 /// LineConnectionHandlers.
 ///
+/// Clients may pipeline. A connection walks its receive buffer with an
+/// offset cursor, handling every complete line already received, and
+/// appends the replies, in request order, to one output buffer. That
+/// buffer is sent (on a TCP_NODELAY socket) before each read, when it
+/// reaches 64 KiB, and before the connection closes — so a reply is
+/// never held while the server waits for more input.
+///
 /// Lifecycle: Start() binds and spawns the threads; Wait() blocks until
 /// the server stops (a handler's stop_server, Stop(), or a signal
 /// relayed through SignalStop()); Stop() = RequestStop() + Wait(). The

@@ -252,7 +252,7 @@ std::string ProtocolHandler::DoOpen(std::string_view args) {
   // (the loadgen steady state) plans exactly once per server lifetime.
   engine_->Plan(parsed.query);
   current_ = std::move(entry);
-  pending_.clear();
+  ClearPending();
   obs::SetGauge("server.active_sessions",
                 static_cast<double>(registry_->size()));
   return "ok open " + std::string(name) + " staging\n";
@@ -266,7 +266,7 @@ std::string ProtocolHandler::DoUse(std::string_view args) {
     return Err("no-session", "no session named '" + std::string(args) + "'");
   }
   current_ = std::move(entry);
-  pending_.clear();
+  ClearPending();
   std::shared_lock<std::shared_mutex> lock(current_->mu);
   return "ok use " + current_->name +
          (current_->live() ? " live\n" : " staging\n");
@@ -392,20 +392,17 @@ std::string ProtocolHandler::DoUpdate(std::string_view line) {
                          limits_->max_epoch_updates));
   }
 
-  // Validate the whole pending batch plus the candidate against the live
-  // database's arities now, so the offending line (not the later
-  // `epoch`) gets the structured error.
-  UpdateLog probe;
-  probe.epochs.emplace_back();
-  probe.epochs.back().updates = pending_;
-  probe.epochs.back().updates.push_back(update);
+  // Validate the candidate against the live database's arities and the
+  // batch's own now, so the offending line (not the later `epoch`) gets
+  // the structured error.
   {
     std::shared_lock<std::shared_mutex> lock(entry->mu);
     if (entry->closed) return Err("closed", "session was closed");
     if (!entry->live()) {
       return Err("not-live", "session has no base yet (begin first)");
     }
-    if (!ValidateUpdateLog(probe, entry->session->db(), &error)) {
+    if (!pending_arity_.Admit(update, entry->session->db(),
+                               /*epoch_no=*/1, &error)) {
       return Err("parse", error);
     }
   }
@@ -418,9 +415,10 @@ std::string ProtocolHandler::DoEpoch() {
   std::shared_ptr<SessionEntry> entry = Current(&error);
   if (entry == nullptr) return Err("no-session", error);
 
-  Epoch epoch;
-  epoch.updates = std::move(pending_);
-  pending_.clear();
+  UpdateLog probe;
+  probe.epochs.emplace_back();
+  probe.epochs[0].updates = std::move(pending_);
+  ClearPending();
 
   std::unique_lock<std::shared_mutex> lock(entry->mu);
   if (entry->closed) return Err("closed", "session was closed");
@@ -430,15 +428,14 @@ std::string ProtocolHandler::DoEpoch() {
   if (entry->session->poisoned()) {
     return Err("poisoned", entry->session->Peek().error);
   }
-  // Re-validate under the exclusive lock: another connection may have
-  // reshaped the database since the updates were queued, and ApplyEpoch
-  // treats an arity mismatch as a programmer error.
-  UpdateLog probe;
-  probe.epochs.push_back(epoch);
+  // Re-validate the whole batch under the exclusive lock: another
+  // connection may have reshaped the database since the updates were
+  // queued, and ApplyEpoch treats an arity mismatch as a programmer
+  // error.
   if (!ValidateUpdateLog(probe, entry->session->db(), &error)) {
     return Err("parse", error);
   }
-  EpochOutcome outcome = entry->session->Apply(epoch);
+  EpochOutcome outcome = entry->session->Apply(probe.epochs[0]);
   entry->resident_bytes.store(entry->session->ApproxMemory().TotalBytes(),
                               std::memory_order_relaxed);
   if (entry->session->poisoned()) {
@@ -588,11 +585,16 @@ std::string ProtocolHandler::DoClose(std::string_view args) {
   if (!registry_->Close(name, &error)) return Err("no-session", error);
   if (current_ != nullptr && current_->name == name) {
     current_.reset();
-    pending_.clear();
+    ClearPending();
   }
   obs::SetGauge("server.active_sessions",
                 static_cast<double>(registry_->size()));
   return "ok close " + name + "\n";
+}
+
+void ProtocolHandler::ClearPending() {
+  pending_.clear();
+  pending_arity_.Clear();
 }
 
 }  // namespace rescq

@@ -112,6 +112,8 @@ class ProtocolHandler : public LineConnectionHandler {
   std::string DoStats();
   std::string DoSessions();
   std::string DoClose(std::string_view args);
+  /// Drops the pending epoch and the arities it admitted.
+  void ClearPending();
 
   SessionRegistry* registry_;
   ResilienceEngine* engine_;
@@ -119,6 +121,9 @@ class ProtocolHandler : public LineConnectionHandler {
 
   std::shared_ptr<SessionEntry> current_;
   std::vector<Update> pending_;
+  /// The arities pending_ uses for relations absent from the live base,
+  /// so each update line is checked alone, not with the whole batch.
+  UpdateArityCheck pending_arity_;
 };
 
 }  // namespace rescq

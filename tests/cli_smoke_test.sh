@@ -401,6 +401,60 @@ else
     sed 's/^/    /' "$loadgen_json"
     failures=$((failures + 1))
   fi
+  # An update file piped verbatim: a whole session script, ~250 updates
+  # in one epoch, in one write. Every line gets its reply, in order, and
+  # the connection closes on quit within 5 s.
+  if command -v python3 >/dev/null 2>&1; then
+    if pipe_out="$(python3 - "$serve_port" 2>&1 <<'PY'
+import socket
+import sys
+import time
+
+lines = ["open piped R(x), S(x,y), R(y)"]
+for v in range(20):
+    lines += [f"push R(v{v})", f"push S(v{v}, v{(v + 1) % 20})"]
+lines.append("begin")
+for i in range(250):
+    sign = "-" if i % 4 == 3 else "+"
+    lines.append(f"{sign} S(v{i * 7 % 20}, v{(i * 11 + 3) % 20})")
+lines += ["epoch", "resilience", "quit"]
+
+start = time.monotonic()
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=5)
+sock.sendall("".join(line + "\n" for line in lines).encode())
+data = b""
+while True:
+    chunk = sock.recv(65536)
+    if not chunk:
+        break
+    data += chunk
+elapsed = time.monotonic() - start
+replies = data.decode().splitlines()
+epoch = next((i for i, r in enumerate(replies)
+              if r.startswith("ok epoch ")), -1)
+resilience = next((i for i, r in enumerate(replies)
+                   if r.startswith("ok resilience ")), -1)
+problems = []
+if len(replies) != len(lines):
+    problems.append(f"{len(replies)} replies to {len(lines)} lines")
+if any(r.startswith("err ") for r in replies):
+    problems.append("an err reply")
+if not 0 <= epoch < resilience:
+    problems.append("no 'ok epoch' before 'ok resilience'")
+if not replies or replies[-1] != "ok bye":
+    problems.append("no final 'ok bye'")
+if elapsed >= 5:
+    problems.append(f"took {elapsed:.2f} s")
+print("; ".join(problems) or f"{len(replies)} replies in {elapsed:.3f} s")
+sys.exit(1 if problems else 0)
+PY
+    )"; then
+      echo "ok: a piped update file gets every reply, in order ($pipe_out)"
+    else
+      echo "FAIL: piped update file against live serve: $pipe_out"
+      failures=$((failures + 1))
+    fi
+  fi
   kill -TERM "$serve_pid"
   if wait "$serve_pid"; then
     echo "ok: serve exits 0 on SIGTERM"

@@ -218,6 +218,90 @@ TEST_F(ProtocolTest, AdmissionControlLimits) {
   EXPECT_TRUE(StartsWithStr(req("- R(c, d)"), "err limit "));
 }
 
+// The pending-epoch cap counts queued updates only: rejected lines do
+// not use it up, and an applied epoch frees it.
+TEST_F(ProtocolTest, PendingEpochLimitRejectsAtTheSameCount) {
+  limits_.max_epoch_updates = 3;
+  EXPECT_EQ(Req("open s1 R(x,y)"), "ok open s1 staging\n");
+  EXPECT_EQ(Req("push R(a, b)"), "ok push 1\n");
+  ASSERT_TRUE(StartsWithStr(Req("begin"), "ok begin "));
+  EXPECT_EQ(Req("+ R(c, d)"), "ok queued 1\n");
+  EXPECT_TRUE(StartsWithStr(Req("+ R(c)"), "err parse "));
+  EXPECT_EQ(Req("+ R(e, f)"), "ok queued 2\n");
+  EXPECT_EQ(Req("- R(a, b)"), "ok queued 3\n");
+  const std::string full =
+      "err limit pending epoch limit reached (max_epoch_updates=3)\n";
+  EXPECT_EQ(Req("+ R(g, h)"), full);
+  EXPECT_EQ(Req("+ R(g, h)"), full);
+  ASSERT_TRUE(StartsWithStr(Req("epoch"), "ok epoch n=1 "));
+  EXPECT_EQ(Req("+ R(g, h)"), "ok queued 1\n");
+}
+
+// An update is checked against the live base's arities and against the
+// updates already queued in the same batch; the reply names the
+// conflict in the same words as ValidateUpdateLog.
+TEST_F(ProtocolTest, ArityConflictsInsideOnePendingBatch) {
+  EXPECT_EQ(Req("open s1 R(x,y)"), "ok open s1 staging\n");
+  EXPECT_EQ(Req("push R(a, b)"), "ok push 1\n");
+  ASSERT_TRUE(StartsWithStr(Req("begin"), "ok begin "));
+
+  // Against the base.
+  EXPECT_EQ(Req("+ R(a)"),
+            "err parse epoch 1: relation 'R' used with arity 1, but its "
+            "other facts have arity 2\n");
+  // Against the batch, for a relation the base does not have.
+  EXPECT_EQ(Req("+ T(a, b)"), "ok queued 1\n");
+  EXPECT_EQ(Req("+ T(c)"),
+            "err parse epoch 1: relation 'T' used with arity 1, but its "
+            "other facts have arity 2\n");
+  EXPECT_EQ(Req("- T(c, d, e)"),
+            "err parse epoch 1: relation 'T' used with arity 3, but its "
+            "other facts have arity 2\n");
+  // Rejected lines are not queued; consistent ones still are.
+  EXPECT_EQ(Req("- T(c, d)"), "ok queued 2\n");
+  std::string stats = Req("stats");
+  EXPECT_NE(stats.find(" pending=2 "), std::string::npos) << stats;
+}
+
+// Every request that drops the pending batch (epoch, use, open, close)
+// also forgets the arities it queued: a fresh batch may use a relation
+// the dropped batch used with another arity.
+TEST_F(ProtocolTest, PendingArityResetsWithThePendingBatch) {
+  const std::string conflict =
+      "err parse epoch 1: relation 'T' used with arity 1, but its other "
+      "facts have arity 2\n";
+  // Each case queues `- T(a, b)` (a no-op delete: T never reaches the
+  // base), sees `+ T(c)` refused, then runs `reset` lines and expects
+  // `+ T(c)` to be queued as the first update of a fresh batch.
+  struct Case {
+    const char* name;
+    std::vector<std::string> reset;
+  };
+  const std::vector<Case> cases = {
+      {"epoch", {"epoch"}},
+      {"use", {"use s1"}},
+      {"open", {"open s2 R(x,y)", "push R(a, b)", "begin"}},
+      {"close", {"close", "open s1 R(x,y)", "push R(a, b)", "begin"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SessionRegistry registry;
+    ProtocolHandler handler(&registry, &engine_, &limits_);
+    auto req = [&](const std::string& line) {
+      return handler.Handle(line).response;
+    };
+    EXPECT_EQ(req("open s1 R(x,y)"), "ok open s1 staging\n");
+    EXPECT_EQ(req("push R(a, b)"), "ok push 1\n");
+    ASSERT_TRUE(StartsWithStr(req("begin"), "ok begin "));
+    EXPECT_EQ(req("- T(a, b)"), "ok queued 1\n");
+    EXPECT_EQ(req("+ T(c)"), conflict);
+    for (const std::string& line : c.reset) {
+      EXPECT_TRUE(StartsWithStr(req(line), "ok ")) << line;
+    }
+    EXPECT_EQ(req("+ T(c)"), "ok queued 1\n");
+  }
+}
+
 TEST_F(ProtocolTest, BudgetAdmissionClampAndReject) {
   limits_.max_witness_limit = 100;
   limits_.max_node_budget = 1000;

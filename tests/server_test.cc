@@ -11,9 +11,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -230,6 +232,82 @@ class ServerEndToEndTest : public ::testing::Test {
     return out;
   }
 
+  /// Appends to *out what the server sends on fd until *out holds
+  /// `lines` newline-terminated lines. False on EOF, error or once
+  /// `timeout_ms` has passed.
+  static bool ReadLines(int fd, size_t lines, int timeout_ms,
+                        std::string* out) {
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(timeout_ms);
+    char chunk[4096];
+    while (static_cast<size_t>(std::count(out->begin(), out->end(), '\n')) <
+           lines) {
+      auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd pfd{fd, POLLIN, 0};
+      if (left.count() <= 0 ||
+          ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+        return false;
+      }
+      ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n <= 0) return false;
+      out->append(chunk, static_cast<size_t>(n));
+    }
+    return true;
+  }
+
+  /// One send() of the whole string.
+  static void SendOnce(int fd, const std::string& bytes) {
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  /// Opens session `name` for q_vc over a fixed 30-vertex graph and
+  /// begins it, reading every setup reply.
+  void OpenVcSession(int fd, const std::string& name) {
+    std::string script = "open " + name + " R(x), S(x,y), R(y)\n";
+    size_t lines = 2;  // open + begin
+    for (int v = 0; v < 30; ++v) {
+      script += "push R(v" + std::to_string(v) + ")\n";
+      script += "push S(v" + std::to_string(v) + ", v" +
+                std::to_string((v * 7 + 3) % 30) + ")\n";
+      lines += 2;
+    }
+    script += "begin\n";
+    SendOnce(fd, script);
+    std::string replies;
+    ASSERT_TRUE(ReadLines(fd, lines, 5000, &replies)) << replies;
+    ASSERT_EQ(replies.find("err "), std::string::npos) << replies;
+  }
+
+  /// `use` of the session, 250 updates over the same vertices (edges
+  /// inserted and deleted, plus R facts), `epoch`, `resilience`: the
+  /// shape of a piped update file.
+  static std::vector<std::string> VcBurst(const std::string& name) {
+    std::vector<std::string> lines = {"use " + name};
+    uint32_t state = 12345;
+    auto next = [&state](uint32_t mod) {
+      state = state * 1103515245u + 12345u;
+      return (state >> 16) % mod;
+    };
+    for (int i = 0; i < 250; ++i) {
+      std::string a = "v" + std::to_string(next(30));
+      std::string b = "v" + std::to_string(next(30));
+      const char* sign = next(3) == 0 ? "- " : "+ ";
+      lines.push_back(sign + (next(5) == 0 ? "R(" + a + ")"
+                                           : "S(" + a + ", " + b + ")"));
+    }
+    lines.push_back("epoch");
+    lines.push_back("resilience");
+    return lines;
+  }
+
+  static std::string Joined(const std::vector<std::string>& lines) {
+    std::string text;
+    for (const std::string& line : lines) text += line + "\n";
+    return text;
+  }
+
   std::unique_ptr<ResilienceEngine> engine_;
   std::unique_ptr<ResilienceServer> server_;
 };
@@ -291,6 +369,98 @@ TEST_F(ServerEndToEndTest, MalformedBytesNeverKillTheServer) {
   // ...while the server keeps serving new connections.
   out = RunScript("ping\nquit\n");
   EXPECT_EQ(out, "ok pong\nok bye\n");
+}
+
+// A piped update file, as one send(), gets exactly the replies, in the
+// same order, that the same lines get one round trip at a time.
+TEST_F(ServerEndToEndTest, PipelinedBurstMatchesLockStepReplies) {
+  std::vector<std::string> burst = VcBurst("p");
+  int fd = ConnectRaw();
+  OpenVcSession(fd, "p");
+  SendOnce(fd, Joined(burst));
+  std::string pipelined;
+  ASSERT_TRUE(ReadLines(fd, burst.size(), 5000, &pipelined)) << pipelined;
+
+  // A second session with the same base, named the same so that the
+  // `use` replies match too.
+  std::string closed;
+  SendOnce(fd, "close p\n");
+  ASSERT_TRUE(ReadLines(fd, 1, 5000, &closed));
+  ASSERT_EQ(closed, "ok close p\n");
+  OpenVcSession(fd, "p");
+  std::string lockstep;
+  for (size_t i = 0; i < burst.size(); ++i) {
+    SendOnce(fd, burst[i] + "\n");
+    ASSERT_TRUE(ReadLines(fd, i + 1, 5000, &lockstep)) << burst[i];
+  }
+  ::close(fd);
+
+  EXPECT_EQ(pipelined, lockstep);
+  size_t epoch = pipelined.find("\nok epoch n=1 ");
+  size_t resilience = pipelined.find("\nok resilience ");
+  EXPECT_NE(epoch, std::string::npos) << pipelined;
+  EXPECT_LT(epoch, resilience) << pipelined;
+  EXPECT_EQ(pipelined.find("err "), std::string::npos) << pipelined;
+}
+
+// Replies to the complete lines of a burst leave before the server
+// waits for the rest of its trailing partial line.
+TEST_F(ServerEndToEndTest, PartialLineDoesNotHoldEarlierReplies) {
+  int fd = ConnectRaw();
+  SendOnce(fd, "ping\nping\npi");
+  std::string out;
+  EXPECT_TRUE(ReadLines(fd, 2, 2000, &out)) << out;
+  EXPECT_EQ(out, "ok pong\nok pong\n");
+  SendOnce(fd, "ng\nquit\n");
+  out.clear();
+  EXPECT_TRUE(ReadLines(fd, 2, 2000, &out)) << out;
+  EXPECT_EQ(out, "ok pong\nok bye\n");
+  ::close(fd);
+}
+
+// `quit` inside a burst: the replies before it are sent, the lines
+// after it are dropped with the connection.
+TEST_F(ServerEndToEndTest, QuitMidBurstFlushesEarlierReplies) {
+  EXPECT_EQ(RunScript("ping\nstats\nquit\nping\nping\n"),
+            "ok pong\nok stats scope=server sessions=0 live=0 staging=0 "
+            "tuples=0 sets=0\nok bye\n");
+}
+
+// Short requests with long replies: one read's replies outgrow the
+// 64 KiB output buffer and go out in several writes, with no reply
+// lost, doubled or reordered at the seams.
+TEST_F(ServerEndToEndTest, LongPipelineRepliesCrossTheOutputCap) {
+  const std::string reply =
+      "ok stats scope=server sessions=0 live=0 staging=0 tuples=0 sets=0\n";
+  std::string script, expected;
+  for (int i = 0; i < 5000; ++i) {
+    script += "stats\n";
+    expected += reply;
+  }
+  EXPECT_EQ(RunScript(script + "quit\n"), expected + "ok bye\n");
+}
+
+// Latency guard for the reply path: a 253-line burst's replies must not
+// wait for the client's delayed ACK (a ~40 ms floor per burst when
+// every reply is its own Nagle-delayed segment).
+TEST_F(ServerEndToEndTest, PipelinedBurstsAreNotHeldByDelayedAcks) {
+  std::vector<std::string> burst = VcBurst("lat");
+  std::string bytes = Joined(burst);
+  int fd = ConnectRaw();
+  OpenVcSession(fd, "lat");
+  std::vector<double> ms;
+  for (int i = 0; i < 5; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    SendOnce(fd, bytes);
+    std::string replies;
+    ASSERT_TRUE(ReadLines(fd, burst.size(), 5000, &replies)) << replies;
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  ::close(fd);
+  std::sort(ms.begin(), ms.end());
+  EXPECT_LT(ms[2], 20.0) << "median burst " << ms[2] << " ms";
 }
 
 TEST_F(ServerEndToEndTest, ShutdownVerbStopsTheServer) {
