@@ -544,6 +544,95 @@ expect_usage_error "serve with a bad port rejected" serve --port 99999
 expect_usage_error "route without backends rejected" route
 expect_usage_error "route with a bad shard spec rejected" route --shard bogus
 
+# The usage-error surface: each bad invocation's stderr and exit status,
+# diffed against tests/golden/cli_errors.golden. Arguments holding a
+# space print double-quoted; the source dir prints as <src>. Every case
+# fails while parsing its flags, so nothing listens or connects.
+record_error() {
+  local shown="" arg
+  for arg in "$@"; do
+    [[ "$arg" == *" "* ]] && arg="\"$arg\""
+    shown+=" $arg"
+  done
+  echo "\$ rescq$shown" | sed "s|$SRC|<src>|g"
+  "$RESCQ" "$@" 2>&1 >/dev/null | sed "s|$SRC|<src>|g"
+  echo "exit ${PIPESTATUS[0]}"
+}
+chain="$SRC/data/section2_chain.tuples"
+errors_out="$(mktemp)"
+{
+  record_error
+  record_error bogus
+  record_error help
+  # a flag's value is missing
+  record_error resilience "R(x,y), R(y,z)" "$chain" --solver-threads
+  record_error resilience "R(x,y), R(y,z)" "$chain" --metrics-json
+  record_error gen --scenario
+  record_error batch --csv
+  record_error batch --plan
+  # positive integers
+  record_error gen --scenario vc_er --size 0
+  record_error batch --threads -1
+  record_error stream "R(x,y)" "$chain" --churn mixed --epochs x
+  record_error route --shards 2 --threads 0
+  record_error resilience "R(x,y), R(y,z)" "$chain" --solver-threads 0
+  # unsigned integers
+  record_error gen --scenario vc_er --seed -1
+  record_error batch --witness-limit x
+  record_error serve --max-sessions x
+  record_error resilience "R(x,y), R(y,z)" "$chain" --exact-node-budget -1
+  # probabilities
+  record_error gen --scenario vc_er --density 2
+  record_error batch --density 1.5
+  record_error stream "R(x,y)" "$chain" --churn mixed --rate 2
+  record_error loadgen --rate x
+  # ports
+  record_error serve --port 99999
+  record_error serve --port -1
+  record_error route --shards 2 --port x
+  record_error loadgen --port 0
+  record_error loadgen --port x
+  record_error loadgen --port 99999
+  # an unknown flag, on each flag-taking subcommand
+  record_error resilience --name q_chain "$chain" --stat
+  record_error gen --bogus
+  record_error batch --frobnicate
+  record_error stream "R(x,y)" "$chain" --churn mixed --epoch 3
+  record_error serve --bogus
+  record_error route --bogus
+  record_error loadgen --bogus
+  # list values and cross-flag checks
+  record_error batch --sizes 1,x
+  record_error batch --seeds a
+  record_error batch --sizes 4 --max-size 6
+  record_error batch --plan /nonexistent.plan
+  record_error stream "R(x,y)" "$chain"
+  record_error stream "R(x,y)" "$chain" --churn mixed --updates /nonexistent.updates
+  record_error route
+  record_error route --shards 0
+  record_error route --shard x
+  record_error route --shards 2 --shard 127.0.0.1:1
+  record_error route --shard 127.0.0.1:1 --solver-threads 2 --host bogus
+  record_error loadgen
+} > "$errors_out"
+expect_same "usage errors match the golden file" \
+    "$SRC/tests/golden/cli_errors.golden" "$errors_out"
+rm -f "$errors_out"
+
+# help lists every subcommand on stdout.
+help_out="$("$RESCQ" help)"
+missing=""
+for cmd in classify resilience explain catalog gen batch stream serve route \
+    loadgen; do
+  grep -q "^  rescq $cmd" <<<"$help_out" || missing+=" $cmd"
+done
+if [ -z "$missing" ]; then
+  echo "ok: help lists all 10 subcommands"
+else
+  echo "FAIL: help omits:$missing"
+  failures=$((failures + 1))
+fi
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures smoke-test failure(s)"
   exit 1
