@@ -7,7 +7,8 @@
 # NP-complete catalog query, the full catalog self-check, a resilience
 # computation over the Section 2 example database, and the incremental
 # stream pipeline (churn generation, update-file round trip, golden
-# table output).
+# table output), and every usage error's message and exit status
+# (tests/golden/cli_errors.golden).
 set -u
 
 RESCQ="${1:?usage: cli_smoke_test.sh <rescq-binary> <source-dir>}"
@@ -607,7 +608,8 @@ errors_out="$(mktemp)"
   record_error batch --sizes 4 --max-size 6
   record_error batch --plan /nonexistent.plan
   record_error stream "R(x,y)" "$chain"
-  record_error stream "R(x,y)" "$chain" --churn mixed --updates /nonexistent.updates
+  record_error stream "R(x,y)" "$chain" --churn mixed \
+      --updates /nonexistent.updates
   record_error route
   record_error route --shards 0
   record_error route --shard x

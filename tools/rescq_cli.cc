@@ -14,14 +14,16 @@
 //   rescq gen --scenario vc_er --size 12 --seed 1 --out er.tuples
 //   rescq batch --scenarios all --max-size 8 --threads 4 --check-oracle
 
-#include <cctype>
+#include <algorithm>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "complexity/catalog.h"
@@ -155,7 +157,8 @@ int Usage(std::FILE* out) {
                "[--request-timeout-ms N]\n"
                "              [--retries N] [--backoff-ms N] "
                "[--down-cooldown-ms N]\n"
-               "              [--no-shutdown] [--metrics-json <file>]\n"
+               "              [--solver-threads N] [--no-shutdown] "
+               "[--metrics-json <file>]\n"
                "      Run the consistent-hash sharding front-end: speaks the "
                "same line\n"
                "      protocol, places each named session on one backend "
@@ -194,6 +197,31 @@ int Usage(std::FILE* out) {
   return out == stdout ? 0 : 2;
 }
 
+/// Prints "error: <message>" and returns exit code 2 (usage or input
+/// error).
+int Fail(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return 2;
+}
+
+/// Shared `--csv` / `--json` report files (batch | stream | loadgen).
+struct ReportFiles {
+  std::string csv_path;
+  std::string json_path;
+
+  /// Writes each requested file with the report's own writers; 0 on
+  /// success, 2 on I/O failure (with a message printed).
+  template <typename Report, typename Writer>
+  int Save(const Report& report, Writer save_csv, Writer save_json) const {
+    std::string error;
+    if ((!csv_path.empty() && !save_csv(report, csv_path, &error)) ||
+        (!json_path.empty() && !save_json(report, json_path, &error))) {
+      return Fail(error);
+    }
+    return 0;
+  }
+};
+
 /// Shared `--metrics-json` / `--trace-out` handling for the solving
 /// commands (resilience | batch | stream): either path arms its sink
 /// before the run (Arm) and writes the file after it (Flush). With
@@ -213,20 +241,156 @@ struct ObsSinks {
     if (!trace_path.empty()) {
       obs::StopTrace();
       if (!obs::WriteTraceJson(trace_path)) {
-        std::fprintf(stderr, "error: cannot write trace file '%s'\n",
-                     trace_path.c_str());
-        return 2;
+        return Fail("cannot write trace file '" + trace_path + "'");
       }
     }
     if (!metrics_path.empty() &&
         !obs::WriteMetricsJson(obs::GlobalRegistry(), metrics_path)) {
-      std::fprintf(stderr, "error: cannot write metrics file '%s'\n",
-                   metrics_path.c_str());
-      return 2;
+      return Fail("cannot write metrics file '" + metrics_path + "'");
     }
     return 0;
   }
 };
+
+// --- flags: one table per subcommand, one parse loop -------------------------
+
+/// One row of a subcommand's flag table. `apply` gets the flag's value
+/// (empty for a switch) and returns false after printing an error.
+struct Flag {
+  const char* name;
+  bool takes_value;
+  std::function<bool(const std::string& value)> apply;
+};
+using FlagTable = std::vector<Flag>;
+
+/// Prints "error: <flag> needs <what>, got '<value>'"; returns false.
+bool FlagError(const char* flag, const std::string& what,
+               const std::string& value) {
+  std::fprintf(stderr, "error: %s needs %s, got '%s'\n", flag, what.c_str(),
+               value.c_str());
+  return false;
+}
+
+// The binders: each ties one flag to the options field it sets.
+
+Flag Switch(const char* name, bool* dst, bool value = true) {
+  return {name, false, [=](const std::string&) {
+            *dst = value;
+            return true;
+          }};
+}
+
+Flag Text(const char* name, std::string* dst) {
+  return {name, true, [=](const std::string& v) {
+            *dst = v;
+            return true;
+          }};
+}
+
+Flag PositiveInt(const char* name, int* dst) {
+  return {name, true, [=](const std::string& v) {
+            return ParsePositiveInt(v, dst) ||
+                   FlagError(name, "a positive integer", v);
+          }};
+}
+
+/// Any unsigned field (uint64_t, size_t, int64_t milliseconds, a port),
+/// optionally confined to lo..hi.
+template <typename T>
+Flag Unsigned(const char* name, T* dst, uint64_t lo = 0,
+              uint64_t hi = UINT64_MAX) {
+  return {name, true, [=](const std::string& v) {
+            uint64_t u = 0;
+            if (!ParseUint64(v, &u)) {
+              return FlagError(name, "an unsigned integer", v);
+            }
+            if (u < lo || u > hi) {
+              return FlagError(
+                  name, std::to_string(lo) + ".." + std::to_string(hi), v);
+            }
+            *dst = static_cast<T>(u);
+            return true;
+          }};
+}
+
+Flag Probability(const char* name, double* dst) {
+  return {name, true, [=](const std::string& v) {
+            return ParseProbability(v, dst) ||
+                   FlagError(name, "a number in [0,1]", v);
+          }};
+}
+
+/// A value flag with its own rule: lists, repeatable flags, no-ops.
+Flag Custom(const char* name, std::function<bool(const std::string&)> apply) {
+  return {name, true, std::move(apply)};
+}
+
+// The flags several subcommands share, declared once.
+
+FlagTable BudgetFlags(size_t* witness_limit, uint64_t* node_budget) {
+  return {Unsigned("--witness-limit", witness_limit),
+          Unsigned("--exact-node-budget", node_budget)};
+}
+
+Flag SolverThreadsFlag(int* dst) {
+  return PositiveInt("--solver-threads", dst);
+}
+
+FlagTable OutputFlags(ReportFiles* files) {
+  return {Text("--csv", &files->csv_path), Text("--json", &files->json_path)};
+}
+
+Flag MetricsFlag(ObsSinks* sinks) {
+  return Text("--metrics-json", &sinks->metrics_path);
+}
+
+FlagTable SinkFlags(ObsSinks* sinks) {
+  return {MetricsFlag(sinks), Text("--trace-out", &sinks->trace_path)};
+}
+
+/// `--host` and `--port`: a listener may ask for port 0 (ephemeral), a
+/// client needs a real one (min_port 1).
+FlagTable AddressFlags(std::string* host, int* port, uint64_t min_port) {
+  return {Text("--host", host), Unsigned("--port", port, min_port, 65535)};
+}
+
+FlagTable Flags(std::initializer_list<FlagTable> groups) {
+  FlagTable all;
+  for (const FlagTable& group : groups) {
+    all.insert(all.end(), group.begin(), group.end());
+  }
+  return all;
+}
+
+/// The one flag loop. For the commands that take a query and a tuple
+/// file, arguments outside the table that do not start with `--` (and
+/// `--name`, which the query resolver reads) go to `positional`; any
+/// other argument outside the table is an unknown flag. Returns false
+/// after printing an error.
+bool ParseFlags(const char* command, const std::vector<std::string>& args,
+                const FlagTable& table, std::vector<std::string>* positional) {
+  for (size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    auto flag = std::find_if(table.begin(), table.end(),
+                             [&](const Flag& f) { return a == f.name; });
+    if (flag == table.end()) {
+      if (positional == nullptr || (StartsWith(a, "--") && a != "--name")) {
+        std::fprintf(stderr, "error: unknown %s flag '%s'\n", command,
+                     a.c_str());
+        return false;
+      }
+      positional->push_back(a);
+    } else if (!flag->takes_value) {
+      flag->apply("");
+    } else if (i + 1 >= args.size()) {
+      std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
+      return false;
+    } else if (!flag->apply(args[++i])) {
+      return false;
+    }
+  }
+  return true;
+}
 
 /// Resolves the query argument: either a literal query string or, after
 /// `--name`, a PaperCatalog() entry. Returns nullopt (with a message
@@ -292,9 +456,7 @@ int CmdClassify(const std::vector<std::string>& args) {
   std::optional<Query> q = ResolveQuery(args, &consumed);
   if (!q) return 2;
   if (consumed != args.size()) {
-    std::fprintf(stderr, "error: unexpected argument '%s'\n",
-                 args[consumed].c_str());
-    return 2;
+    return Fail("unexpected argument '" + args[consumed] + "'");
   }
   PrintClassification(*q, ClassifyResilience(*q));
   return 0;
@@ -302,59 +464,21 @@ int CmdClassify(const std::vector<std::string>& args) {
 
 int CmdResilience(const std::vector<std::string>& args) {
   std::vector<std::string> positional;
-  bool exact = false;
   bool stats = false;
-  uint64_t witness_limit = 0;
-  uint64_t node_budget = 0;
-  int solver_threads = 1;
+  EngineOptions options;
   ObsSinks sinks;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--exact") {
-      exact = true;
-    } else if (a == "--stats") {
-      stats = true;
-    } else if (a == "--metrics-json" || a == "--trace-out") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a file path\n", a.c_str());
-        return 2;
-      }
-      (a == "--metrics-json" ? sinks.metrics_path : sinks.trace_path) =
-          args[i + 1];
-      ++i;
-    } else if (a == "--witness-limit" || a == "--exact-node-budget") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
-        return 2;
-      }
-      uint64_t* dst = a == "--witness-limit" ? &witness_limit : &node_budget;
-      if (!ParseUint64(args[i + 1], dst)) {
-        std::fprintf(stderr, "error: %s needs an unsigned integer, got '%s'\n",
-                     a.c_str(), args[i + 1].c_str());
-        return 2;
-      }
-      ++i;
-    } else if (a == "--solver-threads") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
-        return 2;
-      }
-      if (!ParsePositiveInt(args[i + 1], &solver_threads)) {
-        std::fprintf(stderr, "error: %s needs a positive integer, got '%s'\n",
-                     a.c_str(), args[i + 1].c_str());
-        return 2;
-      }
-      ++i;
-    } else {
-      positional.push_back(a);
-    }
-  }
+  FlagTable flags =
+      Flags({{Switch("--exact", &options.force_exact),
+              Switch("--stats", &stats),
+              SolverThreadsFlag(&options.solver_threads)},
+             BudgetFlags(&options.witness_limit, &options.exact_node_budget),
+             SinkFlags(&sinks)});
+  if (!ParseFlags("resilience", args, flags, &positional)) return 2;
   size_t consumed = 0;
   std::optional<Query> q = ResolveQuery(positional, &consumed);
   if (!q) return 2;
   if (positional.size() != consumed + 1) {
-    std::fprintf(stderr, "error: expected exactly one tuple file argument\n");
-    return 2;
+    return Fail("expected exactly one tuple file argument");
   }
 
   Database db;
@@ -386,7 +510,8 @@ int CmdResilience(const std::vector<std::string>& args) {
   size_t witness_count = 0;
   bool witness_count_capped = false;
   ForEachWitness(*q, db, [&](const Witness&) {
-    if (witness_limit != 0 && witness_count >= witness_limit) {
+    if (options.witness_limit != 0 &&
+        witness_count >= options.witness_limit) {
       witness_count_capped = true;
       return false;
     }
@@ -396,11 +521,6 @@ int CmdResilience(const std::vector<std::string>& args) {
   std::printf("witnesses:   %zu%s\n", witness_count,
               witness_count_capped ? "+ (capped by --witness-limit)" : "");
 
-  EngineOptions options;
-  options.force_exact = exact;
-  options.witness_limit = static_cast<size_t>(witness_limit);
-  options.exact_node_budget = node_budget;
-  options.solver_threads = solver_threads;
   sinks.Arm();
   ResilienceEngine engine(options);
   SolveOutcome outcome = engine.Solve(*q, db);
@@ -410,7 +530,7 @@ int CmdResilience(const std::vector<std::string>& args) {
     // of the per-component search: thread-count invariant).
     std::printf("stats:\n");
     std::printf("  plan:        %.3f ms (%s)\n", outcome.plan_ms,
-                exact              ? "skipped: --exact"
+                options.force_exact      ? "skipped: --exact"
                 : outcome.plan_cache_hit ? "cache hit"
                                          : "cache miss");
     std::printf("  solve:       %.3f ms\n", outcome.solve_ms);
@@ -470,9 +590,7 @@ int CmdExplain(const std::vector<std::string>& args) {
   std::optional<Query> q = ResolveQuery(args, &consumed);
   if (!q) return 2;
   if (consumed != args.size()) {
-    std::fprintf(stderr, "error: unexpected argument '%s'\n",
-                 args[consumed].c_str());
-    return 2;
+    return Fail("unexpected argument '" + args[consumed] + "'");
   }
   ResilienceEngine engine;
   std::shared_ptr<const ResiliencePlan> plan = engine.Plan(*q);
@@ -481,17 +599,10 @@ int CmdExplain(const std::vector<std::string>& args) {
 }
 
 int CmdCatalog(const std::vector<std::string>& args) {
-  if (args.size() > 1) {
-    std::fprintf(stderr, "error: catalog takes at most one name\n");
-    return 2;
-  }
+  if (args.size() > 1) return Fail("catalog takes at most one name");
   if (args.size() == 1) {
     std::optional<CatalogEntry> entry = FindCatalogEntry(args[0]);
-    if (!entry) {
-      std::fprintf(stderr, "error: no catalog query named '%s'\n",
-                   args[0].c_str());
-      return 2;
-    }
+    if (!entry) return Fail("no catalog query named '" + args[0] + "'");
     std::printf("name:        %s\n", entry->name.c_str());
     std::printf("published:   %s (%s)\n", ComplexityName(entry->expected),
                 entry->reference.c_str());
@@ -518,89 +629,34 @@ int CmdCatalog(const std::vector<std::string>& args) {
 
 // --- gen / batch: the workload subsystem ------------------------------------
 
-bool ParseIntFlag(const std::string& flag, const std::string& value, int* out) {
-  if (!ParsePositiveInt(value, out)) {
-    std::fprintf(stderr, "error: %s needs a positive integer, got '%s'\n",
-                 flag.c_str(), value.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool ParseSeedFlag(const std::string& flag, const std::string& value,
-                   uint64_t* out) {
-  if (!ParseUint64(value, out)) {
-    std::fprintf(stderr, "error: %s needs an unsigned integer, got '%s'\n",
-                 flag.c_str(), value.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool ParseDensityFlag(const std::string& value, double* out) {
-  if (!ParseProbability(value, out)) {
-    std::fprintf(stderr, "error: --density needs a number in [0,1], got '%s'\n",
-                 value.c_str());
-    return false;
-  }
-  return true;
-}
-
 int CmdGen(const std::vector<std::string>& args) {
   std::string scenario_name, out_path, catalog_name;
   ScenarioParams params;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--list") {
-      std::printf("%-15s %-28s %s\n", "scenario", "default query",
-                  "description");
-      for (const Scenario& s : ScenarioCatalog()) {
-        std::printf("%-15s %-28s %s\n", s.name.c_str(), s.query.c_str(),
-                    s.description.c_str());
-      }
-      return 0;
+  bool list = false;
+  FlagTable flags = {Switch("--list", &list),
+                     Text("--scenario", &scenario_name),
+                     PositiveInt("--size", &params.size),
+                     Probability("--density", &params.density),
+                     Unsigned("--seed", &params.seed),
+                     Text("--out", &out_path),
+                     Text("--name", &catalog_name)};
+  if (!ParseFlags("gen", args, flags, nullptr)) return 2;
+  if (list) {
+    std::printf("%-15s %-28s %s\n", "scenario", "default query",
+                "description");
+    for (const Scenario& s : ScenarioCatalog()) {
+      std::printf("%-15s %-28s %s\n", s.name.c_str(), s.query.c_str(),
+                  s.description.c_str());
     }
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    if (a == "--scenario") {
-      if (!(v = value("--scenario"))) return 2;
-      scenario_name = *v;
-    } else if (a == "--size") {
-      if (!(v = value("--size")) || !ParseIntFlag(a, *v, &params.size))
-        return 2;
-    } else if (a == "--density") {
-      if (!(v = value("--density")) || !ParseDensityFlag(*v, &params.density))
-        return 2;
-    } else if (a == "--seed") {
-      if (!(v = value("--seed")) || !ParseSeedFlag(a, *v, &params.seed))
-        return 2;
-    } else if (a == "--out") {
-      if (!(v = value("--out"))) return 2;
-      out_path = *v;
-    } else if (a == "--name") {
-      if (!(v = value("--name"))) return 2;
-      catalog_name = *v;
-    } else {
-      std::fprintf(stderr, "error: unknown gen flag '%s'\n", a.c_str());
-      return 2;
-    }
+    return 0;
   }
   if (scenario_name.empty()) {
-    std::fprintf(stderr, "error: gen needs --scenario <name> (or --list)\n");
-    return 2;
+    return Fail("gen needs --scenario <name> (or --list)");
   }
   const Scenario* scenario = FindScenario(scenario_name);
   if (scenario == nullptr) {
-    std::fprintf(stderr,
-                 "error: unknown scenario '%s' (try `rescq gen --list`)\n",
-                 scenario_name.c_str());
-    return 2;
+    return Fail("unknown scenario '" + scenario_name +
+                "' (try `rescq gen --list`)");
   }
   std::string query_text = scenario->query;
   std::function<Database(const ScenarioParams&)> generate = scenario->generate;
@@ -608,16 +664,10 @@ int CmdGen(const std::vector<std::string>& args) {
     // Only the generic filler can honor an arbitrary query; the shaped
     // generators produce data for their own family.
     if (scenario_name != "uniform") {
-      std::fprintf(stderr,
-                   "error: --name only combines with --scenario uniform\n");
-      return 2;
+      return Fail("--name only combines with --scenario uniform");
     }
     std::optional<CatalogEntry> entry = FindCatalogEntry(catalog_name);
-    if (!entry) {
-      std::fprintf(stderr, "error: no catalog query named '%s'\n",
-                   catalog_name.c_str());
-      return 2;
-    }
+    if (!entry) return Fail("no catalog query named '" + catalog_name + "'");
     query_text = entry->text;
     Query q = MustParseQuery(entry->text);
     generate = [q](const ScenarioParams& p) { return GenerateUniform(q, p); };
@@ -636,10 +686,7 @@ int CmdGen(const std::vector<std::string>& args) {
     return 0;
   }
   std::string error;
-  if (!SaveTupleFile(db, out_path, header, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
+  if (!SaveTupleFile(db, out_path, header, &error)) return Fail(error);
   std::printf("wrote %d tuples (%s scenario, seed %llu) to %s\n",
               db.NumActiveTuples(), scenario_name.c_str(),
               static_cast<unsigned long long>(params.seed), out_path.c_str());
@@ -650,7 +697,7 @@ int CmdBatch(const std::vector<std::string>& args) {
   BatchPlan plan;
   plan.scenarios.clear();
   BatchOptions options;
-  std::string csv_path, json_path;
+  ReportFiles files;
   ObsSinks sinks;
   int max_size = 0;
   bool sizes_set = false;
@@ -661,101 +708,49 @@ int CmdBatch(const std::vector<std::string>& args) {
     if (args[i] == "--plan") {
       std::string error;
       if (!ParsePlanFile(args[i + 1], &plan, &options, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 2;
+        return Fail(error);
       }
     }
   }
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    if (a == "--plan") {
-      if (!(v = value("--plan"))) return 2;  // parsed in the first pass
-    } else if (a == "--scenarios") {
-      if (!(v = value("--scenarios"))) return 2;
-      plan.scenarios =
-          *v == "all" ? AllScenarioNames() : SplitTrimmed(*v, ',');
-    } else if (a == "--names") {
-      if (!(v = value("--names"))) return 2;
-      plan.query_names = SplitTrimmed(*v, ',');
-    } else if (a == "--sizes") {
-      if (!(v = value("--sizes"))) return 2;
-      sizes_set = true;
-      if (!ParseIntList(*v, &plan.sizes)) {
-        std::fprintf(stderr,
-                     "error: --sizes needs a comma list of positive "
-                     "integers, got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-    } else if (a == "--max-size") {
-      if (!(v = value("--max-size")) || !ParseIntFlag(a, *v, &max_size))
-        return 2;
-    } else if (a == "--seeds") {
-      if (!(v = value("--seeds"))) return 2;
-      if (!ParseSeedList(*v, &plan.seeds)) {
-        std::fprintf(stderr,
-                     "error: --seeds needs a comma list of unsigned "
-                     "integers, got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-    } else if (a == "--density") {
-      if (!(v = value("--density")) || !ParseDensityFlag(*v, &plan.density))
-        return 2;
-    } else if (a == "--threads") {
-      if (!(v = value("--threads")) || !ParseIntFlag(a, *v, &options.threads))
-        return 2;
-    } else if (a == "--solver-threads") {
-      if (!(v = value("--solver-threads")) ||
-          !ParseIntFlag(a, *v, &options.solver_threads))
-        return 2;
-    } else if (a == "--check-oracle") {
-      options.check_oracle = true;
-    } else if (a == "--oracle-cutoff") {
-      if (!(v = value("--oracle-cutoff")) ||
-          !ParseIntFlag(a, *v, &options.oracle_cutoff))
-        return 2;
-    } else if (a == "--no-memoize") {
-      options.memoize = false;
-    } else if (a == "--witness-limit") {
-      uint64_t limit = 0;
-      if (!(v = value("--witness-limit")) || !ParseSeedFlag(a, *v, &limit))
-        return 2;
-      options.witness_limit = static_cast<size_t>(limit);
-    } else if (a == "--exact-node-budget") {
-      if (!(v = value("--exact-node-budget")) ||
-          !ParseSeedFlag(a, *v, &options.exact_node_budget))
-        return 2;
-    } else if (a == "--csv") {
-      if (!(v = value("--csv"))) return 2;
-      csv_path = *v;
-    } else if (a == "--json") {
-      if (!(v = value("--json"))) return 2;
-      json_path = *v;
-    } else if (a == "--metrics-json") {
-      if (!(v = value("--metrics-json"))) return 2;
-      sinks.metrics_path = *v;
-    } else if (a == "--trace-out") {
-      if (!(v = value("--trace-out"))) return 2;
-      sinks.trace_path = *v;
-    } else {
-      std::fprintf(stderr, "error: unknown batch flag '%s'\n", a.c_str());
-      return 2;
-    }
-  }
+  FlagTable flags = Flags(
+      {{Custom("--plan", [](const std::string&) { return true; }),  // pre-scan
+        Custom("--scenarios",
+               [&](const std::string& v) {
+                 plan.scenarios =
+                     v == "all" ? AllScenarioNames() : SplitTrimmed(v, ',');
+                 return true;
+               }),
+        Custom("--names",
+               [&](const std::string& v) {
+                 plan.query_names = SplitTrimmed(v, ',');
+                 return true;
+               }),
+        Custom("--sizes",
+               [&](const std::string& v) {
+                 sizes_set = true;
+                 return ParseIntList(v, &plan.sizes) ||
+                        FlagError("--sizes",
+                                  "a comma list of positive integers", v);
+               }),
+        PositiveInt("--max-size", &max_size),
+        Custom("--seeds",
+               [&](const std::string& v) {
+                 return ParseSeedList(v, &plan.seeds) ||
+                        FlagError("--seeds",
+                                  "a comma list of unsigned integers", v);
+               }),
+        Probability("--density", &plan.density),
+        PositiveInt("--threads", &options.threads),
+        SolverThreadsFlag(&options.solver_threads),
+        Switch("--check-oracle", &options.check_oracle),
+        PositiveInt("--oracle-cutoff", &options.oracle_cutoff),
+        Switch("--no-memoize", &options.memoize, false)},
+       BudgetFlags(&options.witness_limit, &options.exact_node_budget),
+       OutputFlags(&files), SinkFlags(&sinks)});
+  if (!ParseFlags("batch", args, flags, nullptr)) return 2;
   if (max_size > 0) {
     if (sizes_set) {
-      std::fprintf(stderr,
-                   "error: --sizes and --max-size are mutually exclusive\n");
-      return 2;
+      return Fail("--sizes and --max-size are mutually exclusive");
     }
     plan.sizes.clear();
     for (int s = 2; s <= max_size; s += 2) plan.sizes.push_back(s);
@@ -770,108 +765,43 @@ int CmdBatch(const std::vector<std::string>& args) {
 
   std::vector<BatchJob> jobs;
   std::string error;
-  if (!ExpandPlan(plan, &jobs, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
+  if (!ExpandPlan(plan, &jobs, &error)) return Fail(error);
   sinks.Arm();
   BatchReport report = RunBatch(jobs, options);
   PrintReportTable(report, stdout);
-  if (!csv_path.empty() && !SaveReportCsv(report, csv_path, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
-  if (!json_path.empty() && !SaveReportJson(report, json_path, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
-  int sink_rc = sinks.Flush();
-  if (sink_rc != 0) return sink_rc;
+  int rc = files.Save(report, SaveReportCsv, SaveReportJson);
+  if (rc == 0) rc = sinks.Flush();
+  if (rc != 0) return rc;
   return report.mismatches == 0 ? 0 : 1;
 }
 
 int CmdStream(const std::vector<std::string>& args) {
   std::vector<std::string> positional;
-  std::string updates_path, churn_kind, emit_path, csv_path, json_path;
+  std::string updates_path, churn_kind, emit_path;
+  ReportFiles files;
   ChurnParams churn;
   StreamOptions options;
   ObsSinks sinks;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    if (a == "--updates") {
-      if (!(v = value("--updates"))) return 2;
-      updates_path = *v;
-    } else if (a == "--churn") {
-      if (!(v = value("--churn"))) return 2;
-      churn_kind = *v;
-    } else if (a == "--epochs") {
-      if (!(v = value("--epochs")) || !ParseIntFlag(a, *v, &churn.epochs))
-        return 2;
-    } else if (a == "--rate") {
-      if (!(v = value("--rate"))) return 2;
-      if (!ParseProbability(*v, &churn.rate)) {
-        std::fprintf(stderr,
-                     "error: --rate needs a number in [0,1], got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-    } else if (a == "--seed") {
-      if (!(v = value("--seed")) || !ParseSeedFlag(a, *v, &churn.seed))
-        return 2;
-    } else if (a == "--emit-updates") {
-      if (!(v = value("--emit-updates"))) return 2;
-      emit_path = *v;
-    } else if (a == "--check-oracle") {
-      options.check_oracle = true;
-    } else if (a == "--solver-threads") {
-      if (!(v = value("--solver-threads")) ||
-          !ParseIntFlag(a, *v, &options.solver_threads))
-        return 2;
-    } else if (a == "--witness-limit") {
-      uint64_t limit = 0;
-      if (!(v = value("--witness-limit")) || !ParseSeedFlag(a, *v, &limit))
-        return 2;
-      options.witness_limit = static_cast<size_t>(limit);
-    } else if (a == "--exact-node-budget") {
-      if (!(v = value("--exact-node-budget")) ||
-          !ParseSeedFlag(a, *v, &options.exact_node_budget))
-        return 2;
-    } else if (a == "--csv") {
-      if (!(v = value("--csv"))) return 2;
-      csv_path = *v;
-    } else if (a == "--json") {
-      if (!(v = value("--json"))) return 2;
-      json_path = *v;
-    } else if (a == "--metrics-json") {
-      if (!(v = value("--metrics-json"))) return 2;
-      sinks.metrics_path = *v;
-    } else if (a == "--trace-out") {
-      if (!(v = value("--trace-out"))) return 2;
-      sinks.trace_path = *v;
-    } else {
-      positional.push_back(a);
-    }
-  }
+  FlagTable flags =
+      Flags({{Text("--updates", &updates_path), Text("--churn", &churn_kind),
+              PositiveInt("--epochs", &churn.epochs),
+              Probability("--rate", &churn.rate),
+              Unsigned("--seed", &churn.seed),
+              Text("--emit-updates", &emit_path),
+              Switch("--check-oracle", &options.check_oracle),
+              SolverThreadsFlag(&options.solver_threads)},
+             BudgetFlags(&options.witness_limit, &options.exact_node_budget),
+             OutputFlags(&files), SinkFlags(&sinks)});
+  if (!ParseFlags("stream", args, flags, &positional)) return 2;
   size_t consumed = 0;
   std::optional<Query> q = ResolveQuery(positional, &consumed);
   if (!q) return 2;
   if (positional.size() != consumed + 1) {
-    std::fprintf(stderr, "error: expected exactly one tuple file argument\n");
-    return 2;
+    return Fail("expected exactly one tuple file argument");
   }
   if (updates_path.empty() == churn_kind.empty()) {
-    std::fprintf(stderr,
-                 "error: stream needs exactly one of --updates <file> or "
-                 "--churn <kind>\n");
-    return 2;
+    return Fail(
+        "stream needs exactly one of --updates <file> or --churn <kind>");
   }
   if (!churn_kind.empty() && !IsChurnKind(churn_kind)) {
     std::fprintf(stderr, "error: unknown churn kind '%s' (one of:",
@@ -891,8 +821,7 @@ int CmdStream(const std::vector<std::string>& args) {
   if (!updates_path.empty()) {
     if (!LoadUpdateFile(updates_path, &log, &error) ||
         !ValidateUpdateLog(log, db, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 2;
+      return Fail(error);
     }
   } else {
     log = GenerateChurn(db, churn_kind, churn);
@@ -906,393 +835,188 @@ int CmdStream(const std::vector<std::string>& args) {
         positional[consumed].c_str(), db.NumActiveTuples(), log.size(),
         log.epochs.size());
     if (churn_kind.empty()) header = "replayed from: " + updates_path;
-    if (!SaveUpdateFile(log, emit_path, header, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 2;
-    }
+    if (!SaveUpdateFile(log, emit_path, header, &error)) return Fail(error);
   }
 
   std::string query_name = positional[0] == "--name" ? positional[1] : "query";
   sinks.Arm();
   StreamReport report = RunStream(*q, query_name, db, log, options);
   PrintStreamTable(report, stdout);
-  if (!csv_path.empty() && !SaveStreamCsv(report, csv_path, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
-  if (!json_path.empty() && !SaveStreamJson(report, json_path, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
-  int sink_rc = sinks.Flush();
-  if (sink_rc != 0) return sink_rc;
+  int rc = files.Save(report, SaveStreamCsv, SaveStreamJson);
+  if (rc == 0) rc = sinks.Flush();
+  if (rc != 0) return rc;
   return report.mismatches == 0 ? 0 : 1;
 }
 
-// The serving process's one server (or router) instance, for the
-// signal handlers. SignalStop is async-signal-safe (a single pipe
-// write).
-ResilienceServer* g_server = nullptr;
-ShardRouter* g_router = nullptr;
+// The running daemon's stop, for the signal handler: a plain function
+// pointer and its argument, so the handler stays async-signal-safe
+// (SignalStop is a single pipe write).
+void (*g_stop)(void*) = nullptr;
+void* g_daemon = nullptr;
 
 extern "C" void HandleStopSignal(int) {
-  if (g_server != nullptr) g_server->SignalStop();
-  if (g_router != nullptr) g_router->SignalStop();
+  if (g_stop != nullptr) g_stop(g_daemon);
+}
+
+/// The serve/route lifecycle. Metrics are armed before the daemon is
+/// built: the server.* / shard.* series are a daemon's whole
+/// observability story, so serving always collects them. Then Start,
+/// the announce line (the startup contract: tests and the smoke harness
+/// parse the resolved port out of it), SIGINT/SIGTERM -> SignalStop
+/// until Wait returns, `stopped`, and the metrics snapshot.
+template <typename Daemon, typename... Args>
+int RunDaemon(const ObsSinks& sinks,
+              const std::function<void(int port)>& announce,
+              const std::function<void()>& stopped, Args&&... args) {
+  obs::SetMetricsEnabled(true);
+  Daemon daemon(std::forward<Args>(args)...);
+  std::string error;
+  if (!daemon.Start(&error)) return Fail(error);
+  announce(daemon.port());
+  std::fflush(stdout);
+  g_daemon = &daemon;
+  g_stop = [](void* d) { static_cast<Daemon*>(d)->SignalStop(); };
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+  daemon.Wait();
+  std::signal(SIGINT, SIG_DFL);
+  std::signal(SIGTERM, SIG_DFL);
+  g_stop = nullptr;
+  stopped();
+  return sinks.Flush();
 }
 
 int CmdServe(const std::vector<std::string>& args) {
   ServerOptions options;
-  options.threads = 4;
-  std::string metrics_path;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    uint64_t u = 0;
-    if (a == "--host") {
-      if (!(v = value("--host"))) return 2;
-      options.host = *v;
-    } else if (a == "--port") {
-      if (!(v = value("--port")) || !ParseSeedFlag(a, *v, &u)) return 2;
-      if (u > 65535) {
-        std::fprintf(stderr, "error: --port needs 0..65535, got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-      options.port = static_cast<int>(u);
-    } else if (a == "--threads") {
-      if (!(v = value("--threads")) || !ParseIntFlag(a, *v, &options.threads))
-        return 2;
-    } else if (a == "--solver-threads") {
-      if (!(v = value("--solver-threads")) ||
-          !ParseIntFlag(a, *v, &options.limits.solver_threads))
-        return 2;
-    } else if (a == "--max-sessions") {
-      if (!(v = value("--max-sessions")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.max_sessions = static_cast<size_t>(u);
-    } else if (a == "--max-base-tuples") {
-      if (!(v = value("--max-base-tuples")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.max_base_tuples = static_cast<size_t>(u);
-    } else if (a == "--max-epoch-updates") {
-      if (!(v = value("--max-epoch-updates")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.max_epoch_updates = static_cast<size_t>(u);
-    } else if (a == "--default-witness-limit") {
-      if (!(v = value("--default-witness-limit")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.default_witness_limit = static_cast<size_t>(u);
-    } else if (a == "--max-witness-limit") {
-      if (!(v = value("--max-witness-limit")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.max_witness_limit = static_cast<size_t>(u);
-    } else if (a == "--default-node-budget") {
-      if (!(v = value("--default-node-budget")) ||
-          !ParseSeedFlag(a, *v, &options.limits.default_node_budget))
-        return 2;
-    } else if (a == "--max-node-budget") {
-      if (!(v = value("--max-node-budget")) ||
-          !ParseSeedFlag(a, *v, &options.limits.max_node_budget))
-        return 2;
-    } else if (a == "--max-resident-mb") {
-      if (!(v = value("--max-resident-mb")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.max_resident_bytes = u * 1024 * 1024;
-    } else if (a == "--evict-idle-ms") {
-      if (!(v = value("--evict-idle-ms")) || !ParseSeedFlag(a, *v, &u))
-        return 2;
-      options.limits.evict_idle_ms = static_cast<int64_t>(u);
-    } else if (a == "--no-load") {
-      options.limits.allow_load = false;
-    } else if (a == "--no-shutdown") {
-      options.limits.allow_shutdown = false;
-    } else if (a == "--metrics-json") {
-      if (!(v = value("--metrics-json"))) return 2;
-      metrics_path = *v;
-    } else {
-      std::fprintf(stderr, "error: unknown serve flag '%s'\n", a.c_str());
-      return 2;
-    }
-  }
-  // server.* counters and latency histograms are the daemon's whole
-  // observability story, so serving always collects them.
-  obs::SetMetricsEnabled(true);
+  ServerLimits& limits = options.limits;
+  uint64_t resident_mb = 0;
+  ObsSinks sinks;
+  FlagTable flags = Flags(
+      {AddressFlags(&options.host, &options.port, 0),
+       {PositiveInt("--threads", &options.threads),
+        SolverThreadsFlag(&limits.solver_threads),
+        Unsigned("--max-sessions", &limits.max_sessions),
+        Unsigned("--max-base-tuples", &limits.max_base_tuples),
+        Unsigned("--max-epoch-updates", &limits.max_epoch_updates),
+        Unsigned("--default-witness-limit", &limits.default_witness_limit),
+        Unsigned("--max-witness-limit", &limits.max_witness_limit),
+        Unsigned("--default-node-budget", &limits.default_node_budget),
+        Unsigned("--max-node-budget", &limits.max_node_budget),
+        Unsigned("--max-resident-mb", &resident_mb),
+        Unsigned("--evict-idle-ms", &limits.evict_idle_ms),
+        Switch("--no-load", &limits.allow_load, false),
+        Switch("--no-shutdown", &limits.allow_shutdown, false),
+        MetricsFlag(&sinks)}});
+  if (!ParseFlags("serve", args, flags, nullptr)) return 2;
+  limits.max_resident_bytes = resident_mb * 1024 * 1024;
 
   EngineOptions engine_options;
-  engine_options.witness_limit =
-      static_cast<size_t>(options.limits.max_witness_limit);
-  engine_options.exact_node_budget = options.limits.max_node_budget;
+  engine_options.witness_limit = limits.max_witness_limit;
+  engine_options.exact_node_budget = limits.max_node_budget;
   ResilienceEngine engine(engine_options);
-  ResilienceServer server(options, &engine);
-  std::string error;
-  if (!server.Start(&error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
-  // The announced line is the startup contract: tests and the smoke
-  // harness parse the resolved port out of it.
-  std::printf("listening on %s:%d\n", options.host.c_str(), server.port());
-  std::fflush(stdout);
-  g_server = &server;
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-  server.Wait();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  g_server = nullptr;
-  std::printf("server stopped\n");
-  if (!metrics_path.empty() &&
-      !obs::WriteMetricsJson(obs::GlobalRegistry(), metrics_path)) {
-    std::fprintf(stderr, "error: cannot write metrics file '%s'\n",
-                 metrics_path.c_str());
-    return 2;
-  }
-  return 0;
+  return RunDaemon<ResilienceServer>(
+      sinks,
+      [&](int port) {
+        std::printf("listening on %s:%d\n", options.host.c_str(), port);
+      },
+      [] { std::printf("server stopped\n"); }, options, &engine);
 }
 
 int CmdRoute(const std::vector<std::string>& args) {
   RouterOptions options;
   size_t spawn_shards = 0;
-  int spawn_solver_threads = 1;
-  std::string metrics_path;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    uint64_t u = 0;
-    if (a == "--host") {
-      if (!(v = value("--host"))) return 2;
-      options.host = *v;
-    } else if (a == "--port") {
-      if (!(v = value("--port")) || !ParseSeedFlag(a, *v, &u)) return 2;
-      if (u > 65535) {
-        std::fprintf(stderr, "error: --port needs 0..65535, got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-      options.port = static_cast<int>(u);
-    } else if (a == "--threads") {
-      if (!(v = value("--threads")) || !ParseIntFlag(a, *v, &options.threads))
-        return 2;
-    } else if (a == "--shard") {
-      if (!(v = value("--shard"))) return 2;
-      ShardSpec spec;
-      std::string error;
-      if (!ParseShardSpec(*v, &spec, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 2;
-      }
-      options.shards.push_back(spec);
-    } else if (a == "--shards") {
-      if (!(v = value("--shards")) || !ParseSeedFlag(a, *v, &u)) return 2;
-      if (u == 0 || u > 64) {
-        std::fprintf(stderr, "error: --shards needs 1..64, got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-      spawn_shards = static_cast<size_t>(u);
-    } else if (a == "--solver-threads") {
-      if (!(v = value("--solver-threads")) ||
-          !ParseIntFlag(a, *v, &spawn_solver_threads))
-        return 2;
-    } else if (a == "--connect-timeout-ms") {
-      if (!(v = value("--connect-timeout-ms")) ||
-          !ParseIntFlag(a, *v, &options.connect_timeout_ms))
-        return 2;
-    } else if (a == "--request-timeout-ms") {
-      if (!(v = value("--request-timeout-ms")) ||
-          !ParseIntFlag(a, *v, &options.request_timeout_ms))
-        return 2;
-    } else if (a == "--retries") {
-      if (!(v = value("--retries")) || !ParseIntFlag(a, *v, &options.retries))
-        return 2;
-    } else if (a == "--backoff-ms") {
-      if (!(v = value("--backoff-ms")) ||
-          !ParseIntFlag(a, *v, &options.backoff_ms))
-        return 2;
-    } else if (a == "--down-cooldown-ms") {
-      if (!(v = value("--down-cooldown-ms")) ||
-          !ParseIntFlag(a, *v, &options.down_cooldown_ms))
-        return 2;
-    } else if (a == "--no-shutdown") {
-      options.allow_shutdown = false;
-    } else if (a == "--metrics-json") {
-      if (!(v = value("--metrics-json"))) return 2;
-      metrics_path = *v;
-    } else {
-      std::fprintf(stderr, "error: unknown route flag '%s'\n", a.c_str());
-      return 2;
-    }
-  }
+  int spawn_solver_threads = 0;  // 0: not given
+  ObsSinks sinks;
+  FlagTable flags = Flags(
+      {AddressFlags(&options.host, &options.port, 0),
+       {PositiveInt("--threads", &options.threads),
+        Custom("--shard",
+               [&](const std::string& v) {
+                 ShardSpec spec;
+                 std::string error;
+                 if (!ParseShardSpec(v, &spec, &error)) {
+                   Fail(error);
+                   return false;
+                 }
+                 options.shards.push_back(spec);
+                 return true;
+               }),
+        Unsigned("--shards", &spawn_shards, 1, 64),
+        SolverThreadsFlag(&spawn_solver_threads),
+        PositiveInt("--connect-timeout-ms", &options.connect_timeout_ms),
+        PositiveInt("--request-timeout-ms", &options.request_timeout_ms),
+        PositiveInt("--retries", &options.retries),
+        PositiveInt("--backoff-ms", &options.backoff_ms),
+        PositiveInt("--down-cooldown-ms", &options.down_cooldown_ms),
+        Switch("--no-shutdown", &options.allow_shutdown, false),
+        MetricsFlag(&sinks)}});
+  if (!ParseFlags("route", args, flags, nullptr)) return 2;
   if (spawn_shards > 0 && !options.shards.empty()) {
-    std::fprintf(stderr, "error: --shards and --shard are exclusive\n");
-    return 2;
+    return Fail("--shards and --shard are exclusive");
   }
   if (spawn_shards == 0 && options.shards.empty()) {
-    std::fprintf(stderr,
-                 "error: route needs backends (--shard host:port ... or "
-                 "--shards N)\n");
-    return 2;
+    return Fail("route needs backends (--shard host:port ... or --shards N)");
   }
-  obs::SetMetricsEnabled(true);
+  if (spawn_shards == 0 && spawn_solver_threads > 0) {
+    return Fail("--solver-threads only applies with --shards");
+  }
 
   InProcessShards spawned;
   if (spawn_shards > 0) {
     ServerOptions base;
     base.threads = 2;
-    base.limits.solver_threads = spawn_solver_threads;
-    std::string error;
-    if (!spawned.Start(spawn_shards, base, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 2;
+    if (spawn_solver_threads > 0) {
+      base.limits.solver_threads = spawn_solver_threads;
     }
+    std::string error;
+    if (!spawned.Start(spawn_shards, base, &error)) return Fail(error);
     options.shards = spawned.specs();
     for (size_t i = 0; i < options.shards.size(); ++i) {
       std::printf("shard %zu: %s\n", i, options.shards[i].Label().c_str());
     }
   }
-
-  ShardRouter router(options);
-  std::string error;
-  if (!router.Start(&error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
-  // The announced line is the startup contract, like serve's
-  // "listening on ..." — harnesses parse the resolved port out of it.
-  std::printf("routing on %s:%d across %zu shards\n", options.host.c_str(),
-              router.port(), options.shards.size());
-  std::fflush(stdout);
-  g_router = &router;
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-  router.Wait();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  g_router = nullptr;
-  spawned.Stop();
-  std::printf("router stopped\n");
-  if (!metrics_path.empty() &&
-      !obs::WriteMetricsJson(obs::GlobalRegistry(), metrics_path)) {
-    std::fprintf(stderr, "error: cannot write metrics file '%s'\n",
-                 metrics_path.c_str());
-    return 2;
-  }
-  return 0;
+  return RunDaemon<ShardRouter>(
+      sinks,
+      [&](int port) {
+        std::printf("routing on %s:%d across %zu shards\n",
+                    options.host.c_str(), port, options.shards.size());
+      },
+      [&] {
+        spawned.Stop();
+        std::printf("router stopped\n");
+      },
+      options);
 }
 
 int CmdLoadgen(const std::vector<std::string>& args) {
   LoadgenOptions options;
-  std::string csv_path, json_path;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const std::string* v = nullptr;
-    if (a == "--host") {
-      if (!(v = value("--host"))) return 2;
-      options.host = *v;
-    } else if (a == "--port") {
-      if (!(v = value("--port")) || !ParseIntFlag(a, *v, &options.port))
-        return 2;
-    } else if (a == "--connections") {
-      if (!(v = value("--connections")) ||
-          !ParseIntFlag(a, *v, &options.connections))
-        return 2;
-    } else if (a == "--scenario") {
-      if (!(v = value("--scenario"))) return 2;
-      options.scenario = *v;
-    } else if (a == "--query") {
-      if (!(v = value("--query"))) return 2;
-      options.query = *v;
-    } else if (a == "--size") {
-      if (!(v = value("--size")) || !ParseIntFlag(a, *v, &options.size))
-        return 2;
-    } else if (a == "--density") {
-      if (!(v = value("--density")) ||
-          !ParseDensityFlag(*v, &options.density))
-        return 2;
-    } else if (a == "--churn") {
-      if (!(v = value("--churn"))) return 2;
-      options.churn = *v;
-    } else if (a == "--epochs") {
-      if (!(v = value("--epochs")) || !ParseIntFlag(a, *v, &options.epochs))
-        return 2;
-    } else if (a == "--rate") {
-      if (!(v = value("--rate"))) return 2;
-      if (!ParseProbability(*v, &options.rate)) {
-        std::fprintf(stderr,
-                     "error: --rate needs a number in [0,1], got '%s'\n",
-                     v->c_str());
-        return 2;
-      }
-    } else if (a == "--seed") {
-      if (!(v = value("--seed")) || !ParseSeedFlag(a, *v, &options.seed))
-        return 2;
-    } else if (a == "--check-oracle") {
-      options.check_oracle = true;
-    } else if (a == "--witness-limit") {
-      if (!(v = value("--witness-limit")) ||
-          !ParseSeedFlag(a, *v, &options.witness_limit))
-        return 2;
-    } else if (a == "--node-budget") {
-      if (!(v = value("--node-budget")) ||
-          !ParseSeedFlag(a, *v, &options.node_budget))
-        return 2;
-    } else if (a == "--session-prefix") {
-      if (!(v = value("--session-prefix"))) return 2;
-      options.session_prefix = *v;
-    } else if (a == "--timeout-ms") {
-      if (!(v = value("--timeout-ms")) ||
-          !ParseIntFlag(a, *v, &options.timeout_ms))
-        return 2;
-    } else if (a == "--csv") {
-      if (!(v = value("--csv"))) return 2;
-      csv_path = *v;
-    } else if (a == "--json") {
-      if (!(v = value("--json"))) return 2;
-      json_path = *v;
-    } else {
-      std::fprintf(stderr, "error: unknown loadgen flag '%s'\n", a.c_str());
-      return 2;
-    }
-  }
+  ReportFiles files;
+  FlagTable flags =
+      Flags({AddressFlags(&options.host, &options.port, 1),
+             {PositiveInt("--connections", &options.connections),
+              Text("--scenario", &options.scenario),
+              Text("--query", &options.query),
+              PositiveInt("--size", &options.size),
+              Probability("--density", &options.density),
+              Text("--churn", &options.churn),
+              PositiveInt("--epochs", &options.epochs),
+              Probability("--rate", &options.rate),
+              Unsigned("--seed", &options.seed),
+              Switch("--check-oracle", &options.check_oracle),
+              Unsigned("--witness-limit", &options.witness_limit),
+              Unsigned("--node-budget", &options.node_budget),
+              Text("--session-prefix", &options.session_prefix),
+              PositiveInt("--timeout-ms", &options.timeout_ms)},
+             OutputFlags(&files)});
+  if (!ParseFlags("loadgen", args, flags, nullptr)) return 2;
   if (options.port <= 0) {
-    std::fprintf(stderr,
-                 "error: loadgen needs --port (the port `rescq serve` "
-                 "announced)\n");
-    return 2;
+    return Fail("loadgen needs --port (the port `rescq serve` announced)");
   }
 
   LoadgenReport report = RunLoadgen(options);
   PrintLoadgenTable(report, stdout);
-  std::string error;
-  if (!csv_path.empty() && !SaveLoadgenCsv(report, csv_path, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
-  if (!json_path.empty() && !SaveLoadgenJson(report, json_path, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
+  int rc = files.Save(report, SaveLoadgenCsv, SaveLoadgenJson);
+  if (rc != 0) return rc;
   if (!report.error.empty()) return 2;
   return (report.oracle_mismatches == 0 && report.err_replies == 0) ? 0 : 1;
 }
