@@ -60,6 +60,7 @@ TupleId Database::AddTuple(const std::string& relation,
   data.rows.push_back(values);
   data.active.push_back(true);
   data.row_index[values] = row;
+  ++num_active_;
   return TupleId{rel, row};
 }
 
@@ -71,6 +72,19 @@ std::optional<TupleId> Database::FindTuple(
   auto it = data.row_index.find(values);
   if (it == data.row_index.end()) return std::nullopt;
   return TupleId{rel, it->second};
+}
+
+std::optional<TupleId> Database::FindTupleByNames(
+    const std::string& relation,
+    const std::vector<std::string>& constants) const {
+  std::vector<Value> values;
+  values.reserve(constants.size());
+  for (const std::string& c : constants) {
+    auto it = value_ids_.find(c);
+    if (it == value_ids_.end()) return std::nullopt;
+    values.push_back(it->second);
+  }
+  return FindTuple(relation, values);
 }
 
 int Database::NumRows(int rel) const {
@@ -88,22 +102,20 @@ bool Database::IsActive(TupleId id) const {
 }
 
 void Database::SetActive(TupleId id, bool active) {
-  relations_[static_cast<size_t>(id.relation)]
-      .active[static_cast<size_t>(id.row)] = active;
+  std::vector<bool>::reference slot =
+      relations_[static_cast<size_t>(id.relation)]
+          .active[static_cast<size_t>(id.row)];
+  if (slot == active) return;
+  slot = active;
+  num_active_ += active ? 1 : -1;
 }
 
 void Database::ActivateAll() {
+  num_active_ = 0;
   for (RelationData& data : relations_) {
     std::fill(data.active.begin(), data.active.end(), true);
+    num_active_ += static_cast<int>(data.rows.size());
   }
-}
-
-int Database::NumActiveTuples() const {
-  int n = 0;
-  for (const RelationData& data : relations_) {
-    for (bool a : data.active) n += a ? 1 : 0;
-  }
-  return n;
 }
 
 std::vector<TupleId> Database::ActiveTuples(int rel) const {

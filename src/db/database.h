@@ -53,14 +53,21 @@ class Database {
   std::optional<TupleId> FindTuple(const std::string& relation,
                                    const std::vector<Value>& values) const;
 
+  /// As FindTuple, by constant names, without interning: a name the
+  /// domain has never seen means no such tuple (and the domain does not
+  /// grow), which is what a delete of an absent fact needs.
+  std::optional<TupleId> FindTupleByNames(
+      const std::string& relation,
+      const std::vector<std::string>& constants) const;
+
   int NumRows(int rel) const;
   const std::vector<Value>& Row(TupleId id) const;
   bool IsActive(TupleId id) const;
   void SetActive(TupleId id, bool active);
   void ActivateAll();
 
-  /// Total active tuples across all relations.
-  int NumActiveTuples() const;
+  /// Total active tuples across all relations (a maintained count).
+  int NumActiveTuples() const { return num_active_; }
 
   /// All active tuple ids of a relation.
   std::vector<TupleId> ActiveTuples(int rel) const;
@@ -94,6 +101,7 @@ class Database {
   std::unordered_map<std::string, Value> value_ids_;
   std::vector<RelationData> relations_;
   std::unordered_map<std::string, int> relation_ids_;
+  int num_active_ = 0;
 };
 
 }  // namespace rescq

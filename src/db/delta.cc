@@ -47,27 +47,27 @@ bool UpdateArityCheck::Admit(const Update& u, const Database& db,
 
 std::optional<TupleId> ApplyUpdate(const Update& u, Database* db) {
   RESCQ_CHECK(!u.relation.empty() && !u.constants.empty());
-  if (u.kind == UpdateKind::kDelete && db->RelationId(u.relation) < 0) {
-    return std::nullopt;  // nothing to delete
+  if (u.kind == UpdateKind::kDelete) {
+    // Never interns: deleting an absent fact leaves the domain as is.
+    std::optional<TupleId> existing =
+        db->FindTupleByNames(u.relation, u.constants);
+    if (!existing.has_value() || !db->IsActive(*existing)) {
+      return std::nullopt;
+    }
+    db->SetActive(*existing, false);
+    return existing;
   }
+
   std::vector<Value> row;
   row.reserve(u.constants.size());
   for (const std::string& c : u.constants) row.push_back(db->Intern(c));
-
-  if (u.kind == UpdateKind::kInsert) {
-    std::optional<TupleId> existing = db->FindTuple(u.relation, row);
-    if (existing.has_value()) {
-      if (db->IsActive(*existing)) return std::nullopt;
-      db->SetActive(*existing, true);
-      return existing;
-    }
-    return db->AddTuple(u.relation, row);
-  }
-
   std::optional<TupleId> existing = db->FindTuple(u.relation, row);
-  if (!existing.has_value() || !db->IsActive(*existing)) return std::nullopt;
-  db->SetActive(*existing, false);
-  return existing;
+  if (existing.has_value()) {
+    if (db->IsActive(*existing)) return std::nullopt;
+    db->SetActive(*existing, true);
+    return existing;
+  }
+  return db->AddTuple(u.relation, row);
 }
 
 AppliedEpoch ApplyEpoch(const Epoch& epoch, Database* db) {

@@ -110,6 +110,56 @@ void Registry::Reset() {
   for (auto& [name, h] : histograms_) h->Reset();
 }
 
+// --- Per-thread slot caches -------------------------------------------------
+
+namespace {
+
+Counter& Register(const char* name, Counter*) {
+  return GlobalRegistry().GetCounter(name);
+}
+Gauge& Register(const char* name, Gauge*) {
+  return GlobalRegistry().GetGauge(name);
+}
+Histogram& Register(const char* name, Histogram*) {
+  return GlobalRegistry().GetHistogram(name, DefaultLatencyBucketsMs());
+}
+
+}  // namespace
+
+namespace internal {
+
+template <typename T>
+T& SlotCache<T>::FindSlow(const char* name) {
+  size_t i = Home(name);
+  for (size_t probe = 0; probe < kSlots; ++probe, i = (i + 1) % kSlots) {
+    Entry& e = entries[i];
+    if (e.name == name) return *e.slot;
+    if (e.name == nullptr) {
+      T& slot = Register(name, static_cast<T*>(nullptr));
+      e = Entry{name, &slot};
+      return slot;
+    }
+  }
+  // More than kSlots names on this thread: the rest go to the registry.
+  return Register(name, static_cast<T*>(nullptr));
+}
+
+template struct SlotCache<Counter>;
+template struct SlotCache<Gauge>;
+template struct SlotCache<Histogram>;
+
+thread_local SlotCache<Counter> t_counters;
+thread_local SlotCache<Gauge> t_gauges;
+thread_local SlotCache<Histogram> t_histograms;
+
+}  // namespace internal
+
+Counter* CounterHandle::Resolve() {
+  Counter* c = &GlobalRegistry().GetCounter(name_);
+  counter_.store(c, std::memory_order_release);
+  return c;
+}
+
 namespace {
 
 void AppendIndent(std::string* out, int indent) {

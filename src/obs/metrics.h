@@ -7,11 +7,18 @@
 // relaxed load of the global enabled flag — when no sink is installed
 // (the default) every call inlines to that single test-and-return, so
 // the hot paths pay nothing. When a sink is enabled (a --metrics-json
-// flag, a report's metrics block, or a test), updates are relaxed
-// atomics on registry-owned slots: safe from any thread, never a
-// synchronization point. Snapshots serialize to the stable
-// `rescq-metrics/v1` JSON schema with keys in sorted order, so
+// flag, a report's metrics block, or a test), a call resolves its name
+// to a registry slot through a per-thread cache keyed by the name's
+// address, then does one relaxed atomic update on that slot: no lock,
+// no allocation, no string compare. The registry mutex is taken only
+// the first time a thread meets a name. Snapshots serialize to the
+// stable `rescq-metrics/v1` JSON schema with keys in sorted order, so
 // snapshots diff cleanly run over run.
+//
+// Names passed to the helpers must be string literals (or otherwise
+// live, unchanged, at the same address for the whole process), as for
+// obs::Span: the cache remembers the pointer. A name built at run time
+// goes through a CounterHandle that its owner keeps instead.
 //
 // Metric names are dot-separated lowercase paths ("exact.nodes",
 // "mem.bytes_per_tuple"); docs/OBSERVABILITY.md is the catalog.
@@ -22,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rescq::obs {
@@ -130,22 +138,88 @@ void SetMetricsEnabled(bool enabled);
 /// histogram so traces from different stages line up.
 const std::vector<double>& DefaultLatencyBucketsMs();
 
+namespace internal {
+
+// A per-thread table from a name's address to its global-registry slot,
+// one per metric kind. The name's home entry is probed inline; a miss
+// (first sight on this thread, or a collision) probes on out of line
+// and registers the name under the registry mutex. Zero-initialized
+// plain data, so the thread_local instances need no constructor and no
+// TLS guard. Slots never move and registrations are never dropped
+// (Registry::Reset only zeroes values), so a cached pointer stays valid
+// for the life of the process.
+template <typename T>
+struct SlotCache {
+  static constexpr size_t kSlots = 256;
+  struct Entry {
+    const char* name;
+    T* slot;
+  };
+  Entry entries[kSlots];
+
+  // Fibonacci hashing: the top 8 bits of address * 2^64/phi.
+  static size_t Home(const char* name) {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(reinterpret_cast<uintptr_t>(name)) *
+         0x9E3779B97F4A7C15ull) >> 56);
+  }
+  T& Find(const char* name) {
+    const Entry& home = entries[Home(name)];
+    return home.name == name ? *home.slot : FindSlow(name);
+  }
+  T& FindSlow(const char* name);
+};
+
+extern thread_local SlotCache<Counter> t_counters;
+extern thread_local SlotCache<Gauge> t_gauges;
+extern thread_local SlotCache<Histogram> t_histograms;
+
+}  // namespace internal
+
 /// Instrumentation helpers against the global registry. One relaxed
-/// bool load when disabled.
+/// bool load when disabled; an inline cache probe plus one relaxed
+/// atomic update when armed. `name` must be a string literal.
 inline void Count(const char* name, uint64_t n = 1) {
   if (!MetricsEnabled()) return;
-  GlobalRegistry().GetCounter(name).Add(n);
+  internal::t_counters.Find(name).Add(n);
 }
 
 inline void SetGauge(const char* name, double value) {
   if (!MetricsEnabled()) return;
-  GlobalRegistry().GetGauge(name).Set(value);
+  internal::t_gauges.Find(name).Set(value);
 }
 
 inline void ObserveLatencyMs(const char* name, double ms) {
   if (!MetricsEnabled()) return;
-  GlobalRegistry().GetHistogram(name, DefaultLatencyBucketsMs()).Observe(ms);
+  internal::t_histograms.Find(name).Observe(ms);
 }
+
+/// A global-registry counter whose name is built at run time
+/// ("shard.forwarded.3", a configured connections metric). Count()
+/// cannot take such a name: its cache is keyed by address, and a
+/// temporary's buffer is reused by the next name. The owner keeps one
+/// handle per name; the handle registers on its first armed Add (so an
+/// unused name never shows in a snapshot, as with Count) and then
+/// updates its slot directly. Safe to Add from any thread.
+class CounterHandle {
+ public:
+  explicit CounterHandle(std::string name) : name_(std::move(name)) {}
+  CounterHandle(const CounterHandle&) = delete;
+  CounterHandle& operator=(const CounterHandle&) = delete;
+
+  void Add(uint64_t n = 1) {
+    if (!MetricsEnabled()) return;
+    Counter* c = counter_.load(std::memory_order_acquire);
+    if (c == nullptr) c = Resolve();
+    c->Add(n);
+  }
+
+ private:
+  Counter* Resolve();
+
+  const std::string name_;
+  std::atomic<Counter*> counter_{nullptr};
+};
 
 /// Writes the registry's `rescq-metrics/v1` snapshot; false on I/O
 /// failure.

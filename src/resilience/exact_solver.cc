@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -135,8 +136,8 @@ int MaxElementPlusOne(const Family& f) {
 // supersets (hitting a subset hits all of its supersets). Output spans
 // are size-ascending; the pool is shared and never copied — dedup
 // inside a span just shrinks its len, leaving a dead gap the family's
-// lifetime amortizes away. This runs 2-3x per solve on the reduction
-// fixpoint, so it must not allocate per set.
+// lifetime amortizes away. This runs twice per solve (around the
+// reduction fixpoint), so it must not allocate per set.
 Family ReduceFamily(Family f) {
   for (SetSpan& s : f.sets) {
     RESCQ_CHECK(s.len > 0);
@@ -435,56 +436,6 @@ struct Solver {
   }
 };
 
-// Element domination: if every set containing b also contains some a
-// (a != b), a minimum hitting set never needs b — any solution using b
-// can swap it for a — so b is deleted from the family. Ties (identical
-// membership) break toward the smaller id so exactly one of the pair
-// survives. Classic hitting-set preprocessing; on the q_vc witness
-// families it strips the per-edge S-tuples (each private to one set that
-// also holds both endpoint R-tuples) and leaves a pure vertex-cover
-// instance the matching bounds are exact on. Sets stay non-empty: every
-// set that loses b still contains its dominator. Returns true when
-// something was removed (callers re-reduce and iterate to fixpoint).
-bool EliminateDominatedElements(Family* f) {
-  const int num_elements = MaxElementPlusOne(*f);
-  ElementSets element_sets;
-  element_sets.Build(*f, num_elements);
-  std::vector<bool> removed(static_cast<size_t>(num_elements), false);
-  bool changed = false;
-  for (int b = 0; b < num_elements; ++b) {
-    if (element_sets.count(b) == 0) continue;
-    const int* sb_begin = element_sets.begin(b);
-    const int* sb_end = element_sets.end(b);
-    // A dominator of b sits in every set containing b, in particular the
-    // first one — so only its elements need checking.
-    const size_t first_set = static_cast<size_t>(*sb_begin);
-    for (const int* p = f->begin(first_set); p != f->end(first_set); ++p) {
-      const int a = *p;
-      if (a == b || removed[static_cast<size_t>(a)]) continue;
-      if (element_sets.count(a) < element_sets.count(b)) continue;
-      if (!std::includes(element_sets.begin(a), element_sets.end(a),
-                         sb_begin, sb_end)) {
-        continue;
-      }
-      if (element_sets.count(a) == element_sets.count(b) && a > b) {
-        continue;  // keep the smaller id
-      }
-      removed[static_cast<size_t>(b)] = true;
-      changed = true;
-      break;
-    }
-  }
-  if (!changed) return false;
-  for (SetSpan& s : f->sets) {
-    int* b = f->pool.data() + s.offset;
-    int* kept = std::remove_if(b, b + s.len, [&](int e) {
-      return removed[static_cast<size_t>(e)];
-    });
-    s.len = static_cast<uint32_t>(kept - b);
-  }
-  return true;
-}
-
 // Specialized exact vertex cover for the all-sets-size-<=2 case (graph
 // instances; the hardness gadgets produce exactly these). Classic branch
 // and bound: eager degree-0/1 reductions, branching "v in cover" vs
@@ -681,16 +632,126 @@ std::vector<int> SolveComponent(Family f, SearchCtx* ctx) {
   return solver.best;
 }
 
-// Reduction fixpoint shared by the solve and the root bound: dedup +
-// superset removal, then element domination, re-reduced until nothing
-// changes (domination shrinks sets, which can expose new subset
-// relations and vice versa).
+// Reduction fixpoint shared by the solve and the root bound. Three
+// value-preserving rules apply until none does:
+//  - duplicate sets collapse and supersets go (hitting a subset hits
+//    all of its supersets);
+//  - element domination: if every set containing b also contains some
+//    a != b, a minimum hitting set never needs b (any solution using b
+//    can swap it for a), so b is deleted. Identical memberships break
+//    toward the smaller id. On the
+//    q_vc witness families this strips the per-edge S-tuples (each
+//    private to one set that also holds both endpoint R-tuples) and
+//    leaves a pure vertex-cover instance the matching bounds are exact
+//    on. Sets stay non-empty: a set that loses b still holds a.
+// One ReduceFamily and one incidence build, then a work-list pass:
+// every element is checked for domination once, and afterwards only
+// what an earlier step can have changed is re-checked. A set that lost
+// an element may now be a subset of (or equal to) another live set, so
+// the live sets through its rarest element are tested as supersets. An
+// element whose live incidence shrank (a set holding it died) may now
+// be dominated. Nothing else can create new work: deleting b changes
+// no other element's membership, and a set only becomes a superset of
+// another by that other set shrinking. The live sets then get one final
+// ReduceFamily for the canonical size-ascending order.
 Family ReduceToFixpoint(Family f) {
   f = ReduceFamily(std::move(f));
-  while (EliminateDominatedElements(&f)) {
-    f = ReduceFamily(std::move(f));
+  const int num_elements = MaxElementPlusOne(f);
+  ElementSets element_sets;
+  element_sets.Build(f, num_elements);
+  std::vector<int> live(static_cast<size_t>(num_elements));  // sets per e
+  for (int e = 0; e < num_elements; ++e) {
+    live[static_cast<size_t>(e)] = element_sets.count(e);
   }
-  return f;
+  std::vector<bool> dead(f.size(), false);
+  // Every element starts queued; a set is queued each time it shrinks.
+  std::vector<int> element_queue(static_cast<size_t>(num_elements));
+  std::iota(element_queue.begin(), element_queue.end(), 0);
+  std::vector<bool> element_queued(static_cast<size_t>(num_elements), true);
+  std::vector<int> shrunk;
+
+  auto kill = [&](int t) {
+    dead[static_cast<size_t>(t)] = true;
+    for (const int* p = f.begin(static_cast<size_t>(t));
+         p != f.end(static_cast<size_t>(t)); ++p) {
+      --live[static_cast<size_t>(*p)];
+      if (!element_queued[static_cast<size_t>(*p)]) {
+        element_queued[static_cast<size_t>(*p)] = true;
+        element_queue.push_back(*p);
+      }
+    }
+  };
+  // s lost an element: drop every other live set that now contains it.
+  auto drop_supersets = [&](int s) {
+    const size_t si = static_cast<size_t>(s);
+    const int* rarest = std::min_element(
+        f.begin(si), f.end(si), [&](int a, int b) {
+          return live[static_cast<size_t>(a)] < live[static_cast<size_t>(b)];
+        });
+    for (const int* t = element_sets.begin(*rarest);
+         t != element_sets.end(*rarest); ++t) {
+      const size_t ti = static_cast<size_t>(*t);
+      if (*t == s || dead[ti] || f.len(ti) < f.len(si)) continue;
+      if (std::includes(f.begin(ti), f.end(ti), f.begin(si), f.end(si))) {
+        kill(*t);
+      }
+    }
+  };
+  // Deletes b if some element sits in every live set holding b. A
+  // dominator lies in the first of them, so only its elements are
+  // candidates.
+  auto drop_if_dominated = [&](int b) {
+    const size_t bi = static_cast<size_t>(b);
+    if (live[bi] == 0) return;
+    const int* first = element_sets.begin(b);
+    const int* sb_end = element_sets.end(b);
+    while (dead[static_cast<size_t>(*first)]) ++first;
+    for (const int* p = f.begin(static_cast<size_t>(*first));
+         p != f.end(static_cast<size_t>(*first)); ++p) {
+      const int a = *p;
+      const size_t ai = static_cast<size_t>(a);
+      if (a == b || live[ai] < live[bi]) continue;
+      if (live[ai] == live[bi] && a > b) continue;  // keep the smaller id
+      bool dominates = true;
+      for (const int* t = first; dominates && t != sb_end; ++t) {
+        const size_t ti = static_cast<size_t>(*t);
+        dominates =
+            dead[ti] || std::binary_search(f.begin(ti), f.end(ti), a);
+      }
+      if (!dominates) continue;
+      for (const int* t = first; t != sb_end; ++t) {
+        const size_t ti = static_cast<size_t>(*t);
+        if (dead[ti]) continue;
+        int* begin = f.pool.data() + f.sets[ti].offset;
+        f.sets[ti].len = static_cast<uint32_t>(
+            std::remove(begin, begin + f.sets[ti].len, b) - begin);
+        shrunk.push_back(*t);
+      }
+      live[bi] = 0;
+      return;
+    }
+  };
+
+  // Shrunk sets first, so every domination check sees a superset-free
+  // family. Nothing dies unless something shrank.
+  size_t next_set = 0, next_element = 0;
+  while (next_set < shrunk.size() || next_element < element_queue.size()) {
+    if (next_set < shrunk.size()) {
+      const int s = shrunk[next_set++];
+      if (!dead[static_cast<size_t>(s)]) drop_supersets(s);
+    } else {
+      const int b = element_queue[next_element++];
+      element_queued[static_cast<size_t>(b)] = false;
+      drop_if_dominated(b);
+    }
+  }
+  if (shrunk.empty()) return f;
+  size_t kept = 0;
+  for (size_t i = 0; i < f.size(); ++i) {
+    if (!dead[i]) f.sets[kept++] = f.sets[i];
+  }
+  f.sets.resize(kept);
+  return ReduceFamily(std::move(f));
 }
 
 }  // namespace

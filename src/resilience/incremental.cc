@@ -214,13 +214,10 @@ EpochOutcome IncrementalSession::Apply(const Epoch& epoch) {
         std::optional<TupleId> id = ApplyUpdate(*u, &db_);
         if (id.has_value()) changed.push_back(*id);
       } else {
-        // Resolve without applying: the delta stream needs the tuple
-        // still active.
-        if (db_.RelationId(u->relation) < 0) continue;
-        std::vector<Value> row;
-        row.reserve(u->constants.size());
-        for (const std::string& c : u->constants) row.push_back(db_.Intern(c));
-        std::optional<TupleId> id = db_.FindTuple(u->relation, row);
+        // Resolve without applying (the delta stream needs the tuple
+        // still active) and without interning.
+        std::optional<TupleId> id =
+            db_.FindTupleByNames(u->relation, u->constants);
         if (id.has_value() && db_.IsActive(*id)) changed.push_back(*id);
       }
     }

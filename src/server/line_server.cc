@@ -11,8 +11,6 @@
 #include <cstring>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace rescq {
 
 namespace {
@@ -47,7 +45,9 @@ bool SendAll(int fd, const std::string& data) {
 
 LineServer::LineServer(const LineServerOptions& options,
                        HandlerFactory factory)
-    : options_(options), factory_(std::move(factory)) {}
+    : options_(options),
+      factory_(std::move(factory)),
+      connections_(options.connections_metric) {}
 
 LineServer::~LineServer() { Stop(); }
 
@@ -127,7 +127,7 @@ void LineServer::AcceptLoop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    obs::Count(options_.connections_metric.c_str());
+    connections_.Add();
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stop_) {

@@ -12,6 +12,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/parallel.h"
 
 namespace rescq {
@@ -117,6 +118,7 @@ class LineServer {
 
   const LineServerOptions options_;
   HandlerFactory factory_;
+  obs::CounterHandle connections_;  // options_.connections_metric
 
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe: signals + stop wake the accept poll

@@ -110,22 +110,33 @@ bool ValidSessionName(std::string_view name, std::string* error) {
 }
 
 const char* RequestCounterName(std::string_view verb) {
-  if (verb == "open") return "server.requests.open";
-  if (verb == "use") return "server.requests.use";
-  if (verb == "push") return "server.requests.push";
-  if (verb == "load") return "server.requests.load";
-  if (verb == "begin") return "server.requests.begin";
-  if (verb == "+" || verb == "-") return "server.requests.update";
-  if (verb == "epoch") return "server.requests.epoch";
-  if (verb == "resilience") return "server.requests.resilience";
-  if (verb == "classify") return "server.requests.classify";
-  if (verb == "explain") return "server.requests.explain";
-  if (verb == "stats") return "server.requests.stats";
-  if (verb == "sessions") return "server.requests.sessions";
-  if (verb == "close") return "server.requests.close";
-  if (verb == "ping") return "server.requests.ping";
-  if (verb == "quit") return "server.requests.quit";
-  if (verb == "shutdown") return "server.requests.shutdown";
+  struct VerbCounter {
+    std::string_view verb;
+    const char* counter;
+  };
+  // Updates first: they are most of a pipelined epoch's lines.
+  static constexpr VerbCounter kCounters[] = {
+      {"+", "server.requests.update"},
+      {"-", "server.requests.update"},
+      {"open", "server.requests.open"},
+      {"use", "server.requests.use"},
+      {"push", "server.requests.push"},
+      {"load", "server.requests.load"},
+      {"begin", "server.requests.begin"},
+      {"epoch", "server.requests.epoch"},
+      {"resilience", "server.requests.resilience"},
+      {"classify", "server.requests.classify"},
+      {"explain", "server.requests.explain"},
+      {"stats", "server.requests.stats"},
+      {"sessions", "server.requests.sessions"},
+      {"close", "server.requests.close"},
+      {"ping", "server.requests.ping"},
+      {"quit", "server.requests.quit"},
+      {"shutdown", "server.requests.shutdown"},
+  };
+  for (const VerbCounter& c : kCounters) {
+    if (c.verb == verb) return c.counter;
+  }
   return "server.requests.unknown";
 }
 

@@ -210,7 +210,7 @@ std::string RouterConnection::Forward(size_t i, const std::string& line,
   }
   MarkUp(i);
   obs::Count("shard.forwarded");
-  obs::Count(("shard.forwarded." + std::to_string(i)).c_str());
+  shard(i).forwarded.Add();
   return reply + "\n";
 }
 
@@ -413,7 +413,7 @@ ShardRouter::ShardRouter(const RouterOptions& options)
         return std::make_unique<RouterConnection>(this);
       }) {
   for (const ShardSpec& spec : options_.shards) {
-    auto state = std::make_unique<ShardState>();
+    auto state = std::make_unique<ShardState>(shards_.size());
     state->spec = spec;
     shards_.push_back(std::move(state));
   }

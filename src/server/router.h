@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "resilience/engine.h"
 #include "server/client.h"
 #include "server/line_server.h"
@@ -97,10 +98,14 @@ class ShardRouter {
 
   /// Shared per-shard health + the session-less scatter-gather channel.
   struct ShardState {
+    explicit ShardState(size_t index)
+        : forwarded("shard.forwarded." + std::to_string(index)) {}
+
     ShardSpec spec;
     std::mutex control_mu;
     LineClient control;  // guarded by control_mu; never selects a session
     std::atomic<int64_t> down_until_ms{0};
+    obs::CounterHandle forwarded;  // "shard.forwarded.<index>"
   };
 
   static LineServerOptions TransportOptions(const RouterOptions& options);

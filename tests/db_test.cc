@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cq/parser.h"
 #include "db/database.h"
+#include "db/delta.h"
 #include "db/witness.h"
+#include "util/rng.h"
 
 namespace rescq {
 namespace {
@@ -47,6 +51,63 @@ TEST(Database, FindTuple) {
   EXPECT_TRUE(db.FindTuple("R", {a, b}).has_value());
   EXPECT_FALSE(db.FindTuple("R", {b, a}).has_value());
   EXPECT_FALSE(db.FindTuple("S", {a}).has_value());
+}
+
+TEST(Database, FindTupleByNamesNeverInterns) {
+  Database db;
+  Value a = db.Intern("a"), b = db.Intern("b");
+  TupleId ab = db.AddTuple("R", {a, b});
+  EXPECT_EQ(db.FindTupleByNames("R", {"a", "b"}), ab);
+  EXPECT_FALSE(db.FindTupleByNames("R", {"b", "a"}).has_value());
+  EXPECT_FALSE(db.FindTupleByNames("R", {"a", "never_seen"}).has_value());
+  EXPECT_FALSE(db.FindTupleByNames("S", {"a"}).has_value());
+  EXPECT_EQ(db.domain_size(), 2);
+}
+
+TEST(Database, DeletingAnAbsentFactKeepsTheDomain) {
+  Database db;
+  Value a = db.Intern("a"), b = db.Intern("b");
+  TupleId ab = db.AddTuple("R", {a, b});
+  for (int i = 0; i < 100; ++i) {
+    Update u;
+    u.kind = UpdateKind::kDelete;
+    u.relation = i % 2 == 0 ? "R" : "S";
+    u.constants = {"gone_" + std::to_string(i), "b"};
+    EXPECT_FALSE(ApplyUpdate(u, &db).has_value());
+  }
+  EXPECT_EQ(db.domain_size(), 2);
+  EXPECT_TRUE(db.IsActive(ab));
+  EXPECT_EQ(db.NumActiveTuples(), 1);
+}
+
+TEST(Database, ActiveCountMatchesARecountUnderRandomFlips) {
+  // NumActiveTuples is a maintained count: after every random insert
+  // (fresh or duplicate), activity flip (including no-op flips) and
+  // ActivateAll it must equal a recount over every row.
+  Rng rng(0xAC71);
+  Database db;
+  std::vector<TupleId> ids;
+  auto recount = [&db] {
+    int n = 0;
+    for (int rel = 0; rel < db.num_relations(); ++rel) {
+      n += static_cast<int>(db.ActiveTuples(rel).size());
+    }
+    return n;
+  };
+  for (int step = 0; step < 2000; ++step) {
+    const uint64_t op = rng.Below(10);
+    if (op < 3 || ids.empty()) {
+      const char* rel = rng.Chance(1, 2) ? "R" : "S";
+      ids.push_back(db.AddTuple(
+          rel, {db.InternIndexed("v", static_cast<int>(rng.Below(12))),
+                db.InternIndexed("v", static_cast<int>(rng.Below(12)))}));
+    } else if (op < 9) {
+      db.SetActive(ids[rng.Below(ids.size())], rng.Chance(1, 2));
+    } else if (rng.Chance(1, 10)) {
+      db.ActivateAll();
+    }
+    ASSERT_EQ(db.NumActiveTuples(), recount()) << "step " << step;
+  }
 }
 
 // Builds the Section 2 example: qchain over

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -297,6 +298,115 @@ TEST(Fuzz, ParallelExactDifferentialSweep) {
         ASSERT_TRUE(hit) << "round " << round << " threads " << threads;
       }
     }
+  }
+}
+
+// Test-only reference for the solver's reduction: a round-based
+// fixpoint of the same three rules, where the solver makes one
+// work-list pass. Each round
+// re-normalizes the whole family (sort, dedup, drop supersets), then
+// deletes, in ascending id order, every element dominated under that
+// round's incidence (ties toward the smaller id), until a round deletes
+// nothing. Both reach *a* fixpoint of the same three rules, not always
+// the same one, so the sweep compares optima, never reduced families.
+using SetList = std::vector<std::vector<int>>;
+
+SetList NormalizeReference(SetList sets) {
+  for (std::vector<int>& s : sets) {
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+  }
+  std::sort(sets.begin(), sets.end(),
+            [](const std::vector<int>& a, const std::vector<int>& b) {
+              return a.size() != b.size() ? a.size() < b.size() : a < b;
+            });
+  sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
+  SetList kept;
+  for (const std::vector<int>& s : sets) {
+    bool superset = false;
+    for (const std::vector<int>& t : kept) {
+      superset = superset || (t.size() < s.size() &&
+                              std::includes(s.begin(), s.end(), t.begin(),
+                                            t.end()));
+    }
+    if (!superset) kept.push_back(s);
+  }
+  return kept;
+}
+
+bool EliminateDominatedReference(SetList* sets, int num_elements) {
+  std::vector<std::vector<int>> incidence(static_cast<size_t>(num_elements));
+  for (size_t i = 0; i < sets->size(); ++i) {
+    for (int e : (*sets)[i]) {
+      incidence[static_cast<size_t>(e)].push_back(static_cast<int>(i));
+    }
+  }
+  std::vector<bool> removed(static_cast<size_t>(num_elements), false);
+  bool changed = false;
+  for (int b = 0; b < num_elements; ++b) {
+    const std::vector<int>& sb = incidence[static_cast<size_t>(b)];
+    if (sb.empty()) continue;
+    for (int a : (*sets)[static_cast<size_t>(sb[0])]) {
+      const std::vector<int>& sa = incidence[static_cast<size_t>(a)];
+      if (a == b || removed[static_cast<size_t>(a)]) continue;
+      if (!std::includes(sa.begin(), sa.end(), sb.begin(), sb.end())) continue;
+      if (sa.size() == sb.size() && a > b) continue;
+      removed[static_cast<size_t>(b)] = true;
+      changed = true;
+      break;
+    }
+  }
+  for (std::vector<int>& s : *sets) {
+    s.erase(std::remove_if(s.begin(), s.end(),
+                           [&](int e) { return removed[static_cast<size_t>(e)]; }),
+            s.end());
+  }
+  return changed;
+}
+
+SetList RoundBasedFixpoint(SetList sets, int num_elements) {
+  sets = NormalizeReference(std::move(sets));
+  while (EliminateDominatedReference(&sets, num_elements)) {
+    sets = NormalizeReference(std::move(sets));
+  }
+  return sets;
+}
+
+TEST(Fuzz, ReductionFixpointDifferential) {
+  // Seeded random small families (<= 12 sets of size <= 3 over <= 10
+  // elements, repeats inside a set allowed): the solver's optimum, with
+  // its single-pass reduction, must equal the brute-force optimum of the
+  // raw family and of the round-based reference's reduced family; its
+  // chosen set must hit every set; the root lower bound never exceeds
+  // the optimum.
+  Rng rng(0x5EDC0DE);
+  for (int round = 0; round < 100000; ++round) {
+    const int num_elements = 1 + static_cast<int>(rng.Below(10));
+    const int num_sets = 1 + static_cast<int>(rng.Below(12));
+    SetList sets(static_cast<size_t>(num_sets));
+    for (std::vector<int>& s : sets) {
+      const int size = 1 + static_cast<int>(rng.Below(3));
+      for (int k = 0; k < size; ++k) {
+        s.push_back(static_cast<int>(
+            rng.Below(static_cast<uint64_t>(num_elements))));
+      }
+    }
+    const int optimum = ReferenceHittingSet(sets, num_elements);
+    SetList rounds = RoundBasedFixpoint(sets, num_elements);
+    ASSERT_EQ(ReferenceHittingSet(rounds, num_elements), optimum)
+        << "round " << round;
+
+    const HittingSetFamily family = HittingSetFamily::From(sets);
+    HittingSetResult result = SolveMinHittingSet(family);
+    ASSERT_EQ(result.size, optimum) << "round " << round;
+    ASSERT_EQ(static_cast<int>(result.chosen.size()), result.size);
+    for (const std::vector<int>& s : sets) {
+      ASSERT_TRUE(std::find_first_of(s.begin(), s.end(),
+                                     result.chosen.begin(),
+                                     result.chosen.end()) != s.end())
+          << "round " << round;
+    }
+    ASSERT_LE(HittingSetLowerBound(family), optimum) << "round " << round;
   }
 }
 

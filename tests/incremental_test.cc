@@ -388,6 +388,33 @@ TEST(IncrementalSession, InsertThenDeleteOfOneFactIsInvariant) {
   ExpectMatchesScratch(session, out, "two-epoch net");
 }
 
+TEST(IncrementalSession, DeletingAbsentFactsKeepsTheDomainAndTheAnswer) {
+  // A stream of deletes of facts the session never saw must not grow
+  // its value domain (nothing is interned) or move its answer.
+  Query q = MustParseQuery("R(x,y), R(y,z)");
+  Database db;
+  std::string error;
+  ASSERT_TRUE(LoadTupleFile("data/section2_chain.tuples", &db, &error) ||
+              LoadTupleFile("../data/section2_chain.tuples", &db, &error))
+      << error;
+  IncrementalSession session(q, db, EngineOptions{});
+  const EpochOutcome before = session.current();
+  const int domain = session.db().domain_size();
+  for (int i = 0; i < 50; ++i) {
+    Epoch e;
+    e.updates.push_back(MakeUpdate(UpdateKind::kDelete, "R",
+                                   {"never_" + std::to_string(i), "x"}));
+    e.updates.push_back(MakeUpdate(UpdateKind::kDelete, "Q",
+                                   {"unseen_" + std::to_string(i)}));
+    EpochOutcome out = session.Apply(e);
+    EXPECT_EQ(out.deleted, 0);
+    EXPECT_EQ(out.resilience, before.resilience);
+    EXPECT_EQ(out.contingency, before.contingency);
+  }
+  EXPECT_EQ(session.db().domain_size(), domain);
+  ExpectMatchesScratch(session, session.current(), "absent deletes");
+}
+
 TEST(IncrementalSession, ExogenousChurnRespectsTheLowerBound) {
   // S is exogenous: churning it shifts witness support and can remove
   // or add whole sets, but the answer must track the exact solve and

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cq/parser.h"
@@ -149,6 +150,100 @@ TEST(MetricsConcurrency, DisabledHelpersTouchNothing) {
   EXPECT_EQ(obs::GlobalRegistry().FindCounter("obs_test.never"), nullptr);
   EXPECT_EQ(obs::GlobalRegistry().FindGauge("obs_test.never_gauge"), nullptr);
   EXPECT_EQ(obs::GlobalRegistry().FindHistogram("obs_test.never_ms"), nullptr);
+}
+
+// --- Per-thread slot caches and handles -------------------------------------
+
+// A global counter's value; a name that was never registered fails.
+uint64_t GlobalCount(const std::string& name) {
+  const obs::Counter* c = obs::GlobalRegistry().FindCounter(name);
+  EXPECT_NE(c, nullptr) << name;
+  return c == nullptr ? 0 : c->Value();
+}
+
+TEST(MetricsCache, ArmedCountsFromFreshThreadsSumExactly) {
+  // Every round starts new threads, so every Count below first misses
+  // its thread's cache and registers concurrently with the others.
+  obs::SetMetricsEnabled(true);
+  obs::GlobalRegistry().Reset();
+  constexpr int kRounds = 4, kThreads = 8, kCalls = 500;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([] {
+        for (int i = 0; i < kCalls; ++i) {
+          obs::Count("obs_test.cold");
+          obs::Count("obs_test.cold_weighted", 2);
+          obs::ObserveLatencyMs("obs_test.cold_ms", 0.1);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  obs::SetMetricsEnabled(false);
+  const uint64_t calls = uint64_t{kRounds} * kThreads * kCalls;
+  EXPECT_EQ(GlobalCount("obs_test.cold"), calls);
+  EXPECT_EQ(GlobalCount("obs_test.cold_weighted"), 2 * calls);
+  const obs::Histogram* lat =
+      obs::GlobalRegistry().FindHistogram("obs_test.cold_ms");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->Count(), calls);
+  obs::GlobalRegistry().Reset();
+}
+
+TEST(MetricsCache, EqualNamesAtDifferentAddressesShareOneCounter) {
+  static const char kFirst[] = "obs_test.twin";
+  static const char kSecond[] = "obs_test.twin";
+  ASSERT_NE(static_cast<const void*>(kFirst),
+            static_cast<const void*>(kSecond));
+  obs::SetMetricsEnabled(true);
+  obs::GlobalRegistry().Reset();
+  obs::Count(kFirst, 2);
+  obs::Count(kSecond, 3);
+  obs::Count(kFirst);
+  obs::SetMetricsEnabled(false);
+  EXPECT_EQ(GlobalCount("obs_test.twin"), 6u);
+  obs::GlobalRegistry().Reset();
+}
+
+TEST(MetricsCache, CachedSlotsKeepUpdatingAfterReset) {
+  obs::SetMetricsEnabled(true);
+  obs::GlobalRegistry().Reset();
+  obs::CounterHandle handle("obs_test.handle." + std::to_string(7));
+  obs::Count("obs_test.reset");
+  obs::SetGauge("obs_test.reset_gauge", 4.0);
+  obs::ObserveLatencyMs("obs_test.reset_ms", 1.0);
+  handle.Add(5);
+  obs::GlobalRegistry().Reset();  // zeroes values; cached slots stay valid
+  obs::Count("obs_test.reset");
+  obs::SetGauge("obs_test.reset_gauge", 2.5);
+  obs::ObserveLatencyMs("obs_test.reset_ms", 1.0);
+  handle.Add();
+  obs::SetMetricsEnabled(false);
+  EXPECT_EQ(GlobalCount("obs_test.reset"), 1u);
+  EXPECT_EQ(GlobalCount("obs_test.handle.7"), 1u);
+  const obs::Gauge* gauge =
+      obs::GlobalRegistry().FindGauge("obs_test.reset_gauge");
+  const obs::Histogram* lat =
+      obs::GlobalRegistry().FindHistogram("obs_test.reset_ms");
+  ASSERT_NE(gauge, nullptr);
+  ASSERT_NE(lat, nullptr);
+  EXPECT_DOUBLE_EQ(gauge->Value(), 2.5);
+  EXPECT_EQ(lat->Count(), 1u);
+  obs::GlobalRegistry().Reset();
+}
+
+TEST(MetricsCache, HandleRegistersOnlyOnItsFirstArmedAdd) {
+  ASSERT_FALSE(obs::MetricsEnabled());
+  obs::CounterHandle handle(std::string("obs_test.") + "lazy");
+  handle.Add();
+  EXPECT_EQ(obs::GlobalRegistry().FindCounter("obs_test.lazy"), nullptr);
+  obs::SetMetricsEnabled(true);
+  WorkerPool pool(4);
+  pool.Run(1000, [&](size_t) { handle.Add(); });
+  obs::SetMetricsEnabled(false);
+  EXPECT_EQ(GlobalCount("obs_test.lazy"), 1000u);
+  obs::GlobalRegistry().Reset();
 }
 
 // --- Trace ------------------------------------------------------------------

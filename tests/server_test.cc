@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "resilience/engine.h"
 #include "server/client.h"
 #include "server/loadgen.h"
@@ -702,6 +703,38 @@ TEST_F(RouterEndToEndTest, ScatterGatherAggregatesAcrossShards) {
   EXPECT_EQ(listing.rfind("ok sessions 2\n", 0), 0u) << listing;
   EXPECT_NE(listing.find(on0 + " live"), std::string::npos) << listing;
   EXPECT_NE(listing.find(on1 + " staging"), std::string::npos) << listing;
+}
+
+// The per-shard forward counters are handles the router resolves once
+// per shard: together they count exactly what the total counts.
+TEST_F(RouterEndToEndTest, PerShardForwardCountersSumToTheTotal) {
+  obs::SetMetricsEnabled(true);
+  obs::GlobalRegistry().Reset();
+  LineClient via_router;
+  Connect(&via_router, router_->port());
+  for (size_t owner = 0; owner < 2; ++owner) {
+    const std::string name = NameOwnedBy(owner, "fwd" + std::to_string(owner));
+    EXPECT_EQ(Req(&via_router, "open " + name + " R(x,y)"),
+              "ok open " + name + " staging");
+    for (size_t i = 0; i <= owner; ++i) {
+      EXPECT_EQ(Req(&via_router, "push R(a" + std::to_string(i) + ", b)"),
+                "ok push " + std::to_string(i + 1));
+    }
+    EXPECT_EQ(Req(&via_router, "begin").rfind("ok begin ", 0), 0u);
+  }
+  obs::SetMetricsEnabled(false);
+
+  auto value = [](const char* name) -> uint64_t {
+    const obs::Counter* c = obs::GlobalRegistry().FindCounter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? 0 : c->Value();
+  };
+  // open + 1 push + begin on shard 0; open + 2 pushes + begin on shard 1.
+  EXPECT_EQ(value("shard.forwarded.0"), 3u);
+  EXPECT_EQ(value("shard.forwarded.1"), 4u);
+  EXPECT_EQ(value("shard.forwarded.0") + value("shard.forwarded.1"),
+            value("shard.forwarded"));
+  obs::GlobalRegistry().Reset();
 }
 
 // A downed shard costs its sessions a structured `err shard_unavailable`
