@@ -8,16 +8,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <functional>
-#include <map>
 #include <set>
 #include <vector>
 
 #include "bench_util.h"
 #include "cq/parser.h"
-#include "db/witness.h"
 #include "resilience/exact_solver.h"
 #include "workload/generators.h"
 #include "workload/scenario.h"
@@ -46,12 +42,12 @@ struct Solver {
   int best_size = 0;
   uint64_t nodes = 0;
 
-  void Init(const std::vector<std::vector<int>>& input) {
+  void Init(const HittingSetFamily& input) {
     std::vector<std::vector<int>> uniq;
     {
       std::set<std::vector<int>> seen;
-      for (const std::vector<int>& s : input) {
-        std::vector<int> sorted = s;
+      for (size_t i = 0; i < input.size(); ++i) {
+        std::vector<int> sorted(input.begin(i), input.end(i));
         std::sort(sorted.begin(), sorted.end());
         sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
         if (seen.insert(sorted).second) uniq.push_back(std::move(sorted));
@@ -308,7 +304,7 @@ Result SolveAsVertexCover(const std::vector<std::vector<int>>& sets,
   return result;
 }
 
-Result SolveMinHittingSet(const std::vector<std::vector<int>>& sets) {
+Result SolveMinHittingSet(const HittingSetFamily& sets) {
   Result result;
   if (sets.empty()) return result;
   Solver solver;
@@ -329,49 +325,6 @@ Result SolveMinHittingSet(const std::vector<std::vector<int>>& sets) {
 }  // namespace seedbb
 
 // ---------------------------------------------------------------------------
-
-// The hitting-set family of one scenario instance, as dense element ids.
-std::vector<std::vector<int>> ScenarioHittingSets(const char* scenario_name,
-                                                  int size, uint64_t seed) {
-  const Scenario* scenario = FindScenario(scenario_name);
-  if (scenario == nullptr) return {};
-  ScenarioParams params;
-  params.size = size;
-  params.seed = seed;
-  Database db = scenario->generate(params);
-  Query q = MustParseQuery(scenario->query);
-  std::vector<std::vector<TupleId>> families = WitnessTupleSets(q, db);
-  std::map<TupleId, int> ids;
-  std::vector<std::vector<int>> sets;
-  for (const std::vector<TupleId>& w : families) {
-    if (w.empty()) continue;
-    std::vector<int> s;
-    for (TupleId t : w) {
-      auto [it, inserted] = ids.emplace(t, static_cast<int>(ids.size()));
-      s.push_back(it->second);
-    }
-    sets.push_back(std::move(s));
-  }
-  return sets;
-}
-
-// Best-of-N: the solvers are deterministic, so the minimum is the
-// noise-free statistic. A single run when the solve is slow (the CI
-// smoke run must stay bounded).
-double BestMs(const std::function<void()>& fn) {
-  auto once = [&] {
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
-  double best = once();
-  if (best < 100.0) {
-    for (int r = 0; r < 8; ++r) best = std::min(best, once());
-  }
-  return best;
-}
 
 void PrintComparison() {
   bench::PrintHeader(
@@ -395,22 +348,22 @@ void PrintComparison() {
               "size", "sets", "rho", "seed_ms", "new_ms", "speedup",
               "seed_nodes", "new_nodes");
   for (const Case& c : cases) {
-    std::vector<std::vector<int>> sets =
-        ScenarioHittingSets(c.scenario, c.size, /*seed=*/1);
+    const HittingSetFamily family = bench::ScenarioFamily(c.scenario, c.size);
     seedbb::Result seed_result;
-    double seed_ms =
-        BestMs([&] { seed_result = seedbb::SolveMinHittingSet(sets); });
-    const HittingSetFamily family = HittingSetFamily::From(sets);
+    double seed_ms = bench::BestMs(
+        [&] { seed_result = seedbb::SolveMinHittingSet(family); }, 100.0, 8);
     HittingSetResult new_result;
     ExactStats stats;
-    double new_ms = BestMs([&] {
-      stats = ExactStats{};
-      new_result = SolveMinHittingSet(family, ExactOptions{}, &stats);
-    });
+    double new_ms = bench::BestMs(
+        [&] {
+          stats = ExactStats{};
+          new_result = SolveMinHittingSet(family, ExactOptions{}, &stats);
+        },
+        100.0, 8);
     const char* agree = seed_result.size == new_result.size ? "" : "  DISAGREE";
     std::printf(
         "%-9s %5d %6zu %6d | %12.3f %12.3f %7.1fx | %10llu %10llu%s\n",
-        c.scenario, c.size, sets.size(), new_result.size, seed_ms, new_ms,
+        c.scenario, c.size, family.size(), new_result.size, seed_ms, new_ms,
         new_ms > 0 ? seed_ms / new_ms : 0.0,
         static_cast<unsigned long long>(seed_result.nodes),
         static_cast<unsigned long long>(stats.nodes), agree);
@@ -418,17 +371,17 @@ void PrintComparison() {
 }
 
 void BM_SeedHittingSet(benchmark::State& state, const char* scenario) {
-  std::vector<std::vector<int>> sets =
-      ScenarioHittingSets(scenario, static_cast<int>(state.range(0)), 1);
+  const HittingSetFamily family =
+      bench::ScenarioFamily(scenario, static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(seedbb::SolveMinHittingSet(sets));
+    benchmark::DoNotOptimize(seedbb::SolveMinHittingSet(family));
   }
 }
 
 void BM_ComponentFlowHittingSet(benchmark::State& state,
                                 const char* scenario) {
-  const HittingSetFamily family = HittingSetFamily::From(
-      ScenarioHittingSets(scenario, static_cast<int>(state.range(0)), 1));
+  const HittingSetFamily family =
+      bench::ScenarioFamily(scenario, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(SolveMinHittingSet(family));
   }

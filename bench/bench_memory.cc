@@ -27,7 +27,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -206,13 +205,9 @@ EvictRow RunEviction(const WorkloadConfig& w) {
   return row;
 }
 
-void WriteSnapshot(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_memory: cannot write snapshot %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"rescq-bench-memory/v1\",\n");
+void WriteSnapshot() {
+  std::FILE* f = bench::OpenSnapshot("rescq-bench-memory/v1");
+  if (f == nullptr) return;
   std::fprintf(f, "  \"min_reduction\": %.1f,\n", kMinReduction);
   std::fprintf(f, "  \"representation\": [\n");
   for (size_t i = 0; i < g_repr.size(); ++i) {
@@ -245,9 +240,8 @@ void WriteSnapshot(const char* path) {
         static_cast<unsigned long long>(r.freed_avg),
         r.agree ? "true" : "false", i + 1 < g_evict.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nsnapshot written: %s\n", path);
+  std::fprintf(f, "  ]\n");
+  bench::CloseSnapshot(f);
 }
 
 int CheckAcceptance() {
@@ -382,9 +376,7 @@ void PrintArtifactTables() {
 
 int main(int argc, char** argv) {
   rescq::PrintArtifactTables();
-  if (const char* path = std::getenv("RESCQ_BENCH_SNAPSHOT")) {
-    rescq::WriteSnapshot(path);
-  }
+  rescq::WriteSnapshot();
   int violations = rescq::CheckAcceptance();
   if (violations > 0) return 1;
   benchmark::Initialize(&argc, argv);

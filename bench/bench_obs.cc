@@ -13,17 +13,14 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "cq/parser.h"
-#include "db/witness.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resilience/exact_solver.h"
@@ -38,21 +35,6 @@ namespace {
 // run. Generous against CI timer noise; the measured ratios on an idle
 // host sit well under 1.1.
 constexpr double kMaxOverheadRatio = 1.30;
-
-double BestMs(const std::function<void()>& fn) {
-  auto once = [&] {
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
-  double best = once();
-  if (best < 200.0) {
-    for (int r = 0; r < 4; ++r) best = std::min(best, once());
-  }
-  return best;
-}
 
 struct ObsRow {
   std::string workload;
@@ -78,14 +60,14 @@ void Measure(const std::string& workload, bool enforced,
   row.enforced = enforced;
 
   obs::SetMetricsEnabled(false);
-  row.dark_ms = BestMs(fn);
+  row.dark_ms = bench::BestMs(fn);
 
   obs::SetMetricsEnabled(true);
   obs::GlobalRegistry().Reset();
-  row.metrics_ms = BestMs(fn);
+  row.metrics_ms = bench::BestMs(fn);
 
   obs::StartTrace();
-  row.full_ms = BestMs(fn);
+  row.full_ms = bench::BestMs(fn);
   obs::StopTrace();
   obs::SetMetricsEnabled(false);
 
@@ -109,35 +91,10 @@ void ProbeRawHelpers() {
   });
 }
 
-std::vector<std::vector<int>> SolveFamily() {
-  // Element-disjoint copies of the vc_er scenario family — the same
-  // multi-component shape bench_parallel scales over.
-  const Scenario* scenario = FindScenario("vc_er");
-  std::vector<std::vector<int>> sets;
-  int offset = 0;
-  for (int c = 0; c < 6; ++c) {
-    ScenarioParams params;
-    params.size = 20;
-    params.seed = static_cast<uint64_t>(c) + 1;
-    Database db = scenario->generate(params);
-    Query q = MustParseQuery(scenario->query);
-    std::map<TupleId, int> ids;
-    for (const std::vector<TupleId>& w : WitnessTupleSets(q, db)) {
-      if (w.empty()) continue;
-      std::vector<int> s;
-      for (TupleId t : w) {
-        auto [it, inserted] = ids.emplace(t, static_cast<int>(ids.size()));
-        s.push_back(offset + it->second);
-      }
-      sets.push_back(std::move(s));
-    }
-    offset += static_cast<int>(ids.size());
-  }
-  return sets;
-}
-
 void ProbeExactSolve() {
-  const HittingSetFamily family = HittingSetFamily::From(SolveFamily());
+  // Element-disjoint copies of the vc_er scenario family: the same
+  // multi-component shape bench_parallel scales over.
+  const HittingSetFamily family = bench::ScenarioFamily("vc_er", 20, 6);
   for (int threads : {1, 4}) {
     ExactOptions options;
     options.solver_threads = threads;
@@ -170,13 +127,9 @@ void ProbeIncrementalEpochs() {
 
 // --- Snapshot + enforcement -------------------------------------------------
 
-void WriteSnapshot(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_obs: cannot write snapshot %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"rescq-bench-obs/v1\",\n");
+void WriteSnapshot() {
+  std::FILE* f = bench::OpenSnapshot("rescq-bench-obs/v1");
+  if (f == nullptr) return;
   std::fprintf(f, "  \"max_overhead_ratio\": %.2f,\n", kMaxOverheadRatio);
   std::fprintf(f, "  \"rows\": [\n");
   for (size_t i = 0; i < g_rows.size(); ++i) {
@@ -191,9 +144,8 @@ void WriteSnapshot(const char* path) {
                  r.enforced ? "true" : "false",
                  i + 1 < g_rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nsnapshot written: %s\n", path);
+  std::fprintf(f, "  ]\n");
+  bench::CloseSnapshot(f);
 }
 
 int CheckOverheadBound() {
@@ -250,9 +202,7 @@ int main(int argc, char** argv) {
   rescq::ProbeRawHelpers();
   rescq::ProbeExactSolve();
   rescq::ProbeIncrementalEpochs();
-  if (const char* path = std::getenv("RESCQ_BENCH_SNAPSHOT")) {
-    rescq::WriteSnapshot(path);
-  }
+  rescq::WriteSnapshot();
   int violations = rescq::CheckOverheadBound();
   if (violations > 0 && std::getenv("RESCQ_BENCH_OBS_ENFORCE") != nullptr) {
     return 1;

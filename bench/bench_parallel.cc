@@ -11,17 +11,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "cq/parser.h"
-#include "db/witness.h"
 #include "obs/metrics.h"
 #include "resilience/exact_solver.h"
 #include "resilience/incremental.h"
@@ -34,64 +29,6 @@ namespace rescq {
 namespace {
 
 const int kThreadCounts[] = {1, 2, 4};
-
-// The hitting-set family of one scenario instance, as dense element ids
-// shifted by `offset` so copies stay element-disjoint (= independent
-// components for the solver). Returns the number of ids used — offsets
-// stay compact, because the solver's scratch arrays scale with the
-// maximum element id.
-int AppendScenarioFamily(const char* scenario_name, int size, uint64_t seed,
-                         int offset, std::vector<std::vector<int>>* sets) {
-  const Scenario* scenario = FindScenario(scenario_name);
-  if (scenario == nullptr) return 0;
-  ScenarioParams params;
-  params.size = size;
-  params.seed = seed;
-  Database db = scenario->generate(params);
-  Query q = MustParseQuery(scenario->query);
-  std::map<TupleId, int> ids;
-  for (const std::vector<TupleId>& w : WitnessTupleSets(q, db)) {
-    if (w.empty()) continue;
-    std::vector<int> s;
-    for (TupleId t : w) {
-      auto [it, inserted] = ids.emplace(t, static_cast<int>(ids.size()));
-      s.push_back(offset + it->second);
-    }
-    sets->push_back(std::move(s));
-  }
-  return static_cast<int>(ids.size());
-}
-
-// `copies` element-disjoint instances of one scenario — the
-// multi-component workload the parallel dispatch is built for.
-std::vector<std::vector<int>> MultiComponentFamily(const char* scenario_name,
-                                                   int size, int copies) {
-  std::vector<std::vector<int>> sets;
-  int offset = 0;
-  for (int c = 0; c < copies; ++c) {
-    offset += AppendScenarioFamily(scenario_name, size,
-                                   /*seed=*/static_cast<uint64_t>(c) + 1,
-                                   offset, &sets);
-  }
-  return sets;
-}
-
-// Best-of-N wall time; a single run when slow so the CI smoke stays
-// bounded (the solvers are deterministic, so min is the statistic).
-double BestMs(const std::function<void()>& fn) {
-  auto once = [&] {
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
-  double best = once();
-  if (best < 200.0) {
-    for (int r = 0; r < 4; ++r) best = std::min(best, once());
-  }
-  return best;
-}
 
 // --- Snapshot rows ----------------------------------------------------------
 
@@ -142,8 +79,8 @@ void PrintSolveScaling() {
               "family", "size", "copies", "sets", "rho", "comp", "t1_ms",
               "t2_ms", "t4_ms", "x2", "x4");
   for (const Case& c : cases) {
-    const HittingSetFamily sets = HittingSetFamily::From(
-        MultiComponentFamily(c.scenario, c.size, c.copies));
+    const HittingSetFamily sets =
+        bench::ScenarioFamily(c.scenario, c.size, c.copies);
     SolveRow row;
     row.family = c.scenario;
     row.copies = c.copies;
@@ -155,7 +92,7 @@ void PrintSolveScaling() {
       options.solver_threads = kThreadCounts[t];
       ExactStats stats;
       HittingSetResult result;
-      row.ms[t] = BestMs([&] {
+      row.ms[t] = bench::BestMs([&] {
         stats = ExactStats{};
         result = SolveMinHittingSet(sets, options, &stats);
       });
@@ -220,7 +157,7 @@ void PrintChurnScaling() {
       EngineOptions options;
       options.solver_threads = kThreadCounts[t];
       std::vector<int> res;
-      row.mean_epoch_ms[t] = BestMs([&] {
+      row.mean_epoch_ms[t] = bench::BestMs([&] {
         res.clear();
         IncrementalSession session(q, base, options);
         for (const Epoch& e : log.epochs) {
@@ -264,8 +201,7 @@ void PrintPoolUtilization() {
       "variables (slot 0 is the Run caller). High idle at 4 workers on "
       "few components is expected: the pool parks whoever runs out of "
       "components.");
-  const HittingSetFamily sets =
-      HittingSetFamily::From(MultiComponentFamily("vc_er", 24, 8));
+  const HittingSetFamily sets = bench::ScenarioFamily("vc_er", 24, 8);
   std::printf("%-9s %7s | %8s %8s %10s\n", "workers", "runs", "tasks",
               "workers", "idle_ms");
   obs::SetMetricsEnabled(true);
@@ -292,14 +228,9 @@ void PrintPoolUtilization() {
 
 // --- Machine-readable snapshot ----------------------------------------------
 
-void WriteSnapshot(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_parallel: cannot write snapshot %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"rescq-bench-parallel/v1\",\n");
-  std::fprintf(f, "  \"host\": { \"cores\": %d },\n", HardwareThreads());
+void WriteSnapshot() {
+  std::FILE* f = bench::OpenSnapshot("rescq-bench-parallel/v1");
+  if (f == nullptr) return;
   std::fprintf(f, "  \"thread_counts\": [1, 2, 4],\n");
   std::fprintf(f, "  \"solve\": [\n");
   for (size_t i = 0; i < g_solve_rows.size(); ++i) {
@@ -325,17 +256,15 @@ void WriteSnapshot(const char* path) {
                  r.agree ? "true" : "false",
                  i + 1 < g_churn_rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nsnapshot written: %s\n", path);
+  std::fprintf(f, "  ]\n");
+  bench::CloseSnapshot(f);
 }
 
 // --- Timing series ----------------------------------------------------------
 
 void BM_ParallelHittingSet(benchmark::State& state, const char* scenario) {
-  const HittingSetFamily sets = HittingSetFamily::From(
-      MultiComponentFamily(scenario, scenario == std::string("perm") ? 14 : 20,
-                           /*copies=*/8));
+  const HittingSetFamily sets = bench::ScenarioFamily(
+      scenario, scenario == std::string("perm") ? 14 : 20, /*copies=*/8);
   ExactOptions options;
   options.solver_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -393,9 +322,7 @@ int main(int argc, char** argv) {
   rescq::PrintSolveScaling();
   rescq::PrintChurnScaling();
   rescq::PrintPoolUtilization();
-  if (const char* path = std::getenv("RESCQ_BENCH_SNAPSHOT")) {
-    rescq::WriteSnapshot(path);
-  }
+  rescq::WriteSnapshot();
   std::printf("\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -5,11 +5,21 @@
 // paper-artifact tables on stdout first, then runs its google-benchmark
 // timing series.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <vector>
 
+#include "cq/parser.h"
 #include "cq/query.h"
 #include "db/database.h"
+#include "db/witness.h"
+#include "resilience/exact_solver.h"
+#include "util/parallel.h"
 #include "util/rng.h"
+#include "workload/scenario.h"
 
 namespace rescq::bench {
 
@@ -35,6 +45,89 @@ inline Database RandomDatabase(const Query& q, int domain,
 
 inline void PrintHeader(const char* experiment, const char* description) {
   std::printf("\n==== %s ====\n%s\n\n", experiment, description);
+}
+
+/// The witness family of `copies` instances of one scenario (copy c is
+/// generated with seed c + 1) as one dense-id hitting-set family. Each
+/// copy gets its own element range, so copies are independent
+/// components for the solver. The ranges stay compact, because the
+/// solver's scratch arrays scale with the largest element id.
+inline HittingSetFamily ScenarioFamily(const char* scenario_name, int size,
+                                       int copies = 1) {
+  const Scenario* scenario = FindScenario(scenario_name);
+  Query q = MustParseQuery(scenario->query);
+  HittingSetFamily out;
+  std::vector<TupleId> tuples;
+  int offset = 0;
+  for (int c = 0; c < copies; ++c) {
+    ScenarioParams params;
+    params.size = size;
+    params.seed = static_cast<uint64_t>(c) + 1;
+    Database db = scenario->generate(params);
+    const HittingSetFamily copy = HittingSetFamily::From(
+        CollectWitnessFamily(q, db, kNoWitnessLimit), &tuples);
+    const uint32_t base = static_cast<uint32_t>(out.pool.size());
+    for (int e : copy.pool) out.pool.push_back(offset + e);
+    for (SetSpan s : copy.sets) {
+      out.sets.push_back(SetSpan{base + s.offset, s.len});
+    }
+    offset += static_cast<int>(tuples.size());
+  }
+  return out;
+}
+
+/// Best-of-N wall time in ms: the solvers are deterministic, so the
+/// minimum is the noise-free statistic. A single run when the first
+/// one takes `slow_ms` or more, so the CI smoke runs stay bounded.
+inline double BestMs(const std::function<void()>& fn, double slow_ms = 200.0,
+                     int repeats = 4) {
+  auto once = [&] {
+    auto start = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  double best = once();
+  if (best < slow_ms) {
+    for (int r = 0; r < repeats; ++r) best = std::min(best, once());
+  }
+  return best;
+}
+
+inline const char* CompilerName() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// Opens the JSON snapshot RESCQ_BENCH_SNAPSHOT names and writes the
+/// fields every snapshot starts with: `schema` and `host` (cores,
+/// compiler). Returns null when no snapshot was asked for or the file
+/// cannot be opened. The caller writes its remaining fields (no comma
+/// after the last one), then calls CloseSnapshot.
+inline std::FILE* OpenSnapshot(const char* schema) {
+  const char* path = std::getenv("RESCQ_BENCH_SNAPSHOT");
+  if (path == nullptr) return nullptr;
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write snapshot %s\n", path);
+    return nullptr;
+  }
+  std::fprintf(f, "{\n  \"schema\": \"%s\",\n", schema);
+  std::fprintf(f, "  \"host\": { \"cores\": %d, \"compiler\": \"%s\" },\n",
+               HardwareThreads(), CompilerName());
+  return f;
+}
+
+inline void CloseSnapshot(std::FILE* f) {
+  std::fprintf(f, "}\n");
+  std::fclose(f);
+  std::printf("\nsnapshot written: %s\n", std::getenv("RESCQ_BENCH_SNAPSHOT"));
 }
 
 }  // namespace rescq::bench

@@ -506,14 +506,4 @@ WitnessFamily CollectWitnessFamily(const Query& q, const Database& db,
   return family;
 }
 
-std::vector<std::vector<TupleId>> WitnessTupleSets(const Query& q,
-                                                   const Database& db) {
-  std::set<std::vector<TupleId>> sets;
-  ForEachWitness(q, db, [&](const Witness& w) {
-    sets.insert(w.endo_tuples);
-    return true;
-  });
-  return std::vector<std::vector<TupleId>>(sets.begin(), sets.end());
-}
-
 }  // namespace rescq

@@ -165,16 +165,6 @@ class WitnessIndex {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The distinct endogenous tuple-sets of all witnesses (deduplicated;
-/// each set sorted). Resilience is the minimum hitting set of this
-/// family; a witness with an empty set makes q unbreakable. Unbounded
-/// and never short-circuits — legacy surface for the PTIME solvers that
-/// need the complete family (and the differential reference the fuzz
-/// sweeps check the arena-backed family against); budgeted callers use
-/// CollectWitnessFamily.
-std::vector<std::vector<TupleId>> WitnessTupleSets(const Query& q,
-                                                   const Database& db);
-
 }  // namespace rescq
 
 #endif  // RESCQ_DB_WITNESS_H_

@@ -14,15 +14,15 @@ std::optional<ResilienceResult> SolveForcedThenFlow(const Query& q,
   ResilienceResult result;
   result.solver = SolverKind::kConf3Forced;
 
-  std::vector<std::vector<TupleId>> sets = WitnessTupleSets(q, db);
-  if (sets.empty()) return result;
+  WitnessFamily family = CollectWitnessFamily(q, db, kNoWitnessLimit);
+  if (family.unbreakable) {
+    result.unbreakable = true;
+    return result;
+  }
+  if (family.size() == 0) return result;
   std::set<TupleId> forced;
-  for (const std::vector<TupleId>& s : sets) {
-    if (s.empty()) {
-      result.unbreakable = true;
-      return result;
-    }
-    if (s.size() == 1) forced.insert(s.front());
+  for (size_t i = 0; i < family.size(); ++i) {
+    if (family.sets[i].len == 1) forced.insert(*family.begin(i));
   }
 
   // Delete the forced tuples, flow on the rest, then restore.

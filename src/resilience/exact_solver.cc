@@ -903,6 +903,26 @@ HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
   return result;
 }
 
+HittingSetFamily HittingSetFamily::From(const WitnessFamily& family,
+                                        std::vector<TupleId>* element_tuples) {
+  element_tuples->clear();
+  std::map<TupleId, int> ids;
+  HittingSetFamily hs;
+  hs.pool.reserve(family.arena.pool_size());
+  hs.sets.reserve(family.size());
+  for (size_t i = 0; i < family.size(); ++i) {
+    const uint32_t offset = static_cast<uint32_t>(hs.pool.size());
+    for (const TupleId* t = family.begin(i); t != family.end(i); ++t) {
+      auto [it, inserted] =
+          ids.emplace(*t, static_cast<int>(element_tuples->size()));
+      if (inserted) element_tuples->push_back(*t);
+      hs.pool.push_back(it->second);
+    }
+    hs.sets.push_back(SetSpan{offset, family.sets[i].len});
+  }
+  return hs;
+}
+
 ResilienceResult ComputeResilienceExact(const Query& q, const Database& db) {
   return ComputeResilienceExact(q, db, ExactOptions{}, nullptr);
 }
@@ -935,22 +955,8 @@ ResilienceResult ComputeResilienceExact(const Query& q, const Database& db,
     return result;  // D does not satisfy q
   }
 
-  // Map tuples to dense element ids, straight from the family's spans
-  // into the solver's pool — no per-set vectors in between.
-  std::map<TupleId, int> ids;
   std::vector<TupleId> tuples;
-  HittingSetFamily hs;
-  hs.pool.reserve(family.arena.pool_size());
-  hs.sets.reserve(family.size());
-  for (size_t i = 0; i < family.size(); ++i) {
-    const uint32_t offset = static_cast<uint32_t>(hs.pool.size());
-    for (const TupleId* t = family.begin(i); t != family.end(i); ++t) {
-      auto [it, inserted] = ids.emplace(*t, static_cast<int>(tuples.size()));
-      if (inserted) tuples.push_back(*t);
-      hs.pool.push_back(it->second);
-    }
-    hs.sets.push_back(SetSpan{offset, family.sets[i].len});
-  }
+  const HittingSetFamily hs = HittingSetFamily::From(family, &tuples);
   HittingSetResult hs_result = SolveMinHittingSet(hs, options, &local);
   result.resilience = hs_result.size;
   for (int e : hs_result.chosen) {

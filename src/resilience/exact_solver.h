@@ -42,6 +42,12 @@ struct HittingSetFamily {
     for (const std::vector<int>& s : sets) f.Add(s);
     return f;
   }
+  /// The dense-id form of a witness family, straight from its spans:
+  /// tuples are numbered in first-appearance order over the family's
+  /// (lexicographically sorted) sets. `element_tuples` is cleared and
+  /// receives the tuple of each element id.
+  static HittingSetFamily From(const WitnessFamily& family,
+                               std::vector<TupleId>* element_tuples);
 };
 
 /// Budgets for the exact resilience path. The defaults are unbounded —

@@ -73,13 +73,14 @@ std::optional<ResilienceResult> SolvePermutationCount(const Query& q,
   if (!shape.has_value() || shape->l_atom != -1) return std::nullopt;
   ResilienceResult result;
   result.solver = SolverKind::kPermCount;
-  std::vector<std::vector<TupleId>> sets = WitnessTupleSets(q, db);
+  WitnessFamily family = CollectWitnessFamily(q, db, kNoWitnessLimit);
+  // Every witness uses the endogenous pair, so no set is empty.
+  RESCQ_CHECK(!family.unbreakable);
   // Each tuple participates in exactly one witness tuple-set: the sets are
   // pairwise disjoint, so the minimum hitting set takes one per set.
-  result.resilience = static_cast<int>(sets.size());
-  for (const std::vector<TupleId>& s : sets) {
-    RESCQ_CHECK(!s.empty());
-    result.contingency.push_back(s.front());
+  result.resilience = static_cast<int>(family.size());
+  for (size_t i = 0; i < family.size(); ++i) {
+    result.contingency.push_back(*family.begin(i));
   }
   std::sort(result.contingency.begin(), result.contingency.end());
   return result;

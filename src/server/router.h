@@ -118,7 +118,7 @@ class ShardRouter {
 
 /// `rescq route --shards N`: N self-contained serve instances (each its
 /// own engine, registry, and ephemeral port) inside the router process.
-/// Also the harness the router tests and bench_shard use.
+/// Also the fleet server_test and perfbench's route_churn run.
 class InProcessShards {
  public:
   InProcessShards() = default;

@@ -8,6 +8,7 @@
 #include "db/database.h"
 #include "db/delta.h"
 #include "db/witness.h"
+#include "legacy_witness.h"
 #include "util/rng.h"
 
 namespace rescq {

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "complexity/catalog.h"
@@ -28,6 +27,7 @@
 #include "util/string_util.h"
 #include "workload/churn.h"
 #include "workload/generators.h"
+#include "legacy_witness.h"
 
 namespace rescq {
 namespace {
@@ -196,17 +196,14 @@ TEST(Fuzz, CatalogWideExactDifferentialSweep) {
         EXPECT_TRUE(exact.unbreakable) << entry.name;
         continue;
       }
-      std::map<TupleId, int> ids;
+      std::vector<TupleId> tuples;
+      const HittingSetFamily hs = HittingSetFamily::From(family, &tuples);
       std::vector<std::vector<int>> sets;
-      for (const std::vector<TupleId>& w : family.Materialize()) {
-        std::vector<int> s;
-        for (TupleId t : w) {
-          auto [it, inserted] = ids.emplace(t, static_cast<int>(ids.size()));
-          s.push_back(it->second);
-        }
-        sets.push_back(std::move(s));
+      for (size_t i = 0; i < hs.size(); ++i) {
+        sets.emplace_back(hs.begin(i), hs.end(i));
       }
-      int reference = ReferenceHittingSet(sets, static_cast<int>(ids.size()));
+      int reference =
+          ReferenceHittingSet(sets, static_cast<int>(tuples.size()));
       ASSERT_EQ(exact.resilience, reference)
           << entry.name << " trial " << trial;
 

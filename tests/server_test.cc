@@ -470,14 +470,11 @@ TEST_F(ServerEndToEndTest, ShutdownVerbStopsTheServer) {
   server_->Wait();  // returns because the verb stopped the daemon
 }
 
-// The ISSUE's acceptance loop, in-process: >= 4 concurrent sessions of
-// open -> churn -> query with every served answer checked against a
-// from-scratch exact solve on a mirrored instance; zero mismatches, and
-// the report's latency/throughput fields are populated.
-TEST_F(ServerEndToEndTest, ConcurrentLoadgenMatchesOracle) {
+// The small oracle-checked load: 4 connections, 3 epochs each.
+LoadgenOptions SmallLoad(int port) {
   LoadgenOptions options;
   options.host = "127.0.0.1";
-  options.port = server_->port();
+  options.port = port;
   options.connections = 4;
   options.scenario = "vc_er";
   options.size = 8;
@@ -485,13 +482,42 @@ TEST_F(ServerEndToEndTest, ConcurrentLoadgenMatchesOracle) {
   options.rate = 0.15;
   options.seed = 7;
   options.check_oracle = true;
+  return options;
+}
 
-  LoadgenReport report = RunLoadgen(options);
+// The pressure load: 8 connections of mixed churn, 6 epochs each (672
+// requests), more connections than a 1-, 2- or 4-thread server has
+// handler slots.
+LoadgenOptions PressureLoad(int port) {
+  LoadgenOptions options = SmallLoad(port);
+  options.connections = 8;
+  options.size = 10;
+  options.epochs = 6;
+  options.seed = 11;
+  options.timeout_ms = 60000;
+  return options;
+}
+
+// Clean: no transport error, no `err` reply, every checked answer equal
+// to the from-scratch oracle, and every epoch applied.
+void ExpectClean(const LoadgenReport& report, const LoadgenOptions& load) {
   EXPECT_EQ(report.error, "");
   EXPECT_EQ(report.err_replies, 0u);
   EXPECT_EQ(report.oracle_mismatches, 0u);
   EXPECT_GT(report.oracle_checks, 0u);
-  EXPECT_EQ(report.epochs_applied, 12u);  // 4 connections x 3 epochs
+  EXPECT_EQ(report.epochs_applied,
+            static_cast<uint64_t>(load.connections * load.epochs));
+}
+
+// The serving acceptance loop, in-process: >= 4 concurrent sessions of
+// open -> churn -> query with every served answer checked against a
+// from-scratch exact solve on a mirrored instance; zero mismatches, and
+// the report's latency/throughput fields are populated. The pressure
+// load then runs clean against servers with 1, 2 and 4 handler threads.
+TEST_F(ServerEndToEndTest, ConcurrentLoadgenMatchesOracle) {
+  const LoadgenOptions options = SmallLoad(server_->port());
+  LoadgenReport report = RunLoadgen(options);
+  ExpectClean(report, options);
   EXPECT_GT(report.requests, 0u);
   EXPECT_GT(report.requests_per_sec, 0.0);
   EXPECT_GT(report.latency.count, 0u);
@@ -500,6 +526,20 @@ TEST_F(ServerEndToEndTest, ConcurrentLoadgenMatchesOracle) {
   EXPECT_GE(report.latency.p999_ms, report.latency.p99_ms);
   EXPECT_GE(report.latency.max_ms, report.latency.p999_ms);
   EXPECT_GT(report.epoch_latency.count, 0u);
+
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ServerOptions soptions;
+    soptions.port = 0;
+    soptions.threads = threads;
+    ResilienceEngine engine;
+    ResilienceServer server(soptions, &engine);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    const LoadgenOptions load = PressureLoad(server.port());
+    ExpectClean(RunLoadgen(load), load);
+    server.Stop();
+  }
 }
 
 // LineClient's framing: multi-line verbs arrive whole.
@@ -790,7 +830,8 @@ TEST_F(RouterEndToEndTest, ShardDownIsStructuredAndRecoverable) {
 
 // The ISSUE acceptance drive, in-process: an oracle-checked loadgen
 // through a 4-shard router stays clean, and the aggregated router stats
-// match the per-shard sums afterwards.
+// match the per-shard sums afterwards. The pressure load then runs
+// clean through fleets of 1, 2 and 4 shards.
 TEST(RouterLoadgenTest, FourShardOracleCheckedLoadgenIsClean) {
   InProcessShards shards;
   ServerOptions base;
@@ -814,24 +855,8 @@ TEST(RouterLoadgenTest, FourShardOracleCheckedLoadgenIsClean) {
   ASSERT_TRUE(setup.Request("open keeper-b R(x,y)", &reply, &err)) << err;
   ASSERT_TRUE(setup.Request("push R(c, d)", &reply, &err)) << err;
 
-  LoadgenOptions load;
-  load.host = "127.0.0.1";
-  load.port = router.port();
-  load.connections = 4;
-  load.scenario = "vc_er";
-  load.size = 8;
-  load.epochs = 3;
-  load.rate = 0.15;
-  load.seed = 7;
-  load.check_oracle = true;
-  load.timeout_ms = 30000;
-
-  LoadgenReport report = RunLoadgen(load);
-  EXPECT_EQ(report.error, "");
-  EXPECT_EQ(report.err_replies, 0u);
-  EXPECT_EQ(report.oracle_mismatches, 0u);
-  EXPECT_GT(report.oracle_checks, 0u);
-  EXPECT_EQ(report.epochs_applied, 12u);  // 4 connections x 3 epochs
+  const LoadgenOptions load = SmallLoad(router.port());
+  ExpectClean(RunLoadgen(load), load);
 
   auto field = [](const std::string& text, const std::string& key) {
     size_t at = text.find(" " + key + "=");
@@ -867,6 +892,23 @@ TEST(RouterLoadgenTest, FourShardOracleCheckedLoadgenIsClean) {
 
   router.Stop();
   shards.Stop();
+
+  for (size_t count : {1, 2, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(count));
+    InProcessShards fleet;
+    ServerOptions fleet_base;
+    fleet_base.threads = 4;
+    ASSERT_TRUE(fleet.Start(count, fleet_base, &error)) << error;
+    RouterOptions fleet_options;
+    fleet_options.shards = fleet.specs();
+    fleet_options.threads = 4;
+    ShardRouter fleet_router(fleet_options);
+    ASSERT_TRUE(fleet_router.Start(&error)) << error;
+    const LoadgenOptions pressure = PressureLoad(fleet_router.port());
+    ExpectClean(RunLoadgen(pressure), pressure);
+    fleet_router.Stop();
+    fleet.Stop();
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "complexity/catalog.h"
 #include "cq/parser.h"
 #include "db/witness.h"
+#include "legacy_witness.h"
 #include "util/rng.h"
 
 namespace rescq {
