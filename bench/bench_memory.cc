@@ -15,13 +15,11 @@
 //      EvictColdState() forced every few epochs, against a never-
 //      evicted twin: every epoch's answer must agree with the twin and
 //      with a from-scratch exact recompute (a DISAGREE row fails CI),
-//      and the table reports the rebuild overhead and the bytes each
-//      eviction returns.
+//      and the table reports the rebuild overhead and both sessions'
+//      after-epoch peak bytes.
 //
-// Set RESCQ_BENCH_SNAPSHOT=<path> to also write the machine-readable
-// JSON (schema rescq-bench-memory/v1); BENCH_memory.json in the repo
-// root is a checked-in run. The timing series then measures one epoch
-// with and without a preceding eviction (the lazy-rebuild toll).
+// The timing series then measures one epoch with and without a
+// preceding eviction (the lazy-rebuild toll).
 
 #include <benchmark/benchmark.h>
 
@@ -70,6 +68,28 @@ const WorkloadConfig kWorkloads[] = {
 };
 
 constexpr double kMinReduction = 2.0;  // acceptance: >= 2x bytes/witness
+
+Query QueryOf(const WorkloadConfig& w) {
+  return MustParseQuery(FindScenario(w.scenario)->query);
+}
+
+/// The workload's seed-1 instance.
+Database Instance(const WorkloadConfig& w) {
+  ScenarioParams params;
+  params.size = w.size;
+  params.density = w.density;
+  params.seed = 1;
+  return FindScenario(w.scenario)->generate(params);
+}
+
+/// `epochs` epochs of mixed churn (rate 0.05, seed 18) over `base`.
+UpdateLog MixedChurn(const Database& base, int epochs) {
+  ChurnParams churn;
+  churn.epochs = epochs;
+  churn.rate = 0.05;
+  churn.seed = 18;
+  return GenerateChurn(base, "mixed", churn);
+}
 
 struct TupleVecHash {
   size_t operator()(const std::vector<TupleId>& v) const {
@@ -121,26 +141,15 @@ struct EvictRow {
   double resident_ms = 0;  // avg epoch, never-evicted twin
   uint64_t peak_bytes = 0;          // evicting session, after-epoch peak
   uint64_t peak_resident_bytes = 0;  // twin, after-epoch peak
-  uint64_t freed_avg = 0;  // avg bytes one eviction returned
   bool agree = true;
   double RebuildToll() const {
     return resident_ms > 0 ? evict_ms / resident_ms : 0.0;
   }
 };
 
-std::vector<ReprRow> g_repr;
-std::vector<EvictRow> g_evict;
-
 ReprRow RunRepresentation(const WorkloadConfig& w) {
-  const Scenario* scenario = FindScenario(w.scenario);
-  ScenarioParams params;
-  params.size = w.size;
-  params.density = w.density;
-  params.seed = 1;
-  Database db = scenario->generate(params);
-  Query q = MustParseQuery(scenario->query);
-
-  WitnessFamily family = CollectWitnessFamily(q, db, kNoWitnessLimit);
+  WitnessFamily family =
+      CollectWitnessFamily(QueryOf(w), Instance(w), kNoWitnessLimit);
   ReprRow row;
   row.workload = w.name;
   row.sets = family.size();
@@ -150,31 +159,18 @@ ReprRow RunRepresentation(const WorkloadConfig& w) {
 }
 
 EvictRow RunEviction(const WorkloadConfig& w) {
-  const Scenario* scenario = FindScenario(w.scenario);
-  ScenarioParams params;
-  params.size = w.size;
-  params.density = w.density;
-  params.seed = 1;
-  Database base = scenario->generate(params);
-  Query q = MustParseQuery(scenario->query);
-
-  ChurnParams churn;
-  churn.epochs = 12;
-  churn.rate = 0.05;
-  churn.seed = 18;
-  UpdateLog log = GenerateChurn(base, "mixed", churn);
+  const Database base = Instance(w);
+  const Query q = QueryOf(w);
+  const UpdateLog log = MixedChurn(base, 12);
 
   EvictRow row;
   row.workload = w.name;
   IncrementalSession evicting(q, base, EngineOptions{});
   IncrementalSession twin(q, base, EngineOptions{});
   Database mirror = base;
-  uint64_t freed_total = 0;
   int epoch_index = 0;
   for (const Epoch& epoch : log.epochs) {
-    if (epoch_index % 3 == 0) {
-      freed_total += evicting.EvictColdState();
-    }
+    if (epoch_index % 3 == 0) evicting.EvictColdState();
     Clock::time_point t0 = Clock::now();
     EpochOutcome a = evicting.Apply(epoch);
     row.evict_ms += MsSince(t0);
@@ -201,70 +197,7 @@ EvictRow RunEviction(const WorkloadConfig& w) {
   row.rebuilds = evicting.rebuilds();
   row.evict_ms /= row.epochs;
   row.resident_ms /= row.epochs;
-  row.freed_avg = row.evictions > 0 ? freed_total / row.evictions : 0;
   return row;
-}
-
-void WriteSnapshot() {
-  std::FILE* f = bench::OpenSnapshot("rescq-bench-memory/v1");
-  if (f == nullptr) return;
-  std::fprintf(f, "  \"min_reduction\": %.1f,\n", kMinReduction);
-  std::fprintf(f, "  \"representation\": [\n");
-  for (size_t i = 0; i < g_repr.size(); ++i) {
-    const ReprRow& r = g_repr[i];
-    std::fprintf(f,
-                 "    { \"workload\": \"%s\", \"sets\": %zu, "
-                 "\"legacy_bytes\": %llu, \"arena_bytes\": %llu, "
-                 "\"ratio\": %.2f, \"ok\": %s }%s\n",
-                 r.workload.c_str(), r.sets,
-                 static_cast<unsigned long long>(r.legacy_bytes),
-                 static_cast<unsigned long long>(r.arena_bytes), r.Ratio(),
-                 r.Ok() ? "true" : "false",
-                 i + 1 < g_repr.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"eviction\": [\n");
-  for (size_t i = 0; i < g_evict.size(); ++i) {
-    const EvictRow& r = g_evict[i];
-    std::fprintf(
-        f,
-        "    { \"workload\": \"%s\", \"epochs\": %d, \"evictions\": %llu, "
-        "\"rebuilds\": %llu, \"evict_ms\": %.3f, \"resident_ms\": %.3f, "
-        "\"rebuild_toll\": %.2f, \"peak_bytes\": %llu, "
-        "\"peak_resident_bytes\": %llu, \"freed_avg\": %llu, "
-        "\"agree\": %s }%s\n",
-        r.workload.c_str(), r.epochs,
-        static_cast<unsigned long long>(r.evictions),
-        static_cast<unsigned long long>(r.rebuilds), r.evict_ms, r.resident_ms,
-        r.RebuildToll(), static_cast<unsigned long long>(r.peak_bytes),
-        static_cast<unsigned long long>(r.peak_resident_bytes),
-        static_cast<unsigned long long>(r.freed_avg),
-        r.agree ? "true" : "false", i + 1 < g_evict.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  bench::CloseSnapshot(f);
-}
-
-int CheckAcceptance() {
-  int violations = 0;
-  for (const ReprRow& r : g_repr) {
-    if (!r.Ok()) {
-      std::fprintf(stderr,
-                   "bench_memory: %s arena reduction %.2fx is under the "
-                   "%.1fx bar — REGRESS\n",
-                   r.workload.c_str(), r.Ratio(), kMinReduction);
-      ++violations;
-    }
-  }
-  for (const EvictRow& r : g_evict) {
-    if (!r.agree) {
-      std::fprintf(stderr,
-                   "bench_memory: %s eviction stream DISAGREE with the "
-                   "oracle\n",
-                   r.workload.c_str());
-      ++violations;
-    }
-  }
-  return violations;
 }
 
 // --- Timing series ----------------------------------------------------------
@@ -273,20 +206,9 @@ int CheckAcceptance() {
 // index rebuild on top of the normal delta work.
 void BM_EvictRebuildEpoch(benchmark::State& state) {
   const WorkloadConfig& w = kWorkloads[static_cast<size_t>(state.range(0))];
-  const Scenario* scenario = FindScenario(w.scenario);
-  ScenarioParams params;
-  params.size = w.size;
-  params.density = w.density;
-  params.seed = 1;
-  Database base = scenario->generate(params);
-  Query q = MustParseQuery(scenario->query);
-  ChurnParams churn;
-  churn.epochs = 256;
-  churn.rate = 0.05;
-  churn.seed = 18;
-  UpdateLog log = GenerateChurn(base, "mixed", churn);
-
-  IncrementalSession session(q, base, EngineOptions{});
+  const Database base = Instance(w);
+  const UpdateLog log = MixedChurn(base, 256);
+  IncrementalSession session(QueryOf(w), base, EngineOptions{});
   size_t next = 0;
   for (auto _ : state) {
     session.EvictColdState();
@@ -301,20 +223,9 @@ BENCHMARK(BM_EvictRebuildEpoch)
 // The resident baseline: same stream, index never dropped.
 void BM_ResidentEpoch(benchmark::State& state) {
   const WorkloadConfig& w = kWorkloads[static_cast<size_t>(state.range(0))];
-  const Scenario* scenario = FindScenario(w.scenario);
-  ScenarioParams params;
-  params.size = w.size;
-  params.density = w.density;
-  params.seed = 1;
-  Database base = scenario->generate(params);
-  Query q = MustParseQuery(scenario->query);
-  ChurnParams churn;
-  churn.epochs = 256;
-  churn.rate = 0.05;
-  churn.seed = 18;
-  UpdateLog log = GenerateChurn(base, "mixed", churn);
-
-  IncrementalSession session(q, base, EngineOptions{});
+  const Database base = Instance(w);
+  const UpdateLog log = MixedChurn(base, 256);
+  IncrementalSession session(QueryOf(w), base, EngineOptions{});
   size_t next = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(session.Apply(log.epochs[next]).resilience);
@@ -327,7 +238,10 @@ BENCHMARK(BM_ResidentEpoch)
 
 }  // namespace
 
-void PrintArtifactTables() {
+// Prints both tables and returns how many rows failed their verdict
+// (REGRESS or DISAGREE), each also reported on stderr.
+int PrintArtifactTables() {
+  int violations = 0;
   bench::PrintHeader(
       "E-memory (a): arena vs legacy witness-family representation",
       "Bytes held by the pre-refactor representation (per-set vectors +\n"
@@ -344,7 +258,13 @@ void PrintArtifactTables() {
                 r.sets, static_cast<unsigned long long>(r.legacy_bytes),
                 static_cast<unsigned long long>(r.arena_bytes), r.Ratio(),
                 r.Ok() ? "ok" : "REGRESS");
-    g_repr.push_back(std::move(r));
+    if (!r.Ok()) {
+      std::fprintf(stderr,
+                   "bench_memory: %s arena reduction %.2fx is under the "
+                   "%.1fx bar — REGRESS\n",
+                   r.workload.c_str(), r.Ratio(), kMinReduction);
+      ++violations;
+    }
   }
 
   bench::PrintHeader(
@@ -367,18 +287,22 @@ void PrintArtifactTables() {
                 static_cast<unsigned long long>(r.peak_bytes),
                 static_cast<unsigned long long>(r.peak_resident_bytes),
                 r.agree ? "yes" : "DISAGREE");
-    g_evict.push_back(std::move(r));
+    if (!r.agree) {
+      std::fprintf(stderr,
+                   "bench_memory: %s eviction stream DISAGREE with the "
+                   "oracle\n",
+                   r.workload.c_str());
+      ++violations;
+    }
   }
   std::printf("\n");
+  return violations;
 }
 
 }  // namespace rescq
 
 int main(int argc, char** argv) {
-  rescq::PrintArtifactTables();
-  rescq::WriteSnapshot();
-  int violations = rescq::CheckAcceptance();
-  if (violations > 0) return 1;
+  if (rescq::PrintArtifactTables() > 0) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -7,9 +7,7 @@
 // on. The contract (docs/OBSERVABILITY.md) is that the armed
 // end-to-end paths stay within RESCQ_OBS_MAX_OVERHEAD of dark; with
 // RESCQ_BENCH_OBS_ENFORCE=1 in the environment (the release-bench CI
-// job) a violation fails the run. Set RESCQ_BENCH_SNAPSHOT=<path> to
-// write the machine-readable JSON (BENCH_observability.json in the repo
-// root is a checked-in run).
+// job) a violation fails the run.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +15,6 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "cq/parser.h"
@@ -36,46 +33,38 @@ namespace {
 // host sit well under 1.1.
 constexpr double kMaxOverheadRatio = 1.30;
 
-struct ObsRow {
-  std::string workload;
-  double dark_ms = 0;     // instrumentation off
-  double metrics_ms = 0;  // metrics registry armed
-  double full_ms = 0;     // metrics + tracing armed
-  bool enforced = true;   // participates in the overhead bound
+// Enforced rows whose fully-armed ratio exceeded kMaxOverheadRatio.
+int g_violations = 0;
 
-  double MetricsRatio() const {
-    return dark_ms > 0 ? metrics_ms / dark_ms : 1.0;
-  }
-  double FullRatio() const { return dark_ms > 0 ? full_ms / dark_ms : 1.0; }
-};
-
-std::vector<ObsRow> g_rows;
-
-// Runs `fn` dark / metrics / metrics+trace and appends the row. Every
-// probe leaves the process back in the dark default.
+// Runs `fn` dark / metrics / metrics+trace, prints the row, and counts
+// an enforced row over the bound as a violation. Every probe leaves the
+// process back in the dark default.
 void Measure(const std::string& workload, bool enforced,
              const std::function<void()>& fn) {
-  ObsRow row;
-  row.workload = workload;
-  row.enforced = enforced;
-
   obs::SetMetricsEnabled(false);
-  row.dark_ms = bench::BestMs(fn);
+  const double dark_ms = bench::BestMs(fn);  // instrumentation off
 
   obs::SetMetricsEnabled(true);
   obs::GlobalRegistry().Reset();
-  row.metrics_ms = bench::BestMs(fn);
+  const double metrics_ms = bench::BestMs(fn);  // metrics registry armed
 
   obs::StartTrace();
-  row.full_ms = bench::BestMs(fn);
+  const double full_ms = bench::BestMs(fn);  // metrics + tracing armed
   obs::StopTrace();
   obs::SetMetricsEnabled(false);
 
-  g_rows.push_back(row);
+  const double metrics_ratio = dark_ms > 0 ? metrics_ms / dark_ms : 1.0;
+  const double full_ratio = dark_ms > 0 ? full_ms / dark_ms : 1.0;
   std::printf("%-22s | %10.3f %10.3f %10.3f | %6.3fx %6.3fx%s\n",
-              row.workload.c_str(), row.dark_ms, row.metrics_ms, row.full_ms,
-              row.MetricsRatio(), row.FullRatio(),
-              row.enforced ? "" : "  (informational)");
+              workload.c_str(), dark_ms, metrics_ms, full_ms, metrics_ratio,
+              full_ratio, enforced ? "" : "  (informational)");
+  if (enforced && full_ratio > kMaxOverheadRatio) {
+    std::fprintf(stderr,
+                 "bench_obs: %s armed overhead %.3fx exceeds the %.2fx "
+                 "bound\n",
+                 workload.c_str(), full_ratio, kMaxOverheadRatio);
+    ++g_violations;
+  }
 }
 
 // --- Probes -----------------------------------------------------------------
@@ -125,44 +114,6 @@ void ProbeIncrementalEpochs() {
   });
 }
 
-// --- Snapshot + enforcement -------------------------------------------------
-
-void WriteSnapshot() {
-  std::FILE* f = bench::OpenSnapshot("rescq-bench-obs/v1");
-  if (f == nullptr) return;
-  std::fprintf(f, "  \"max_overhead_ratio\": %.2f,\n", kMaxOverheadRatio);
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const ObsRow& r = g_rows[i];
-    std::fprintf(f,
-                 "    { \"workload\": \"%s\", \"dark_ms\": %.3f, "
-                 "\"metrics_ms\": %.3f, \"full_ms\": %.3f, "
-                 "\"metrics_ratio\": %.3f, \"full_ratio\": %.3f, "
-                 "\"enforced\": %s }%s\n",
-                 r.workload.c_str(), r.dark_ms, r.metrics_ms, r.full_ms,
-                 r.MetricsRatio(), r.FullRatio(),
-                 r.enforced ? "true" : "false",
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  bench::CloseSnapshot(f);
-}
-
-int CheckOverheadBound() {
-  int violations = 0;
-  for (const ObsRow& r : g_rows) {
-    if (!r.enforced) continue;
-    if (r.FullRatio() > kMaxOverheadRatio) {
-      std::fprintf(stderr,
-                   "bench_obs: %s armed overhead %.3fx exceeds the %.2fx "
-                   "bound\n",
-                   r.workload.c_str(), r.FullRatio(), kMaxOverheadRatio);
-      ++violations;
-    }
-  }
-  return violations;
-}
-
 // --- Timing series ----------------------------------------------------------
 
 void BM_CountDisabled(benchmark::State& state) {
@@ -202,9 +153,8 @@ int main(int argc, char** argv) {
   rescq::ProbeRawHelpers();
   rescq::ProbeExactSolve();
   rescq::ProbeIncrementalEpochs();
-  rescq::WriteSnapshot();
-  int violations = rescq::CheckOverheadBound();
-  if (violations > 0 && std::getenv("RESCQ_BENCH_OBS_ENFORCE") != nullptr) {
+  if (rescq::g_violations > 0 &&
+      std::getenv("RESCQ_BENCH_OBS_ENFORCE") != nullptr) {
     return 1;
   }
   std::printf("\n");

@@ -3,11 +3,8 @@
 // workers — wall time, speedup, and agreement with the serial solver,
 // which the fuzz suite pins to the brute-force oracle — and (b)
 // hub-churn incremental epoch latency versus worker count, where every
-// epoch outcome must be byte-identical across thread counts. Set
-// RESCQ_BENCH_SNAPSHOT=<path> to also write the machine-readable JSON
-// snapshot (BENCH_parallel.json in the repo root is a checked-in run;
-// its host.cores field says how many cores the numbers were taken on —
-// speedups are only meaningful when cores >= workers).
+// epoch outcome must be byte-identical across thread counts. Speedups
+// are only meaningful when the printed host core count >= workers.
 
 #include <benchmark/benchmark.h>
 
@@ -29,30 +26,6 @@ namespace rescq {
 namespace {
 
 const int kThreadCounts[] = {1, 2, 4};
-
-// --- Snapshot rows ----------------------------------------------------------
-
-struct SolveRow {
-  std::string family;
-  int copies = 0;
-  int size = 0;
-  size_t sets = 0;
-  int rho = 0;
-  int components = 0;
-  double ms[3] = {0, 0, 0};  // indexed like kThreadCounts
-  bool agree = true;
-};
-
-struct ChurnRow {
-  std::string scenario;
-  std::string kind;
-  int epochs = 0;
-  double mean_epoch_ms[3] = {0, 0, 0};
-  bool agree = true;
-};
-
-std::vector<SolveRow> g_solve_rows;
-std::vector<ChurnRow> g_churn_rows;
 
 // --- Table (a): multi-component exact solve scaling -------------------------
 
@@ -81,38 +54,31 @@ void PrintSolveScaling() {
   for (const Case& c : cases) {
     const HittingSetFamily sets =
         bench::ScenarioFamily(c.scenario, c.size, c.copies);
-    SolveRow row;
-    row.family = c.scenario;
-    row.copies = c.copies;
-    row.size = c.size;
-    row.sets = sets.size();
-    int serial_size = 0;
+    double ms[3] = {0, 0, 0};  // indexed like kThreadCounts
+    int rho = 0;
+    int components = 0;
+    bool agree = true;
     for (size_t t = 0; t < 3; ++t) {
       ExactOptions options;
       options.solver_threads = kThreadCounts[t];
       ExactStats stats;
       HittingSetResult result;
-      row.ms[t] = bench::BestMs([&] {
+      ms[t] = bench::BestMs([&] {
         stats = ExactStats{};
         result = SolveMinHittingSet(sets, options, &stats);
       });
       if (t == 0) {
-        serial_size = result.size;
-        row.rho = result.size;
-        row.components = stats.components;
+        rho = result.size;
+        components = stats.components;
       } else {
-        row.agree = row.agree && result.size == serial_size &&
-                    result.proven_optimal;
+        agree = agree && result.size == rho && result.proven_optimal;
       }
     }
-    g_solve_rows.push_back(row);
     std::printf(
         "%-9s %5d %6d %6zu %5d %5d | %10.3f %10.3f %10.3f | %6.2fx %6.2fx%s\n",
-        row.family.c_str(), row.size, row.copies, row.sets, row.rho,
-        row.components, row.ms[0], row.ms[1], row.ms[2],
-        row.ms[1] > 0 ? row.ms[0] / row.ms[1] : 0.0,
-        row.ms[2] > 0 ? row.ms[0] / row.ms[2] : 0.0,
-        row.agree ? "" : "  DISAGREE");
+        c.scenario, c.size, c.copies, sets.size(), rho, components, ms[0],
+        ms[1], ms[2], ms[1] > 0 ? ms[0] / ms[1] : 0.0,
+        ms[2] > 0 ? ms[0] / ms[2] : 0.0, agree ? "" : "  DISAGREE");
   }
 }
 
@@ -148,16 +114,14 @@ void PrintChurnScaling() {
     churn.seed = 5;
     UpdateLog log = GenerateChurn(base, "hub", churn);
 
-    ChurnRow row;
-    row.scenario = c.scenario;
-    row.kind = "hub";
-    row.epochs = c.epochs;
+    double mean_epoch_ms[3] = {0, 0, 0};  // indexed like kThreadCounts
+    bool agree = true;
     std::vector<int> serial_res;
     for (size_t t = 0; t < 3; ++t) {
       EngineOptions options;
       options.solver_threads = kThreadCounts[t];
       std::vector<int> res;
-      row.mean_epoch_ms[t] = bench::BestMs([&] {
+      mean_epoch_ms[t] = bench::BestMs([&] {
         res.clear();
         IncrementalSession session(q, base, options);
         for (const Epoch& e : log.epochs) {
@@ -167,20 +131,17 @@ void PrintChurnScaling() {
       if (t == 0) {
         serial_res = res;
       } else {
-        row.agree = row.agree && res == serial_res;
+        agree = agree && res == serial_res;
       }
     }
-    g_churn_rows.push_back(row);
     std::printf("%-9s %5d %7d | %12.3f %12.3f %12.3f | %6.2fx %6.2fx%s\n",
-                row.scenario.c_str(), c.size, c.epochs, row.mean_epoch_ms[0],
-                row.mean_epoch_ms[1], row.mean_epoch_ms[2],
-                row.mean_epoch_ms[1] > 0
-                    ? row.mean_epoch_ms[0] / row.mean_epoch_ms[1]
-                    : 0.0,
-                row.mean_epoch_ms[2] > 0
-                    ? row.mean_epoch_ms[0] / row.mean_epoch_ms[2]
-                    : 0.0,
-                row.agree ? "" : "  DISAGREE");
+                c.scenario, c.size, c.epochs, mean_epoch_ms[0],
+                mean_epoch_ms[1], mean_epoch_ms[2],
+                mean_epoch_ms[1] > 0 ? mean_epoch_ms[0] / mean_epoch_ms[1]
+                                     : 0.0,
+                mean_epoch_ms[2] > 0 ? mean_epoch_ms[0] / mean_epoch_ms[2]
+                                     : 0.0,
+                agree ? "" : "  DISAGREE");
   }
 }
 
@@ -190,8 +151,7 @@ void PrintChurnScaling() {
 // registry armed: every WorkerPool publishes pool.* counters on
 // destruction, so the registry delta around one solve shows how many
 // tasks the pool drained and how much wall time its workers spent
-// parked on the condition variables. Table-only — the snapshot schema
-// (rescq-bench-parallel/v1) is unchanged.
+// parked on the condition variables.
 void PrintPoolUtilization() {
   bench::PrintHeader(
       "E-parallel: worker-pool utilization (pool.* metrics registry "
@@ -224,40 +184,6 @@ void PrintPoolUtilization() {
   }
   obs::SetMetricsEnabled(false);
   obs::GlobalRegistry().Reset();
-}
-
-// --- Machine-readable snapshot ----------------------------------------------
-
-void WriteSnapshot() {
-  std::FILE* f = bench::OpenSnapshot("rescq-bench-parallel/v1");
-  if (f == nullptr) return;
-  std::fprintf(f, "  \"thread_counts\": [1, 2, 4],\n");
-  std::fprintf(f, "  \"solve\": [\n");
-  for (size_t i = 0; i < g_solve_rows.size(); ++i) {
-    const SolveRow& r = g_solve_rows[i];
-    std::fprintf(f,
-                 "    { \"family\": \"%s\", \"size\": %d, \"copies\": %d, "
-                 "\"sets\": %zu, \"rho\": %d, \"components\": %d, "
-                 "\"ms\": [%.3f, %.3f, %.3f], \"agree\": %s }%s\n",
-                 r.family.c_str(), r.size, r.copies, r.sets, r.rho,
-                 r.components, r.ms[0], r.ms[1], r.ms[2],
-                 r.agree ? "true" : "false",
-                 i + 1 < g_solve_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"churn\": [\n");
-  for (size_t i = 0; i < g_churn_rows.size(); ++i) {
-    const ChurnRow& r = g_churn_rows[i];
-    std::fprintf(f,
-                 "    { \"scenario\": \"%s\", \"kind\": \"%s\", "
-                 "\"epochs\": %d, \"mean_epoch_ms\": [%.3f, %.3f, %.3f], "
-                 "\"agree\": %s }%s\n",
-                 r.scenario.c_str(), r.kind.c_str(), r.epochs,
-                 r.mean_epoch_ms[0], r.mean_epoch_ms[1], r.mean_epoch_ms[2],
-                 r.agree ? "true" : "false",
-                 i + 1 < g_churn_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  bench::CloseSnapshot(f);
 }
 
 // --- Timing series ----------------------------------------------------------
@@ -322,7 +248,6 @@ int main(int argc, char** argv) {
   rescq::PrintSolveScaling();
   rescq::PrintChurnScaling();
   rescq::PrintPoolUtilization();
-  rescq::WriteSnapshot();
   std::printf("\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <vector>
 
@@ -17,7 +16,6 @@
 #include "db/database.h"
 #include "db/witness.h"
 #include "resilience/exact_solver.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 #include "workload/scenario.h"
 
@@ -93,41 +91,6 @@ inline double BestMs(const std::function<void()>& fn, double slow_ms = 200.0,
     for (int r = 0; r < repeats; ++r) best = std::min(best, once());
   }
   return best;
-}
-
-inline const char* CompilerName() {
-#if defined(__clang__)
-  return "clang " __clang_version__;
-#elif defined(__GNUC__)
-  return "gcc " __VERSION__;
-#else
-  return "unknown";
-#endif
-}
-
-/// Opens the JSON snapshot RESCQ_BENCH_SNAPSHOT names and writes the
-/// fields every snapshot starts with: `schema` and `host` (cores,
-/// compiler). Returns null when no snapshot was asked for or the file
-/// cannot be opened. The caller writes its remaining fields (no comma
-/// after the last one), then calls CloseSnapshot.
-inline std::FILE* OpenSnapshot(const char* schema) {
-  const char* path = std::getenv("RESCQ_BENCH_SNAPSHOT");
-  if (path == nullptr) return nullptr;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write snapshot %s\n", path);
-    return nullptr;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"%s\",\n", schema);
-  std::fprintf(f, "  \"host\": { \"cores\": %d, \"compiler\": \"%s\" },\n",
-               HardwareThreads(), CompilerName());
-  return f;
-}
-
-inline void CloseSnapshot(std::FILE* f) {
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nsnapshot written: %s\n", std::getenv("RESCQ_BENCH_SNAPSHOT"));
 }
 
 }  // namespace rescq::bench

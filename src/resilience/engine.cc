@@ -102,13 +102,13 @@ SolveOutcome ResilienceEngine::Solve(const Query& q, const Database& db) {
     SolveOutcome out;
     Clock::time_point start = Clock::now();
     out.result = RunExact(q, db, SolverKind::kExact, &out);
-    if (options_.collect_stats) out.solve_ms = MsSince(start);
+    out.solve_ms = MsSince(start);
     return out;
   }
   Clock::time_point start = Clock::now();
   bool hit = false;
   std::shared_ptr<const ResiliencePlan> plan = PlanInternal(q, &hit);
-  double plan_ms = options_.collect_stats ? MsSince(start) : 0;
+  double plan_ms = MsSince(start);
   SolveOutcome out = Solve(plan, db);
   out.plan_cache_hit = hit;
   out.plan_ms = hit ? 0 : plan_ms;
@@ -127,7 +127,7 @@ SolveOutcome ResilienceEngine::Solve(
 
   if (options_.force_exact) {
     out.result = RunExact(plan->original, db, SolverKind::kExact, &out);
-    if (options_.collect_stats) out.solve_ms = MsSince(start);
+    out.solve_ms = MsSince(start);
     return out;
   }
 
@@ -135,7 +135,7 @@ SolveOutcome ResilienceEngine::Solve(
   // rho(q, D) = min_i rho(q_i, D); a failing component means rho = 0.
   for (const ComponentPlan& comp : plan->components) {
     if (!QueryHolds(comp.query, db)) {
-      if (options_.collect_stats) out.solve_ms = MsSince(start);
+      out.solve_ms = MsSince(start);
       return out;  // default result: resilience 0
     }
   }
@@ -163,7 +163,7 @@ SolveOutcome ResilienceEngine::Solve(
       if (comp.fallback == SolverKind::kExactFallback &&
           !options_.allow_fallback) {
         out.error = "allow_fallback=false: " + comp.fallback_reason;
-        if (options_.collect_stats) out.solve_ms = MsSince(start);
+        out.solve_ms = MsSince(start);
         return out;
       }
       // The registry entry documents the fallback (Explain, self-checks)
@@ -172,7 +172,7 @@ SolveOutcome ResilienceEngine::Solve(
       RESCQ_CHECK(registry_->Find(comp.fallback) != nullptr);
       r = RunExact(comp.query, db, comp.fallback, &out);
       if (!out.error.empty()) {
-        if (options_.collect_stats) out.solve_ms = MsSince(start);
+        out.solve_ms = MsSince(start);
         return out;  // witness budget exceeded: result must not be used
       }
       if (comp.fallback == SolverKind::kExactFallback &&
@@ -185,10 +185,8 @@ SolveOutcome ResilienceEngine::Solve(
     if (best.unbreakable || r.resilience < best.resilience) best = r;
   }
   out.result = std::move(best);
-  if (options_.collect_stats) {
-    out.solve_ms = MsSince(start);
-    obs::ObserveLatencyMs("engine.solve_ms", out.solve_ms);
-  }
+  out.solve_ms = MsSince(start);
+  obs::ObserveLatencyMs("engine.solve_ms", out.solve_ms);
   return out;
 }
 

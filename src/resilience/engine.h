@@ -29,8 +29,6 @@ struct EngineOptions {
   /// reports the failure in SolveOutcome::error instead of silently
   /// paying an exponential solve.
   bool allow_fallback = true;
-  /// Collect per-stage wall times in the outcome.
-  bool collect_stats = true;
   /// LRU capacity of the plan cache, in plans. 0 disables caching
   /// (every Solve re-runs the query analysis — the legacy behavior).
   size_t plan_cache_capacity = 256;

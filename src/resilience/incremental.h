@@ -123,10 +123,7 @@ class IncrementalSession {
   const EngineOptions& options() const { return options_; }
   int epochs_applied() const { return epoch_count_; }
 
-  /// The latest outcome (epoch 0's right after construction).
-  const EpochOutcome& current() const { return last_; }
-
-  /// Alias of current() under the name the serving path uses: a cheap
+  /// The latest outcome (epoch 0's right after construction): a cheap
   /// read-only view of the published answer for `resilience`/`stats`
   /// style requests. Never solves, never touches the index — one
   /// reference return (see the thread contract above).

@@ -4,6 +4,7 @@
 
 #include "db/witness.h"
 #include "resilience/engine.h"
+#include "resilience/exact_solver.h"
 
 namespace rescq {
 
@@ -36,26 +37,11 @@ const char* SolverKindName(SolverKind kind) {
 
 namespace {
 
-// Process-wide engines behind the legacy entry points. Plans are shared
-// across every caller of ComputeResilience (mutex-guarded LRU), so even
-// code that never sees a ResilienceEngine benefits from plan reuse.
+// The process-wide engine behind ComputeResilience. Plans are shared
+// across every caller (mutex-guarded LRU), so even code that never sees
+// a ResilienceEngine benefits from plan reuse.
 ResilienceEngine& SharedEngine() {
-  static ResilienceEngine* const kEngine = [] {
-    EngineOptions options;
-    options.collect_stats = false;
-    return new ResilienceEngine(options);
-  }();
-  return *kEngine;
-}
-
-ResilienceEngine& SharedReferenceEngine() {
-  static ResilienceEngine* const kEngine = [] {
-    EngineOptions options;
-    options.force_exact = true;
-    options.collect_stats = false;
-    options.plan_cache_capacity = 0;  // force_exact never plans
-    return new ResilienceEngine(options);
-  }();
+  static ResilienceEngine* const kEngine = new ResilienceEngine();
   return *kEngine;
 }
 
@@ -67,7 +53,7 @@ ResilienceResult ComputeResilience(const Query& q, const Database& db) {
 
 ResilienceResult ComputeResilienceReference(const Query& q,
                                             const Database& db) {
-  return SharedReferenceEngine().Solve(q, db).result;
+  return ComputeResilienceExact(q, db);
 }
 
 bool VerifyContingency(const Query& q, Database& db,

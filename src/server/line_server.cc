@@ -90,15 +90,12 @@ bool LineServer::Start(std::string* error) {
   }
   port_ = ntohs(addr.sin_port);
 
-  int threads = options_.threads < 1 ? 1 : options_.threads;
-  pool_ = std::make_unique<WorkerPool>(threads);
-  // The pool's Run blocks its caller as the last worker, so a dedicated
-  // host thread lends itself to the pool; every pool slot runs one
-  // HandlerLoop until stop.
-  pool_host_ = std::thread([this, threads] {
-    pool_->Run(static_cast<size_t>(threads),
-               [this](size_t) { HandlerLoop(); });
-  });
+  // Plain threads, not a WorkerPool: the transport is not a solver
+  // pool, so it publishes no pool.* utilization counters.
+  const int threads = options_.threads < 1 ? 1 : options_.threads;
+  for (int i = 0; i < threads; ++i) {
+    handler_threads_.emplace_back([this] { HandlerLoop(); });
+  }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   started_ = true;
   return true;
@@ -245,8 +242,7 @@ void LineServer::Wait() {
     joined_ = true;
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (pool_host_.joinable()) pool_host_.join();
-  pool_.reset();
+  for (std::thread& t : handler_threads_) t.join();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "util/parallel.h"
 
 namespace rescq {
 
@@ -54,8 +53,8 @@ struct LineServerOptions {
 };
 
 /// The shared line-protocol TCP transport: a listening socket, an
-/// accept thread feeding a queue of client fds, and a WorkerPool of
-/// handler loops that each drive one connection at a time — one
+/// accept thread feeding a queue of client fds, and `threads` handler
+/// threads that each drive one connection at a time — one
 /// request line in, one framed reply out, request lines capped at
 /// 64 KiB. `rescq serve` (ResilienceServer) and `rescq route`
 /// (ShardRouter) are both this transport under different
@@ -89,7 +88,7 @@ class LineServer {
   LineServer(const LineServer&) = delete;
   LineServer& operator=(const LineServer&) = delete;
 
-  /// Binds, listens, and spawns the accept thread and handler pool.
+  /// Binds, listens, and spawns the accept and handler threads.
   /// False with *error on any socket failure (nothing is left running).
   bool Start(std::string* error);
 
@@ -124,11 +123,6 @@ class LineServer {
   int wake_fds_[2] = {-1, -1};  // self-pipe: signals + stop wake the accept poll
   int port_ = 0;
 
-  std::thread accept_thread_;
-  std::thread pool_host_;  // runs the WorkerPool's blocking Run as its
-                           // last worker, hosting the handler loops
-  std::unique_ptr<WorkerPool> pool_;
-
   std::mutex mu_;
   std::deque<int> pending_fds_;          // accepted, not yet picked up
   std::unordered_set<int> active_fds_;   // being served right now
@@ -136,6 +130,10 @@ class LineServer {
   bool started_ = false;
   bool joined_ = false;
   std::condition_variable queue_cv_;
+
+  // Declared after everything their loops use.
+  std::thread accept_thread_;
+  std::vector<std::thread> handler_threads_;  // one HandlerLoop each
 };
 
 }  // namespace rescq

@@ -25,7 +25,7 @@ struct ServerOptions {
 };
 
 /// The long-lived resilience daemon: the shared LineServer transport
-/// (accept thread + handler pool, see server/line_server.h) driving one
+/// (accept thread + handler threads, see server/line_server.h) driving one
 /// ProtocolHandler per connection. All sessions live in one registry
 /// and all planning goes through one shared engine, so N connections to
 /// the same query pay one plan.
@@ -42,7 +42,7 @@ class ResilienceServer {
   ResilienceServer(const ResilienceServer&) = delete;
   ResilienceServer& operator=(const ResilienceServer&) = delete;
 
-  /// Binds, listens, and spawns the accept thread and handler pool.
+  /// Binds, listens, and spawns the accept and handler threads.
   /// False with *error on any socket failure (nothing is left running).
   bool Start(std::string* error) { return transport_.Start(error); }
 

@@ -71,7 +71,7 @@ StreamReport RunStream(const Query& q, const std::string& query_name,
   engine_options.solver_threads = options.solver_threads;
   IncrementalSession session(q, base, engine_options);
 
-  StreamRow row = RowFromOutcome(session.current(), session);
+  StreamRow row = RowFromOutcome(session.Peek(), session);
   MaybeCheckOracle(q, session, options, &row);
   report.rows.push_back(row);
   for (const Epoch& epoch : log.epochs) {

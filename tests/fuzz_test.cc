@@ -446,7 +446,7 @@ TEST(Fuzz, ParallelIncrementalChurnSweep) {
             << q.ToString() << " round " << round << " epoch " << epoch;
       }
     };
-    check(serial.current(), parallel.current());
+    check(serial.Peek(), parallel.Peek());
     if (::testing::Test::HasFatalFailure()) return;
     for (const Epoch& e : log.epochs) {
       ++epoch;
@@ -530,7 +530,7 @@ TEST(Fuzz, IncrementalSessionDifferentialSweep) {
               << entry.name << " " << kind.name << " seed " << seed
               << " epoch " << epoch;
         };
-        check(session.current());
+        check(session.Peek());
         if (::testing::Test::HasFatalFailure()) return;
         for (const Epoch& e : log.epochs) {
           ++epoch;

@@ -308,9 +308,9 @@ TEST(IncrementalSession, InitialBuildMatchesExact) {
   Database db = GenerateErdosRenyiVC(params);
   Query q = MustParseQuery("R(x), S(x,y), R(y)");
   IncrementalSession session(q, db, EngineOptions{});
-  EXPECT_EQ(session.current().epoch, 0);
-  EXPECT_GT(session.current().family_sets, 0u);
-  ExpectMatchesScratch(session, session.current(), "initial");
+  EXPECT_EQ(session.Peek().epoch, 0);
+  EXPECT_GT(session.Peek().family_sets, 0u);
+  ExpectMatchesScratch(session, session.Peek(), "initial");
 }
 
 TEST(IncrementalSession, MonotoneNonIncreasingUnderEndogenousDeletion) {
@@ -325,7 +325,7 @@ TEST(IncrementalSession, MonotoneNonIncreasingUnderEndogenousDeletion) {
   churn.rate = 0.1;
   churn.seed = 5;
   UpdateLog log = GenerateChurn(db, "delete", churn);
-  int previous = session.current().resilience;
+  int previous = session.Peek().resilience;
   for (const Epoch& epoch : log.epochs) {
     EpochOutcome out = session.Apply(epoch);
     ASSERT_FALSE(out.unbreakable);
@@ -347,7 +347,7 @@ TEST(IncrementalSession, MonotoneNonDecreasingUnderInsertion) {
   churn.rate = 0.1;
   churn.seed = 6;
   UpdateLog log = GenerateChurn(db, "insert", churn);
-  int previous = session.current().resilience;
+  int previous = session.Peek().resilience;
   for (const Epoch& epoch : log.epochs) {
     EpochOutcome out = session.Apply(epoch);
     // Insertion can only add witnesses: the minimum hitting set grows
@@ -368,7 +368,7 @@ TEST(IncrementalSession, InsertThenDeleteOfOneFactIsInvariant) {
               LoadTupleFile("../data/section2_chain.tuples", &db, &error))
       << error;
   IncrementalSession session(q, db, EngineOptions{});
-  const EpochOutcome before = session.current();
+  const EpochOutcome before = session.Peek();
 
   // Same epoch: nets to nothing.
   Epoch both;
@@ -398,7 +398,7 @@ TEST(IncrementalSession, DeletingAbsentFactsKeepsTheDomainAndTheAnswer) {
               LoadTupleFile("../data/section2_chain.tuples", &db, &error))
       << error;
   IncrementalSession session(q, db, EngineOptions{});
-  const EpochOutcome before = session.current();
+  const EpochOutcome before = session.Peek();
   const int domain = session.db().domain_size();
   for (int i = 0; i < 50; ++i) {
     Epoch e;
@@ -412,7 +412,7 @@ TEST(IncrementalSession, DeletingAbsentFactsKeepsTheDomainAndTheAnswer) {
     EXPECT_EQ(out.contingency, before.contingency);
   }
   EXPECT_EQ(session.db().domain_size(), domain);
-  ExpectMatchesScratch(session, session.current(), "absent deletes");
+  ExpectMatchesScratch(session, session.Peek(), "absent deletes");
 }
 
 TEST(IncrementalSession, ExogenousChurnRespectsTheLowerBound) {
@@ -453,8 +453,8 @@ TEST(IncrementalSession, UnbreakableAppearsAndResolves) {
   Database db;
   db.AddRelation("S", 2);
   IncrementalSession session(q, db, EngineOptions{});
-  EXPECT_FALSE(session.current().unbreakable);
-  EXPECT_EQ(session.current().resilience, 0);
+  EXPECT_FALSE(session.Peek().unbreakable);
+  EXPECT_EQ(session.Peek().resilience, 0);
 
   EpochOutcome out =
       session.Apply(OneUpdate(UpdateKind::kInsert, "S", {"a", "b"}));
@@ -474,8 +474,8 @@ TEST(IncrementalSession, WitnessBudgetPoisonsTheSessionStructurally) {
   EngineOptions options;
   options.witness_limit = 3;  // far below the instance's witness count
   IncrementalSession session(q, db, options);
-  EXPECT_TRUE(session.current().budget_exceeded);
-  EXPECT_NE(session.current().error.find("witness budget"), std::string::npos);
+  EXPECT_TRUE(session.Peek().budget_exceeded);
+  EXPECT_NE(session.Peek().error.find("witness budget"), std::string::npos);
   // Later epochs keep reporting the structured error.
   EpochOutcome out =
       session.Apply(OneUpdate(UpdateKind::kInsert, "R", {"zz"}));
@@ -493,7 +493,7 @@ TEST(IncrementalSession, NodeBudgetYieldsAVerifiedUpperBound) {
   EngineOptions options;
   options.exact_node_budget = 1;
   IncrementalSession session(q, db, options);
-  const EpochOutcome& out = session.current();
+  const EpochOutcome& out = session.Peek();
   ResilienceResult exact = ComputeResilienceExact(q, session.db());
   ASSERT_FALSE(exact.unbreakable);
   // One node cannot finish this search, and the root bound cannot

@@ -408,7 +408,7 @@ TEST(ParallelInvariance, IncrementalEpochsAreByteIdentical) {
         EXPECT_EQ(a.resolved, b.resolved) << label;
         EXPECT_EQ(a.contingency, b.contingency) << label;
       };
-      check(serial.current(), parallel.current());
+      check(serial.Peek(), parallel.Peek());
       for (const Epoch& e : log.epochs) {
         ++epoch;
         EpochOutcome a = serial.Apply(e);

@@ -560,6 +560,40 @@ TEST_F(ServerEndToEndTest, LineClientFramesMultiLineReplies) {
   EXPECT_EQ(reply, "ok close f1");
 }
 
+// pool.* describes solver pools only. The transport's handler threads
+// are not one, so a serve with 2 handler threads and serial solves
+// publishes no pool utilization, through its stop included.
+TEST(ServerMetricsTest, HandlerThreadsPublishNoPoolCounters) {
+  obs::SetMetricsEnabled(true);
+  obs::GlobalRegistry().Reset();
+  ServerOptions options;
+  options.port = 0;
+  options.threads = 2;
+  options.limits.solver_threads = 1;
+  ResilienceEngine engine;
+  ResilienceServer server(options, &engine);
+  std::string error, reply;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  {
+    LineClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+    for (const char* line : {"open p R(x,y), S(y)", "push R(a, b)",
+                             "push S(b)", "begin", "+ R(c, b)", "epoch"}) {
+      ASSERT_TRUE(client.Request(line, &reply, &error)) << error;
+      EXPECT_EQ(reply.rfind("ok ", 0), 0u) << line << " -> " << reply;
+    }
+    EXPECT_EQ(reply.rfind("ok epoch n=1 resilience=1 ", 0), 0u) << reply;
+  }
+  server.Stop();
+  obs::SetMetricsEnabled(false);
+
+  const obs::Counter* workers =
+      obs::GlobalRegistry().FindCounter("pool.workers");
+  EXPECT_TRUE(workers == nullptr || workers->Value() == 0)
+      << "pool.workers " << workers->Value();
+  obs::GlobalRegistry().Reset();
+}
+
 // --- Sharding: ShardMap placement + router end to end -----------------------
 
 TEST(ShardMapTest, PlacementIsDeterministicAndBalanced) {
