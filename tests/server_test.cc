@@ -40,6 +40,77 @@
 namespace rescq {
 namespace {
 
+/// A plain TCP connection to 127.0.0.1:port.
+int ConnectRawTo(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+/// Writes `script` to a fresh connection and returns every byte the
+/// peer sent back until it closed the connection.
+std::string RunScriptOn(int port, const std::string& script) {
+  int fd = ConnectRawTo(port);
+  // The server may legitimately close mid-send (over-long line), so a
+  // short or failed send is not an error here.
+  ssize_t sent = ::send(fd, script.data(), script.size(), MSG_NOSIGNAL);
+  (void)sent;
+  std::string out;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    out.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return out;
+}
+
+// The script behind tests/golden/server_transcript.golden, replayed
+// against one server and through a 2-shard router.
+constexpr char kGoldenScript[] =
+    "# golden transcript: comments and blanks get no reply\n"
+    "\n"
+    "ping\n"
+    "open g1 R(x,y), S(y)\n"
+    "push R(a, b)\n"
+    "push S(b)\n"
+    "push R(c, d)\n"
+    "push S(d)\n"
+    "begin\n"
+    "resilience\n"
+    "stats\n"
+    "- S(b)\n"
+    "epoch\n"
+    "resilience\n"
+    "+ R(a, e)\n"
+    "+ S(e)\n"
+    "epoch\n"
+    "resilience\n"
+    "sessions\n"
+    "classify\n"
+    "classify R(x,y), R(y,z), R(z,x)\n"
+    "push R(z, z)\n"
+    "bogus verb\n"
+    "close\n"
+    "quit\n";
+
+std::string ReadGoldenTranscript() {
+  std::ifstream golden(std::string(RESCQ_SOURCE_DIR) +
+                       "/tests/golden/server_transcript.golden");
+  EXPECT_TRUE(golden.is_open())
+      << "missing tests/golden/server_transcript.golden";
+  std::stringstream expected;
+  expected << golden.rdbuf();
+  return expected.str();
+}
+
 TEST(SessionRegistryTest, OpenFindCloseBasics) {
   SessionRegistry registry(/*max_sessions=*/2);
   std::shared_ptr<SessionEntry> a, b, c;
@@ -202,35 +273,10 @@ class ServerEndToEndTest : public ::testing::Test {
 
   void TearDown() override { server_->Stop(); }
 
-  int ConnectRaw() {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    return fd;
-  }
+  int ConnectRaw() { return ConnectRawTo(server_->port()); }
 
-  /// Writes `script` to a fresh connection and returns every byte the
-  /// server sent back until it closed the connection.
   std::string RunScript(const std::string& script) {
-    int fd = ConnectRaw();
-    // The server may legitimately close mid-send (over-long line), so a
-    // short or failed send is not an error here.
-    ssize_t sent = ::send(fd, script.data(), script.size(), MSG_NOSIGNAL);
-    (void)sent;
-    std::string out;
-    char chunk[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
-      out.append(chunk, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    return out;
+    return RunScriptOn(server_->port(), script);
   }
 
   /// Appends to *out what the server sends on fd until *out holds
@@ -318,41 +364,7 @@ class ServerEndToEndTest : public ::testing::Test {
 // deterministic by design (no timings on the wire), so this is an exact
 // comparison — any protocol change must update the golden on purpose.
 TEST_F(ServerEndToEndTest, GoldenTranscript) {
-  const std::string script =
-      "# golden transcript: comments and blanks get no reply\n"
-      "\n"
-      "ping\n"
-      "open g1 R(x,y), S(y)\n"
-      "push R(a, b)\n"
-      "push S(b)\n"
-      "push R(c, d)\n"
-      "push S(d)\n"
-      "begin\n"
-      "resilience\n"
-      "stats\n"
-      "- S(b)\n"
-      "epoch\n"
-      "resilience\n"
-      "+ R(a, e)\n"
-      "+ S(e)\n"
-      "epoch\n"
-      "resilience\n"
-      "sessions\n"
-      "classify\n"
-      "classify R(x,y), R(y,z), R(z,x)\n"
-      "push R(z, z)\n"
-      "bogus verb\n"
-      "close\n"
-      "quit\n";
-  std::string actual = RunScript(script);
-
-  std::ifstream golden(std::string(RESCQ_SOURCE_DIR) +
-                       "/tests/golden/server_transcript.golden");
-  ASSERT_TRUE(golden.is_open())
-      << "missing tests/golden/server_transcript.golden";
-  std::stringstream expected;
-  expected << golden.rdbuf();
-  EXPECT_EQ(actual, expected.str());
+  EXPECT_EQ(RunScript(kGoldenScript), ReadGoldenTranscript());
 }
 
 TEST_F(ServerEndToEndTest, MalformedBytesNeverKillTheServer) {
@@ -720,6 +732,13 @@ TEST_F(RouterEndToEndTest, SessionIsPinnedToItsOwningShardAcrossEpochs) {
   LineClient other;
   Connect(&other, shards_.server(1)->port());
   EXPECT_EQ(Req(&other, "use " + name).rfind("err no-session ", 0), 0u);
+}
+
+// Routed replies are byte-identical to direct ones: the golden script
+// through a 2-shard router reproduces the single-server golden.
+TEST_F(RouterEndToEndTest, GoldenTranscriptThroughTheRouter) {
+  EXPECT_EQ(RunScriptOn(router_->port(), kGoldenScript),
+            ReadGoldenTranscript());
 }
 
 // Scatter-gathered router `stats` equals the field-wise sum of each
