@@ -160,12 +160,6 @@ SolveOutcome ResilienceEngine::Solve(
                                      " declined the instance shape");
     }
     if (!solved) {
-      if (comp.fallback == SolverKind::kExactFallback &&
-          !options_.allow_fallback) {
-        out.error = "allow_fallback=false: " + comp.fallback_reason;
-        out.solve_ms = MsSince(start);
-        return out;
-      }
       // The registry entry documents the fallback (Explain, self-checks)
       // but the engine runs it: only the engine can thread the witness /
       // node budgets and collect search stats.

@@ -24,11 +24,6 @@ struct EngineOptions {
   /// Always run the exact solver on the original query (the reference
   /// oracle); planning is skipped entirely.
   bool force_exact = false;
-  /// When a PTIME component's every probed construction declines (or
-  /// none exists), fall back to the exact solver. With false, Solve
-  /// reports the failure in SolveOutcome::error instead of silently
-  /// paying an exponential solve.
-  bool allow_fallback = true;
   /// LRU capacity of the plan cache, in plans. 0 disables caching
   /// (every Solve re-runs the query analysis — the legacy behavior).
   size_t plan_cache_capacity = 256;
@@ -76,9 +71,8 @@ struct SolveOutcome {
   /// distinct witness sets, hitting-set components, branch-and-bound
   /// nodes, and which bound pruned. All zero when no exact solver ran.
   ExactStats exact;
-  /// Non-empty when allow_fallback=false blocked the exact fallback or a
-  /// witness budget was exceeded; the result is then the default
-  /// (resilience 0) and must not be used.
+  /// Non-empty when a witness budget was exceeded; the result is then
+  /// the default (resilience 0) and must not be used.
   std::string error;
 };
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "server/protocol.h"
 #include "util/string_util.h"
 
 namespace rescq {
@@ -42,7 +43,7 @@ bool SendAll(int fd, const std::string& data, std::string* error) {
 int PayloadLines(const std::string& header) {
   std::vector<std::string> parts = SplitTrimmed(header, ' ');
   if (parts.size() != 3 || parts[0] != "ok") return -1;
-  if (parts[1] != "explain" && parts[1] != "sessions") return -1;
+  if (!FindVerb(parts[1]).multi_line) return -1;
   uint64_t n = 0;
   if (!ParseUint64(parts[2], &n) || n > 1000000) return -1;
   return static_cast<int>(n);

@@ -181,7 +181,6 @@ void LineServer::ServeConnection(int fd) {
     if (newline != std::string::npos) {
       std::string_view line(in.data() + cursor, newline - cursor);
       cursor = newline + 1;
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       LineResult result = handler->Handle(line);
       out += result.response;
       if (result.close_connection || result.stop_server) {

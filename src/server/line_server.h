@@ -28,9 +28,9 @@ struct LineResult {
 
 /// Per-connection request handler: the transport creates one per
 /// accepted connection (connections are stateful — the current session,
-/// the pending epoch) and calls Handle once per received line. A
-/// trailing '\r' is stripped by the transport before dispatch, so CRLF
-/// clients behave identically to LF clients.
+/// the pending epoch) and calls Handle once per received line, without
+/// its '\n'. A CRLF client's '\r' is left on the line: the handler's
+/// request parser (ParseRequest, server/protocol.h) strips it.
 class LineConnectionHandler {
  public:
   virtual ~LineConnectionHandler() = default;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -336,28 +335,6 @@ void WriteLoadgenJson(const LoadgenReport& report, std::ostream& out) {
   out << ", \"epoch\": ";
   WriteLatencyJson(report.epoch_latency, out);
   out << "}\n}\n";
-}
-
-bool SaveLoadgenCsv(const LoadgenReport& report, const std::string& path,
-                    std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    *error = "cannot create " + path;
-    return false;
-  }
-  WriteLoadgenCsv(report, out);
-  return true;
-}
-
-bool SaveLoadgenJson(const LoadgenReport& report, const std::string& path,
-                     std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    *error = "cannot create " + path;
-    return false;
-  }
-  WriteLoadgenJson(report, out);
-  return true;
 }
 
 }  // namespace rescq

@@ -84,11 +84,6 @@ void WriteLoadgenCsv(const LoadgenReport& report, std::ostream& out);
 /// {"schema", "options", "summary", "latency": {"all", "epoch"}}.
 void WriteLoadgenJson(const LoadgenReport& report, std::ostream& out);
 
-bool SaveLoadgenCsv(const LoadgenReport& report, const std::string& path,
-                    std::string* error);
-bool SaveLoadgenJson(const LoadgenReport& report, const std::string& path,
-                     std::string* error);
-
 }  // namespace rescq
 
 #endif  // RESCQ_SERVER_LOADGEN_H_

@@ -25,19 +25,6 @@ std::string Err(const char* code, const std::string& message) {
   return std::string("err ") + code + " " + message + "\n";
 }
 
-/// Splits "verb rest-of-line" (rest may be empty).
-void SplitVerb(std::string_view line, std::string_view* verb,
-               std::string_view* rest) {
-  size_t space = line.find_first_of(" \t");
-  if (space == std::string_view::npos) {
-    *verb = line;
-    *rest = std::string_view();
-    return;
-  }
-  *verb = line.substr(0, space);
-  *rest = Trim(line.substr(space + 1));
-}
-
 /// Parses trailing "key=value" budget options ("witness_limit=100
 /// node_budget=50000"). Unmentioned keys keep their passed-in values;
 /// false + *error on an unknown key or a bad number.
@@ -98,8 +85,74 @@ std::string OutcomeFields(const EpochOutcome& o, int active_tuples) {
       o.resolved ? 1 : 0);
 }
 
-/// A session name: non-empty, no whitespace, and short enough that a
-/// hostile client cannot grow the registry's keys without bound.
+constexpr char kNoSession[] = "no session selected (open or use one first)";
+
+// Updates first: they are most of a pipelined epoch's lines.
+constexpr VerbSpec kVerbs[] = {
+    // name, verb, counter, needs_session, mutating, multi_line
+    {"+", Verb::kUpdate, "server.requests.update", true, true, false},
+    {"-", Verb::kUpdate, "server.requests.update", true, true, false},
+    {"open", Verb::kOpen, "server.requests.open", false, true, false},
+    {"use", Verb::kUse, "server.requests.use", false, false, false},
+    {"push", Verb::kPush, "server.requests.push", true, true, false},
+    {"load", Verb::kLoad, "server.requests.load", true, true, false},
+    {"begin", Verb::kBegin, "server.requests.begin", true, true, false},
+    {"epoch", Verb::kEpoch, "server.requests.epoch", true, true, false},
+    {"resilience", Verb::kResilience, "server.requests.resilience", true,
+     false, false},
+    {"classify", Verb::kClassify, "server.requests.classify", false, false,
+     false},
+    {"explain", Verb::kExplain, "server.requests.explain", true, false, true},
+    {"stats", Verb::kStats, "server.requests.stats", false, false, false},
+    {"sessions", Verb::kSessions, "server.requests.sessions", false, false,
+     true},
+    {"close", Verb::kClose, "server.requests.close", false, true, false},
+    {"ping", Verb::kPing, "server.requests.ping", false, false, false},
+    {"quit", Verb::kQuit, "server.requests.quit", false, false, false},
+    {"shutdown", Verb::kShutdown, "server.requests.shutdown", false, true,
+     false},
+};
+constexpr VerbSpec kUnknownVerb = {"", Verb::kUnknown,
+                                   "server.requests.unknown", false, true,
+                                   false};
+
+}  // namespace
+
+const VerbSpec& FindVerb(std::string_view name) {
+  for (const VerbSpec& spec : kVerbs) {
+    if (spec.name == name) return spec;
+  }
+  return kUnknownVerb;
+}
+
+void SplitWord(std::string_view text, std::string_view* word,
+               std::string_view* rest) {
+  size_t space = text.find_first_of(" \t");
+  if (space == std::string_view::npos) {
+    *word = text;
+    *rest = std::string_view();
+    return;
+  }
+  *word = text.substr(0, space);
+  *rest = Trim(text.substr(space + 1));
+}
+
+bool ParseRequest(std::string_view raw, Request* req) {
+  // CRLF clients (telnet, netcat) behave like LF clients.
+  if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
+  std::string_view line = Trim(raw);
+  if (line.empty() || line[0] == '#') return false;
+  req->line = line;
+  if (line[0] == '+' || line[0] == '-') {
+    req->verb = line.substr(0, 1);
+    req->args = line;
+  } else {
+    SplitWord(line, &req->verb, &req->args);
+  }
+  req->spec = &FindVerb(req->verb);
+  return true;
+}
+
 bool ValidSessionName(std::string_view name, std::string* error) {
   if (name.empty() || name.size() > 128 ||
       name.find_first_of(" \t") != std::string_view::npos) {
@@ -109,39 +162,6 @@ bool ValidSessionName(std::string_view name, std::string* error) {
   return true;
 }
 
-const char* RequestCounterName(std::string_view verb) {
-  struct VerbCounter {
-    std::string_view verb;
-    const char* counter;
-  };
-  // Updates first: they are most of a pipelined epoch's lines.
-  static constexpr VerbCounter kCounters[] = {
-      {"+", "server.requests.update"},
-      {"-", "server.requests.update"},
-      {"open", "server.requests.open"},
-      {"use", "server.requests.use"},
-      {"push", "server.requests.push"},
-      {"load", "server.requests.load"},
-      {"begin", "server.requests.begin"},
-      {"epoch", "server.requests.epoch"},
-      {"resilience", "server.requests.resilience"},
-      {"classify", "server.requests.classify"},
-      {"explain", "server.requests.explain"},
-      {"stats", "server.requests.stats"},
-      {"sessions", "server.requests.sessions"},
-      {"close", "server.requests.close"},
-      {"ping", "server.requests.ping"},
-      {"quit", "server.requests.quit"},
-      {"shutdown", "server.requests.shutdown"},
-  };
-  for (const VerbCounter& c : kCounters) {
-    if (c.verb == verb) return c.counter;
-  }
-  return "server.requests.unknown";
-}
-
-}  // namespace
-
 ProtocolHandler::ProtocolHandler(SessionRegistry* registry,
                                  ResilienceEngine* engine,
                                  const ServerLimits* limits)
@@ -149,66 +169,53 @@ ProtocolHandler::ProtocolHandler(SessionRegistry* registry,
 
 ProtocolResult ProtocolHandler::Handle(std::string_view line) {
   ProtocolResult result;
-  // Tolerate CRLF line endings (telnet/netcat-style clients) before any
-  // dispatch decision sees the line.
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  line = Trim(line);
-  if (line.empty() || line[0] == '#') return result;  // no reply
+  Request req;
+  if (!ParseRequest(line, &req)) return result;  // no reply
 
   Clock::time_point start = Clock::now();
-  std::string_view verb, rest;
-  if (line[0] == '+' || line[0] == '-') {
-    verb = line.substr(0, 1);
-  } else {
-    SplitVerb(line, &verb, &rest);
-  }
   obs::Count("server.requests");
-  obs::Count(RequestCounterName(verb));
-
-  if (verb == "ping") {
-    result.response = "ok pong\n";
-  } else if (verb == "quit") {
-    result.response = "ok bye\n";
-    result.close_connection = true;
-  } else if (verb == "shutdown") {
-    if (!limits_->allow_shutdown) {
-      result.response = Err("shutdown-disabled",
-                            "this server does not honor the shutdown verb");
-    } else {
-      result.response = "ok shutdown\n";
-      result.close_connection = true;
-      result.stop_server = true;
-    }
-  } else if (verb == "open") {
-    result.response = DoOpen(rest);
-  } else if (verb == "use") {
-    result.response = DoUse(rest);
-  } else if (verb == "push") {
-    result.response = DoPush(rest);
-  } else if (verb == "load") {
-    result.response = DoLoad(rest);
-  } else if (verb == "begin") {
-    result.response = DoBegin(rest);
-  } else if (verb == "+" || verb == "-") {
-    result.response = DoUpdate(line);
-  } else if (verb == "epoch") {
-    result.response = DoEpoch();
-    obs::ObserveLatencyMs("server.epoch_ms", MsSince(start));
-  } else if (verb == "resilience") {
-    result.response = DoResilience();
-  } else if (verb == "classify") {
-    result.response = DoClassify(rest);
-  } else if (verb == "explain") {
-    result.response = DoExplain();
-  } else if (verb == "stats") {
-    result.response = DoStats();
-  } else if (verb == "sessions") {
-    result.response = DoSessions();
-  } else if (verb == "close") {
-    result.response = DoClose(rest);
+  obs::Count(req.spec->counter);
+  std::string& reply = result.response;
+  if (req.spec->needs_session && current_ == nullptr) {
+    reply = Err("no-session", kNoSession);
   } else {
-    result.response =
-        Err("bad-request", "unknown verb '" + std::string(verb) + "'");
+    switch (req.spec->verb) {
+      case Verb::kUpdate: reply = DoUpdate(req.args); break;
+      case Verb::kOpen: reply = DoOpen(req.args); break;
+      case Verb::kUse: reply = DoUse(req.args); break;
+      case Verb::kPush: reply = DoPush(req.args); break;
+      case Verb::kLoad: reply = DoLoad(req.args); break;
+      case Verb::kBegin: reply = DoBegin(req.args); break;
+      case Verb::kEpoch:
+        reply = DoEpoch();
+        obs::ObserveLatencyMs("server.epoch_ms", MsSince(start));
+        break;
+      case Verb::kResilience: reply = DoResilience(); break;
+      case Verb::kClassify: reply = DoClassify(req.args); break;
+      case Verb::kExplain: reply = DoExplain(); break;
+      case Verb::kStats: reply = DoStats(); break;
+      case Verb::kSessions: reply = DoSessions(); break;
+      case Verb::kClose: reply = DoClose(req.args); break;
+      case Verb::kPing: reply = "ok pong\n"; break;
+      case Verb::kQuit:
+        reply = "ok bye\n";
+        result.close_connection = true;
+        break;
+      case Verb::kShutdown:
+        if (!limits_->allow_shutdown) {
+          reply = Err("shutdown-disabled",
+                      "this server does not honor the shutdown verb");
+          break;
+        }
+        reply = "ok shutdown\n";
+        result.close_connection = true;
+        result.stop_server = true;
+        break;
+      case Verb::kUnknown:
+        reply = Err("bad-request",
+                    "unknown verb '" + std::string(req.verb) + "'");
+        break;
+    }
   }
   obs::ObserveLatencyMs("server.request_ms", MsSince(start));
 
@@ -227,17 +234,9 @@ ProtocolResult ProtocolHandler::Handle(std::string_view line) {
   return result;
 }
 
-std::shared_ptr<SessionEntry> ProtocolHandler::Current(std::string* error) {
-  if (current_ == nullptr) {
-    *error = "no session selected (open or use one first)";
-    return nullptr;
-  }
-  return current_;
-}
-
 std::string ProtocolHandler::DoOpen(std::string_view args) {
   std::string_view name, query_text;
-  SplitVerb(args, &name, &query_text);
+  SplitWord(args, &name, &query_text);
   std::string error;
   if (!ValidSessionName(name, &error)) return Err("bad-request", error);
   if (query_text.empty()) {
@@ -284,10 +283,8 @@ std::string ProtocolHandler::DoUse(std::string_view args) {
 }
 
 std::string ProtocolHandler::DoPush(std::string_view args) {
+  const std::shared_ptr<SessionEntry>& entry = current_;
   std::string error;
-  std::shared_ptr<SessionEntry> entry = Current(&error);
-  if (entry == nullptr) return Err("no-session", error);
-
   std::string relation;
   std::vector<std::string> constants;
   if (!ParseFactLine(args, &relation, &constants, &error)) {
@@ -315,9 +312,8 @@ std::string ProtocolHandler::DoPush(std::string_view args) {
 }
 
 std::string ProtocolHandler::DoLoad(std::string_view args) {
+  const std::shared_ptr<SessionEntry>& entry = current_;
   std::string error;
-  std::shared_ptr<SessionEntry> entry = Current(&error);
-  if (entry == nullptr) return Err("no-session", error);
   if (!limits_->allow_load) {
     return Err("bad-request", "this server does not honor the load verb");
   }
@@ -342,14 +338,12 @@ std::string ProtocolHandler::DoLoad(std::string_view args) {
   }
   entry->staging = std::move(loaded);
   entry->staging_tuples = tuples;
-  return StrFormat("ok load %zu %zu\n", tuples, tuples);
+  return StrFormat("ok load %zu\n", tuples);
 }
 
 std::string ProtocolHandler::DoBegin(std::string_view args) {
+  const std::shared_ptr<SessionEntry>& entry = current_;
   std::string error;
-  std::shared_ptr<SessionEntry> entry = Current(&error);
-  if (entry == nullptr) return Err("no-session", error);
-
   uint64_t witness_req = 0, node_req = 0;
   bool witness_set = args.find("witness_limit=") != std::string_view::npos;
   bool node_set = args.find("node_budget=") != std::string_view::npos;
@@ -389,10 +383,8 @@ std::string ProtocolHandler::DoBegin(std::string_view args) {
 }
 
 std::string ProtocolHandler::DoUpdate(std::string_view line) {
+  const std::shared_ptr<SessionEntry>& entry = current_;
   std::string error;
-  std::shared_ptr<SessionEntry> entry = Current(&error);
-  if (entry == nullptr) return Err("no-session", error);
-
   Update update;
   if (!ParseUpdateLine(line, &update, &error)) return Err("parse", error);
   if (limits_->max_epoch_updates != 0 &&
@@ -422,10 +414,8 @@ std::string ProtocolHandler::DoUpdate(std::string_view line) {
 }
 
 std::string ProtocolHandler::DoEpoch() {
+  const std::shared_ptr<SessionEntry>& entry = current_;
   std::string error;
-  std::shared_ptr<SessionEntry> entry = Current(&error);
-  if (entry == nullptr) return Err("no-session", error);
-
   UpdateLog probe;
   probe.epochs.emplace_back();
   probe.epochs[0].updates = std::move(pending_);
@@ -457,10 +447,7 @@ std::string ProtocolHandler::DoEpoch() {
 }
 
 std::string ProtocolHandler::DoResilience() {
-  std::string error;
-  std::shared_ptr<SessionEntry> entry = Current(&error);
-  if (entry == nullptr) return Err("no-session", error);
-
+  const std::shared_ptr<SessionEntry>& entry = current_;
   std::shared_lock<std::shared_mutex> lock(entry->mu);
   if (entry->closed) return Err("closed", "session was closed");
   if (!entry->live()) {
@@ -484,12 +471,10 @@ std::string ProtocolHandler::DoClassify(std::string_view args) {
     if (!parsed.ok) return Err("parse", parsed.error);
     q = parsed.query;
   } else {
-    std::string error;
-    std::shared_ptr<SessionEntry> entry = Current(&error);
-    if (entry == nullptr) return Err("no-session", error);
-    std::shared_lock<std::shared_mutex> lock(entry->mu);
-    if (entry->closed) return Err("closed", "session was closed");
-    q = entry->query;
+    if (current_ == nullptr) return Err("no-session", kNoSession);
+    std::shared_lock<std::shared_mutex> lock(current_->mu);
+    if (current_->closed) return Err("closed", "session was closed");
+    q = current_->query;
   }
   Classification c = ClassifyResilience(q);
   return std::string("ok classify ") + ComplexityName(c.complexity) + " " +
@@ -497,9 +482,7 @@ std::string ProtocolHandler::DoClassify(std::string_view args) {
 }
 
 std::string ProtocolHandler::DoExplain() {
-  std::string error;
-  std::shared_ptr<SessionEntry> entry = Current(&error);
-  if (entry == nullptr) return Err("no-session", error);
+  const std::shared_ptr<SessionEntry>& entry = current_;
   Query q;
   {
     std::shared_lock<std::shared_mutex> lock(entry->mu);
@@ -587,10 +570,8 @@ std::string ProtocolHandler::DoClose(std::string_view args) {
   if (!args.empty()) {
     name = std::string(args);
   } else {
-    std::string error;
-    std::shared_ptr<SessionEntry> entry = Current(&error);
-    if (entry == nullptr) return Err("no-session", error);
-    name = entry->name;
+    if (current_ == nullptr) return Err("no-session", kNoSession);
+    name = current_->name;
   }
   std::string error;
   if (!registry_->Close(name, &error)) return Err("no-session", error);

@@ -17,10 +17,12 @@ namespace rescq {
 // The rescq wire protocol: one request line in, one reply out (blank
 // and '#'-comment lines are ignored without a reply, so update files
 // can be piped verbatim). Replies are a single line — `ok ...` or
-// `err <code> <message>` — except `explain` and `sessions`, whose first
-// line `ok <verb> <n>` announces n payload lines. The full grammar
-// lives in docs/SERVER.md; tests/golden/server_transcript.golden pins
-// the bytes.
+// `err <code> <message>` — except the multi-line verbs (`explain`,
+// `sessions`), whose first line `ok <verb> <n>` announces n payload
+// lines. The verbs are the rows of one table (kVerbs in protocol.cc):
+// the server dispatches on it, the router routes on it and LineClient
+// frames replies from it. The full grammar lives in docs/SERVER.md;
+// tests/golden/server_transcript.golden pins the bytes.
 //
 //   open <session> <query>        create a named staging session
 //   use <session>                 switch this connection's session
@@ -38,6 +40,53 @@ namespace rescq {
 //   sessions                      list open sessions (multi-line)
 //   close [<session>]             close the current (or named) session
 //   ping / quit / shutdown        health check / drop connection / stop server
+
+enum class Verb {
+  kUpdate, kOpen, kUse, kPush, kLoad, kBegin, kEpoch, kResilience, kClassify,
+  kExplain, kStats, kSessions, kClose, kPing, kQuit, kShutdown, kUnknown
+};
+
+/// One row of the verb table.
+struct VerbSpec {
+  std::string_view name;
+  Verb verb;
+  /// "server.requests.<name>": a string literal, because obs::Count
+  /// caches its slot by the literal's address.
+  const char* counter;
+  /// Answered `err no-session` when no session is selected.
+  bool needs_session;
+  /// May change server state, so a request that died mid-flight is
+  /// never resent.
+  bool mutating;
+  /// The reply is `ok <name> <n>` followed by n payload lines.
+  bool multi_line;
+};
+
+/// The row named `name`; the unknown-verb row when there is none.
+const VerbSpec& FindVerb(std::string_view name);
+
+/// One request line, split.
+struct Request {
+  const VerbSpec* spec = nullptr;
+  /// The trimmed line, and its first word ("+"/"-" for an update).
+  std::string_view line;
+  std::string_view verb;
+  /// What follows the verb, trimmed; an update keeps the whole line.
+  std::string_view args;
+};
+
+/// Strips a trailing '\r', trims, and splits the verb from its args.
+/// False for blank and '#'-comment lines, which get no reply.
+bool ParseRequest(std::string_view raw, Request* req);
+
+/// Splits "word rest-of-text" at the first blank (rest is trimmed and
+/// may be empty).
+void SplitWord(std::string_view text, std::string_view* word,
+               std::string_view* rest);
+
+/// A session name: non-empty, no whitespace, and at most 128 bytes, so
+/// a hostile client cannot grow the registry's keys without bound.
+bool ValidSessionName(std::string_view name, std::string* error);
 
 /// Admission-control and safety limits, fixed at server start. Zero
 /// always means "unlimited"/"no default".
@@ -96,9 +145,6 @@ class ProtocolHandler : public LineConnectionHandler {
   ProtocolResult Handle(std::string_view line) override;
 
  private:
-  /// The connection's session if it is still open; err text otherwise.
-  std::shared_ptr<SessionEntry> Current(std::string* error);
-
   std::string DoOpen(std::string_view args);
   std::string DoUse(std::string_view args);
   std::string DoPush(std::string_view args);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "server/protocol.h"
 #include "server/session_registry.h"
 #include "util/string_util.h"
 
@@ -17,19 +18,6 @@ using Clock = std::chrono::steady_clock;
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-/// Splits "verb rest-of-line" (rest may be empty).
-void SplitVerb(std::string_view line, std::string_view* verb,
-               std::string_view* rest) {
-  size_t space = line.find_first_of(" \t");
-  if (space == std::string_view::npos) {
-    *verb = line;
-    *rest = std::string_view();
-    return;
-  }
-  *verb = line.substr(0, space);
-  *rest = Trim(line.substr(space + 1));
 }
 
 std::string RouterErr(const char* code, const std::string& message) {
@@ -73,14 +61,12 @@ bool ParseShardSpec(const std::string& text, ShardSpec* spec,
 }
 
 /// One router connection: the per-connection protocol state (current
-/// session, which backend connection has it selected) plus a lazy
-/// LineClient per shard, so forwarded lines replay verbatim on the
-/// owning shard's connection.
+/// session and its owning shard) plus a lazy LineClient per shard, so
+/// forwarded lines replay verbatim on the owning shard's connection.
 class RouterConnection : public LineConnectionHandler {
  public:
   explicit RouterConnection(ShardRouter* router) : router_(router) {
     channels_.resize(router_->shards_.size());
-    channel_session_.resize(router_->shards_.size());
   }
 
   LineResult Handle(std::string_view raw) override;
@@ -92,69 +78,73 @@ class RouterConnection : public LineConnectionHandler {
   ShardState& shard(size_t i) { return *router_->shards_[i]; }
   size_t shard_count() const { return router_->shards_.size(); }
 
-  bool ShardDown(size_t i) {
-    return shard(i).down_until_ms.load(std::memory_order_relaxed) >
-           SteadyNowMs();
-  }
   void MarkDown(size_t i) {
     shard(i).down_until_ms.store(SteadyNowMs() + opts().down_cooldown_ms,
                                  std::memory_order_relaxed);
   }
-  void MarkUp(size_t i) {
-    shard(i).down_until_ms.store(0, std::memory_order_relaxed);
-  }
 
-  std::string Unavailable(size_t i, const std::string& detail) {
-    obs::Count("shard.failovers");
-    return RouterErr("shard_unavailable",
-                     "shard " + std::to_string(i) + " (" +
-                         shard(i).spec.Label() + "): " + detail);
-  }
+  /// One request on shard i over `client`. A fresh connection is made
+  /// under the router's deadline/retry policy and re-selects `session`
+  /// (when non-empty) first. A request that dies mid-flight is resent
+  /// once, on a new connection, only if `idempotent`: a mutating verb
+  /// might have been applied before the connection broke. Marks the
+  /// shard up on success and down on failure; a shard already down
+  /// fails fast. False with *detail on failure.
+  bool Exchange(size_t i, LineClient* client, const std::string& session,
+                const std::string& line, bool idempotent, std::string* reply,
+                std::string* detail);
 
-  /// Connects `client` to shard i under the router's deadline/retry
-  /// policy. False with *detail after the last attempt fails.
-  bool ConnectWithRetries(size_t i, LineClient* client, std::string* detail);
-
-  /// After a reconnect, re-select the connection's current session on
-  /// its owning shard (a fresh backend connection has none selected).
-  void RestoreSelection(size_t i, LineClient* client);
-
-  /// Forwards one line to shard i on this connection's channel.
-  /// Idempotent requests survive one mid-flight reconnect; mutating
-  /// ones fail over to `err shard_unavailable` rather than risking a
-  /// double-apply. Always returns a full '\n'-terminated reply.
+  /// Forwards one line to shard i on this connection's channel. Always
+  /// returns a full '\n'-terminated reply.
   std::string Forward(size_t i, const std::string& line, bool idempotent);
 
-  /// Scatter-gather over every shard's session-less control channel.
+  /// Sends `line` on every shard's session-less control channel (so
+  /// `stats` comes back server-scope); the replies of the shards that
+  /// answered.
+  std::vector<std::string> Scatter(const std::string& line);
   std::string ScatterStats();
   std::string ScatterSessions();
-  void BroadcastShutdown();
-
-  /// One request on shard i's shared control channel (session-less, so
-  /// `stats` comes back server-scope). False if the shard is down.
-  bool ControlRequest(size_t i, const std::string& line, std::string* reply);
 
   ShardRouter* router_;
   std::vector<std::unique_ptr<LineClient>> channels_;
-  std::vector<std::string> channel_session_;  // selected on each backend conn
   std::string current_session_;
   int current_shard_ = -1;
 };
 
-bool RouterConnection::ConnectWithRetries(size_t i, LineClient* client,
-                                          std::string* detail) {
+bool RouterConnection::Exchange(size_t i, LineClient* client,
+                                const std::string& session,
+                                const std::string& line, bool idempotent,
+                                std::string* reply, std::string* detail) {
+  ShardState& s = shard(i);
+  if (s.down_until_ms.load(std::memory_order_relaxed) > SteadyNowMs()) {
+    *detail = "marked down, retrying after cooldown";
+    return false;
+  }
   const RouterOptions& o = opts();
   client->set_connect_timeout_ms(o.connect_timeout_ms);
   client->set_io_timeout_ms(o.request_timeout_ms);
-  int attempts = 1 + (o.retries < 0 ? 0 : o.retries);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      obs::Count("shard.retries");
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(o.backoff_ms * attempt));
+  const int attempts = 1 + (o.retries < 0 ? 0 : o.retries);
+  for (int sends = idempotent ? 2 : 1; sends > 0; --sends) {
+    for (int attempt = 0; !client->connected(); ++attempt) {
+      if (attempt == attempts) {
+        MarkDown(i);
+        return false;
+      }
+      if (attempt > 0) {
+        obs::Count("shard.retries");
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(o.backoff_ms * attempt));
+      }
+      if (client->Connect(s.spec.host, s.spec.port, detail) &&
+          !session.empty()) {
+        // An err reply (the shard restarted and lost the session) is
+        // left alone: the request then earns an honest `err no-session`.
+        std::string ignored;
+        client->Request("use " + session, &ignored, detail);
+      }
     }
-    if (client->Connect(shard(i).spec.host, shard(i).spec.port, detail)) {
-      MarkUp(i);
+    if (client->Request(line, reply, detail)) {
+      s.down_until_ms.store(0, std::memory_order_relaxed);
       return true;
     }
   }
@@ -162,89 +152,44 @@ bool RouterConnection::ConnectWithRetries(size_t i, LineClient* client,
   return false;
 }
 
-void RouterConnection::RestoreSelection(size_t i, LineClient* client) {
-  channel_session_[i].clear();
-  if (current_shard_ != static_cast<int>(i) || current_session_.empty()) {
-    return;
-  }
-  std::string reply, error;
-  if (client->Request("use " + current_session_, &reply, &error) &&
-      StartsWith(reply, "ok ")) {
-    channel_session_[i] = current_session_;
-  }
-  // An err reply (the shard restarted and lost the session) is left
-  // alone: the forwarded request then earns an honest `err no-session`.
-}
-
 std::string RouterConnection::Forward(size_t i, const std::string& line,
                                       bool idempotent) {
-  if (ShardDown(i)) {
-    return Unavailable(i, "marked down, retrying after cooldown");
-  }
   if (channels_[i] == nullptr) channels_[i] = std::make_unique<LineClient>();
-  LineClient* client = channels_[i].get();
-  std::string detail;
-  if (!client->connected()) {
-    if (!ConnectWithRetries(i, client, &detail)) {
-      return Unavailable(i, detail);
-    }
-    RestoreSelection(i, client);
+  const std::string& session =
+      current_shard_ == static_cast<int>(i) ? current_session_ : "";
+  std::string reply, detail;
+  if (!Exchange(i, channels_[i].get(), session, line, idempotent, &reply,
+                &detail)) {
+    obs::Count("shard.failovers");
+    return RouterErr("shard_unavailable", "shard " + std::to_string(i) +
+                                              " (" + shard(i).spec.Label() +
+                                              "): " + detail);
   }
-  std::string reply, error;
-  if (!client->Request(line, &reply, &error)) {
-    // The channel broke mid-request (Request closed it). Only an
-    // idempotent read may be replayed; a mutating verb might have been
-    // applied before the connection died.
-    if (!idempotent) {
-      MarkDown(i);
-      return Unavailable(i, error);
-    }
-    if (!ConnectWithRetries(i, client, &detail)) {
-      return Unavailable(i, detail);
-    }
-    RestoreSelection(i, client);
-    if (!client->Request(line, &reply, &error)) {
-      MarkDown(i);
-      return Unavailable(i, error);
-    }
-  }
-  MarkUp(i);
   obs::Count("shard.forwarded");
   shard(i).forwarded.Add();
   return reply + "\n";
 }
 
-bool RouterConnection::ControlRequest(size_t i, const std::string& line,
-                                      std::string* reply) {
-  if (ShardDown(i)) return false;
-  ShardState& s = shard(i);
-  std::lock_guard<std::mutex> lock(s.control_mu);
-  std::string detail, error;
-  if (!s.control.connected() &&
-      !ConnectWithRetries(i, &s.control, &detail)) {
-    return false;
+std::vector<std::string> RouterConnection::Scatter(const std::string& line) {
+  std::vector<std::string> replies;
+  for (size_t i = 0; i < shard_count(); ++i) {
+    ShardState& s = shard(i);
+    std::lock_guard<std::mutex> lock(s.control_mu);
+    std::string reply, detail;
+    // Every scattered verb (stats, sessions, shutdown) is safe to resend.
+    if (Exchange(i, &s.control, "", line, /*idempotent=*/true, &reply,
+                 &detail)) {
+      replies.push_back(std::move(reply));
+    }
   }
-  if (s.control.Request(line, reply, &error)) {
-    MarkUp(i);
-    return true;
-  }
-  // Scatter verbs are reads: one reconnect + resend.
-  if (!ConnectWithRetries(i, &s.control, &detail)) return false;
-  if (!s.control.Request(line, reply, &error)) {
-    MarkDown(i);
-    return false;
-  }
-  MarkUp(i);
-  return true;
+  return replies;
 }
 
 std::string RouterConnection::ScatterStats() {
   Clock::time_point start = Clock::now();
   long long sessions = 0, live = 0, staging = 0, tuples = 0, sets = 0;
   size_t up = 0;
-  for (size_t i = 0; i < shard_count(); ++i) {
-    std::string reply;
-    if (!ControlRequest(i, "stats", &reply)) continue;
+  for (const std::string& reply : Scatter("stats")) {
     if (!StartsWith(reply, "ok stats scope=server ")) continue;
     std::vector<std::string> tokens = SplitTrimmed(reply, ' ');
     long long v = 0;
@@ -270,9 +215,7 @@ std::string RouterConnection::ScatterSessions() {
   Clock::time_point start = Clock::now();
   std::vector<std::string> lines;
   size_t up = 0;
-  for (size_t i = 0; i < shard_count(); ++i) {
-    std::string reply;
-    if (!ControlRequest(i, "sessions", &reply)) continue;
+  for (const std::string& reply : Scatter("sessions")) {
     std::vector<std::string> parts = Split(reply, '\n');
     if (parts.empty() || !StartsWith(parts[0], "ok sessions ")) continue;
     lines.insert(lines.end(), parts.begin() + 1, parts.end());
@@ -291,107 +234,92 @@ std::string RouterConnection::ScatterSessions() {
   return reply;
 }
 
-void RouterConnection::BroadcastShutdown() {
-  for (size_t i = 0; i < shard_count(); ++i) {
-    std::string reply;
-    ControlRequest(i, "shutdown", &reply);  // best effort
-  }
-}
-
 LineResult RouterConnection::Handle(std::string_view raw) {
   LineResult result;
-  std::string_view line = raw;
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  line = Trim(line);
-  if (line.empty() || line[0] == '#') return result;  // no reply
-
-  std::string_view verb, rest;
-  if (line[0] == '+' || line[0] == '-') {
-    verb = line.substr(0, 1);
-  } else {
-    SplitVerb(line, &verb, &rest);
-  }
+  Request req;
+  if (!ParseRequest(raw, &req)) return result;  // no reply
   obs::Count("shard.requests");
-  const std::string request(line);
+  const std::string request(req.line);
+  const bool idempotent = !req.spec->mutating;
+  std::string& reply = result.response;
 
-  if (verb == "ping") {
-    result.response = "ok pong\n";
-  } else if (verb == "quit") {
-    result.response = "ok bye\n";
-    result.close_connection = true;
-  } else if (verb == "shutdown") {
-    if (!opts().allow_shutdown) {
-      result.response = RouterErr(
-          "shutdown-disabled", "this router does not honor the shutdown verb");
-    } else {
-      BroadcastShutdown();
-      result.response = "ok shutdown\n";
+  switch (req.spec->verb) {
+    case Verb::kPing:
+      reply = "ok pong\n";
+      break;
+    case Verb::kQuit:
+      reply = "ok bye\n";
+      result.close_connection = true;
+      break;
+    case Verb::kShutdown:
+      if (!opts().allow_shutdown) {
+        reply = RouterErr("shutdown-disabled",
+                          "this router does not honor the shutdown verb");
+        break;
+      }
+      Scatter("shutdown");  // best effort
+      reply = "ok shutdown\n";
       result.close_connection = true;
       result.stop_server = true;
+      break;
+    case Verb::kOpen:
+    case Verb::kUse: {
+      std::string_view name, tail;
+      SplitWord(req.args, &name, &tail);
+      std::string error;
+      if (!ValidSessionName(name, &error)) {
+        reply = RouterErr("bad-request", error);
+        break;
+      }
+      size_t owner = router_->map_.OwnerOf(name);
+      reply = Forward(owner, request, idempotent);
+      if (StartsWith(reply, "ok ")) {
+        current_session_ = std::string(name);
+        current_shard_ = static_cast<int>(owner);
+      }
+      break;
     }
-  } else if (verb == "open" || verb == "use") {
-    std::string_view name, tail;
-    SplitVerb(rest, &name, &tail);
-    if (name.empty() || name.size() > 128) {
-      result.response = RouterErr(
-          "bad-request", "session names are 1-128 characters with no whitespace");
-      return result;
-    }
-    size_t owner = router_->map_.OwnerOf(name);
-    result.response = Forward(owner, request, /*idempotent=*/verb == "use");
-    if (StartsWith(result.response, "ok ")) {
-      current_session_ = std::string(name);
-      current_shard_ = static_cast<int>(owner);
-      channel_session_[owner] = current_session_;
-    }
-  } else if (verb == "close") {
-    std::string name = rest.empty() ? current_session_ : std::string(rest);
-    if (name.empty()) {
-      result.response = RouterErr(
-          "no-session", "no session selected (open or use one first)");
-      return result;
-    }
-    size_t owner = router_->map_.OwnerOf(name);
-    result.response = Forward(owner, request, /*idempotent=*/false);
-    if (StartsWith(result.response, "ok ")) {
-      if (name == current_session_) {
+    case Verb::kClose: {
+      std::string name =
+          req.args.empty() ? current_session_ : std::string(req.args);
+      if (name.empty()) {
+        reply = RouterErr("no-session",
+                          "no session selected (open or use one first)");
+        break;
+      }
+      reply = Forward(router_->map_.OwnerOf(name), request, idempotent);
+      if (StartsWith(reply, "ok ") && name == current_session_) {
         current_session_.clear();
         current_shard_ = -1;
       }
-      if (channel_session_[owner] == name) channel_session_[owner].clear();
+      break;
     }
-  } else if (verb == "stats") {
-    if (current_shard_ >= 0) {
-      result.response =
-          Forward(static_cast<size_t>(current_shard_), request, true);
-    } else {
-      result.response = ScatterStats();
-    }
-  } else if (verb == "sessions") {
-    result.response = ScatterSessions();
-  } else if (verb == "classify" && !rest.empty()) {
-    // An inline-query classify needs no session; hash the query text so
-    // the load spreads but stays deterministic.
-    size_t target = current_shard_ >= 0
-                        ? static_cast<size_t>(current_shard_)
-                        : router_->map_.OwnerOf(rest);
-    result.response = Forward(target, request, /*idempotent=*/true);
-  } else if (verb == "push" || verb == "load" || verb == "begin" ||
-             verb == "+" || verb == "-" || verb == "epoch" ||
-             verb == "resilience" || verb == "classify" ||
-             verb == "explain") {
-    if (current_shard_ < 0) {
-      result.response = RouterErr(
-          "no-session", "no session selected (open or use one first)");
-      return result;
-    }
-    bool idempotent = verb == "resilience" || verb == "classify" ||
-                      verb == "explain";
-    result.response =
-        Forward(static_cast<size_t>(current_shard_), request, idempotent);
-  } else {
-    result.response = RouterErr(
-        "bad-request", "unknown verb '" + std::string(verb) + "'");
+    case Verb::kStats:
+      reply = current_shard_ >= 0
+                  ? Forward(static_cast<size_t>(current_shard_), request,
+                            idempotent)
+                  : ScatterStats();
+      break;
+    case Verb::kSessions:
+      reply = ScatterSessions();
+      break;
+    case Verb::kUnknown:
+      reply = RouterErr("bad-request",
+                        "unknown verb '" + std::string(req.verb) + "'");
+      break;
+    default:
+      if (req.spec->verb == Verb::kClassify && !req.args.empty() &&
+          current_shard_ < 0) {
+        // An inline-query classify needs no session; hash the query text
+        // so the load spreads but stays deterministic.
+        reply = Forward(router_->map_.OwnerOf(req.args), request, idempotent);
+      } else if (current_shard_ < 0) {
+        reply = RouterErr("no-session",
+                          "no session selected (open or use one first)");
+      } else {
+        reply =
+            Forward(static_cast<size_t>(current_shard_), request, idempotent);
+      }
   }
   return result;
 }
@@ -407,8 +335,7 @@ LineServerOptions ShardRouter::TransportOptions(const RouterOptions& options) {
 
 ShardRouter::ShardRouter(const RouterOptions& options)
     : options_(options),
-      map_(options.shards.empty() ? 1 : options.shards.size(),
-           options.vnodes),
+      map_(options.shards.empty() ? 1 : options.shards.size()),
       transport_(TransportOptions(options), [this] {
         return std::make_unique<RouterConnection>(this);
       }) {

@@ -40,8 +40,6 @@ struct RouterOptions {
   /// Backend shards, in ring order (the list must be identical — same
   /// order — on every router over the same fleet).
   std::vector<ShardSpec> shards;
-  /// Virtual nodes per shard on the consistent-hash ring.
-  size_t vnodes = 64;
   /// Deadlines on every backend LineClient.
   int connect_timeout_ms = 2000;
   int request_timeout_ms = 10000;
@@ -59,8 +57,8 @@ struct RouterOptions {
 /// The consistent-hash sharding front-end: speaks the rescq line
 /// protocol on its own port, owns no sessions, and forwards every
 /// session verb verbatim to the shard that owns the session's name
-/// (ShardMap placement). `stats` and `sessions` with no current
-/// session are scatter-gathered across all shards into one aggregated
+/// (ShardMap placement). `sessions`, and `stats` with no current
+/// session, are scatter-gathered across all shards into one aggregated
 /// reply.
 ///
 /// Each router connection mirrors the protocol's per-connection state
@@ -70,9 +68,9 @@ struct RouterOptions {
 /// connect attempts are bounded (deadline + retry-with-backoff) and a
 /// failing shard is marked down for down_cooldown_ms, during which its
 /// requests fail fast with `err shard_unavailable`. A request that dies
-/// mid-flight is retried (one reconnect + resend) only for idempotent
-/// reads; mutating verbs surface the error instead of risking a
-/// double-apply.
+/// mid-flight is retried (one reconnect + resend) only for verbs the
+/// verb table (server/protocol.h) does not mark `mutating`; mutating
+/// verbs surface the error instead of risking a double-apply.
 ///
 /// Lifecycle mirrors ResilienceServer: Start/port/RequestStop/
 /// SignalStop (async-signal-safe)/Wait/Stop.

@@ -14,20 +14,24 @@
 namespace rescq {
 
 /// Consistent-hash placement of session names onto shards. Each shard
-/// contributes `vnodes` points on a 64-bit FNV-1a ring; a name is owned
+/// contributes kVnodes points on a 64-bit FNV-1a ring; a name is owned
 /// by the first ring point at or after its hash (wrapping at the top).
-/// The map is a pure function of (shard_count, vnodes): every router
+/// The map is a pure function of the shard count: every router
 /// instance over the same shard list computes the same placement, and
 /// growing the shard count moves only the names whose arcs the new
 /// points cut — roughly 1/(n+1) of them — instead of rehashing
 /// everything (the property modulo-hashing lacks).
 class ShardMap {
  public:
-  explicit ShardMap(size_t shard_count, size_t vnodes = 64)
+  /// Ring points per shard. A constant, not a setting: every router on
+  /// a fleet must build the same ring.
+  static constexpr size_t kVnodes = 64;
+
+  explicit ShardMap(size_t shard_count)
       : shard_count_(shard_count == 0 ? 1 : shard_count) {
-    ring_.reserve(shard_count_ * vnodes);
+    ring_.reserve(shard_count_ * kVnodes);
     for (size_t shard = 0; shard < shard_count_; ++shard) {
-      for (size_t v = 0; v < vnodes; ++v) {
+      for (size_t v = 0; v < kVnodes; ++v) {
         Fnv1a hash;
         hash.MixString("shard-" + std::to_string(shard));
         hash.MixU32(static_cast<uint32_t>(v));

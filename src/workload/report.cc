@@ -1,6 +1,5 @@
 #include "workload/report.h"
 
-#include <fstream>
 #include <ostream>
 
 #include "obs/metrics.h"
@@ -102,32 +101,6 @@ void WriteReportJson(const BatchReport& report, std::ostream& out) {
         << (i + 1 < report.cells.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";
-}
-
-namespace {
-
-bool SaveWith(void (*write)(const BatchReport&, std::ostream&),
-              const BatchReport& report, const std::string& path,
-              std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    *error = "cannot create report file '" + path + "'";
-    return false;
-  }
-  write(report, out);
-  return true;
-}
-
-}  // namespace
-
-bool SaveReportCsv(const BatchReport& report, const std::string& path,
-                   std::string* error) {
-  return SaveWith(WriteReportCsv, report, path, error);
-}
-
-bool SaveReportJson(const BatchReport& report, const std::string& path,
-                    std::string* error) {
-  return SaveWith(WriteReportJson, report, path, error);
 }
 
 void PrintReportTable(const BatchReport& report, std::FILE* out) {

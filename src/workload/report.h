@@ -31,13 +31,6 @@ void WriteReportCsv(const BatchReport& report, std::ostream& out);
 /// "cells": [...]}.
 void WriteReportJson(const BatchReport& report, std::ostream& out);
 
-/// Writes the CSV/JSON to a file; false + *error if it cannot be
-/// created.
-bool SaveReportCsv(const BatchReport& report, const std::string& path,
-                   std::string* error);
-bool SaveReportJson(const BatchReport& report, const std::string& path,
-                    std::string* error);
-
 /// Human-readable per-cell table + summary line, as printed by
 /// `rescq batch`.
 void PrintReportTable(const BatchReport& report, std::FILE* out);

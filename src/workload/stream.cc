@@ -1,7 +1,6 @@
 #include "workload/stream.h"
 
 #include <chrono>
-#include <fstream>
 #include <ostream>
 
 #include "obs/metrics.h"
@@ -152,32 +151,6 @@ void WriteStreamJson(const StreamReport& report, std::ostream& out) {
         << (i + 1 < report.rows.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";
-}
-
-namespace {
-
-bool SaveWith(void (*write)(const StreamReport&, std::ostream&),
-              const StreamReport& report, const std::string& path,
-              std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    *error = "cannot create report file '" + path + "'";
-    return false;
-  }
-  write(report, out);
-  return true;
-}
-
-}  // namespace
-
-bool SaveStreamCsv(const StreamReport& report, const std::string& path,
-                   std::string* error) {
-  return SaveWith(WriteStreamCsv, report, path, error);
-}
-
-bool SaveStreamJson(const StreamReport& report, const std::string& path,
-                    std::string* error) {
-  return SaveWith(WriteStreamJson, report, path, error);
 }
 
 void PrintStreamTable(const StreamReport& report, std::FILE* out) {

@@ -85,11 +85,6 @@ void WriteStreamCsv(const StreamReport& report, std::ostream& out);
 /// "epochs": [...]}.
 void WriteStreamJson(const StreamReport& report, std::ostream& out);
 
-bool SaveStreamCsv(const StreamReport& report, const std::string& path,
-                   std::string* error);
-bool SaveStreamJson(const StreamReport& report, const std::string& path,
-                    std::string* error);
-
 /// Human-readable per-epoch table + summary line, as printed by
 /// `rescq stream`.
 void PrintStreamTable(const StreamReport& report, std::FILE* out);

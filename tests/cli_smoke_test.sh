@@ -344,6 +344,11 @@ expect_usage_error "unknown scenario rejected" gen --scenario bogus
 expect_usage_error "gen without scenario rejected" gen --size 5
 expect_usage_error "unknown batch scenario rejected" batch --scenarios bogus
 expect_usage_error "unknown batch flag rejected" batch --frobnicate
+expect_usage_error "unwritable batch JSON report rejected" \
+    batch --scenarios vc_er --sizes 4 --json /dev/full
+expect_usage_error "unwritable stream CSV report rejected" \
+    stream --name q_vc "$SRC/data/gen_vc_er.tuples" --churn mixed \
+    --epochs 2 --csv /dev/full
 expect_usage_error "stream without a source of updates rejected" \
     stream "R(x,y)" "$SRC/data/section2_chain.tuples"
 expect_usage_error "stream with unknown churn kind rejected" \

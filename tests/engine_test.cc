@@ -286,7 +286,7 @@ TEST(Engine, FallbackReasonsRecordDeclinedConstructions) {
 }
 
 // A registry whose only construction always declines, to exercise the
-// allow_fallback gate deterministically.
+// exact fallback deterministically.
 SolverRegistry DecliningRegistry() {
   SolverRegistry registry;
   SolverEntry declines;
@@ -331,7 +331,7 @@ SolverRegistry DecliningRegistry() {
   return registry;
 }
 
-TEST(Engine, AllowFallbackGatesTheExactFallback) {
+TEST(Engine, DeclinedConstructionFallsBackToExact) {
   static const SolverRegistry registry = DecliningRegistry();
   Query q = MustParseQuery("A(x), R(x,y), R(z,y), C(z)");
   Database db;
@@ -340,14 +340,8 @@ TEST(Engine, AllowFallbackGatesTheExactFallback) {
   db.AddTuple("R", {db.Intern("c"), db.Intern("b")});
   db.AddTuple("C", {db.Intern("c")});
 
-  EngineOptions strict;
-  strict.allow_fallback = false;
-  ResilienceEngine no_fallback(strict, &registry);
-  SolveOutcome blocked = no_fallback.Solve(q, db);
-  EXPECT_FALSE(blocked.error.empty());
-
-  ResilienceEngine with_fallback(EngineOptions{}, &registry);
-  SolveOutcome out = with_fallback.Solve(q, db);
+  ResilienceEngine engine(EngineOptions{}, &registry);
+  SolveOutcome out = engine.Solve(q, db);
   EXPECT_TRUE(out.error.empty());
   EXPECT_EQ(out.result.solver, SolverKind::kExactFallback);
   EXPECT_EQ(out.result.resilience,

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -421,6 +422,18 @@ TEST_F(ProtocolTest, LoadCanBeDisabledAndReportsIoErrors) {
   EXPECT_TRUE(StartsWithStr(Req("load /nonexistent/nope.tuples"), "err io "));
   limits_.allow_load = false;
   EXPECT_TRUE(StartsWithStr(Req("load x.tuples"), "err bad-request "));
+}
+
+TEST_F(ProtocolTest, LoadRepliesWithTheTupleCount) {
+  Database db;
+  db.AddTuple("R", {db.Intern("a"), db.Intern("b")});
+  db.AddTuple("R", {db.Intern("c"), db.Intern("d")});
+  const std::string path = testing::TempDir() + "/protocol_load.tuples";
+  std::string error;
+  ASSERT_TRUE(SaveTupleFile(db, path, "", &error)) << error;
+  EXPECT_EQ(Req("open s1 R(x,y)"), "ok open s1 staging\n");
+  EXPECT_EQ(Req("load " + path), "ok load 2\n");
+  std::remove(path.c_str());
 }
 
 // --- Satellite 1: table-driven malformed-input hardening ---------------------

@@ -18,6 +18,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <initializer_list>
 #include <iostream>
@@ -210,13 +211,21 @@ struct ReportFiles {
   std::string json_path;
 
   /// Writes each requested file with the report's own writers; 0 on
-  /// success, 2 on I/O failure (with a message printed).
-  template <typename Report, typename Writer>
-  int Save(const Report& report, Writer save_csv, Writer save_json) const {
-    std::string error;
-    if ((!csv_path.empty() && !save_csv(report, csv_path, &error)) ||
-        (!json_path.empty() && !save_json(report, json_path, &error))) {
-      return Fail(error);
+  /// success, 2 (with a message printed) if a file cannot be written
+  /// in full.
+  template <typename Report>
+  int Save(const Report& report,
+           void (*write_csv)(const Report&, std::ostream&),
+           void (*write_json)(const Report&, std::ostream&)) const {
+    const std::pair<std::string, decltype(write_csv)> files[] = {
+        {csv_path, write_csv}, {json_path, write_json}};
+    for (const auto& [path, write] : files) {
+      if (path.empty()) continue;
+      std::ofstream out(path);
+      write(report, out);
+      if (!out.flush()) {
+        return Fail("cannot write report file '" + path + "'");
+      }
     }
     return 0;
   }
@@ -769,7 +778,7 @@ int CmdBatch(const std::vector<std::string>& args) {
   sinks.Arm();
   BatchReport report = RunBatch(jobs, options);
   PrintReportTable(report, stdout);
-  int rc = files.Save(report, SaveReportCsv, SaveReportJson);
+  int rc = files.Save(report, WriteReportCsv, WriteReportJson);
   if (rc == 0) rc = sinks.Flush();
   if (rc != 0) return rc;
   return report.mismatches == 0 ? 0 : 1;
@@ -842,7 +851,7 @@ int CmdStream(const std::vector<std::string>& args) {
   sinks.Arm();
   StreamReport report = RunStream(*q, query_name, db, log, options);
   PrintStreamTable(report, stdout);
-  int rc = files.Save(report, SaveStreamCsv, SaveStreamJson);
+  int rc = files.Save(report, WriteStreamCsv, WriteStreamJson);
   if (rc == 0) rc = sinks.Flush();
   if (rc != 0) return rc;
   return report.mismatches == 0 ? 0 : 1;
@@ -1015,7 +1024,7 @@ int CmdLoadgen(const std::vector<std::string>& args) {
 
   LoadgenReport report = RunLoadgen(options);
   PrintLoadgenTable(report, stdout);
-  int rc = files.Save(report, SaveLoadgenCsv, SaveLoadgenJson);
+  int rc = files.Save(report, WriteLoadgenCsv, WriteLoadgenJson);
   if (rc != 0) return rc;
   if (!report.error.empty()) return 2;
   return (report.oracle_mismatches == 0 && report.err_replies == 0) ? 0 : 1;
