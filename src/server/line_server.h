@@ -30,7 +30,7 @@ struct LineResult {
 /// accepted connection (connections are stateful — the current session,
 /// the pending epoch) and calls Handle once per received line, without
 /// its '\n'. A CRLF client's '\r' is left on the line: the handler's
-/// request parser (ParseRequest, server/protocol.h) strips it.
+/// request parser (ParseRequest, server/protocol.h) trims it away.
 class LineConnectionHandler {
  public:
   virtual ~LineConnectionHandler() = default;

@@ -138,8 +138,7 @@ void SplitWord(std::string_view text, std::string_view* word,
 }
 
 bool ParseRequest(std::string_view raw, Request* req) {
-  // CRLF clients (telnet, netcat) behave like LF clients.
-  if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
+  // Trim drops a CRLF client's trailing '\r' along with the blanks.
   std::string_view line = Trim(raw);
   if (line.empty() || line[0] == '#') return false;
   req->line = line;

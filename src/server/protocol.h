@@ -55,8 +55,9 @@ struct VerbSpec {
   const char* counter;
   /// Answered `err no-session` when no session is selected.
   bool needs_session;
-  /// May change server state, so a request that died mid-flight is
-  /// never resent.
+  /// May change server state, so the router never resends a forwarded
+  /// request that died mid-flight. The verbs the router answers itself
+  /// or scatters (ping, quit, sessions, shutdown) do not read it.
   bool mutating;
   /// The reply is `ok <name> <n>` followed by n payload lines.
   bool multi_line;
@@ -75,7 +76,8 @@ struct Request {
   std::string_view args;
 };
 
-/// Strips a trailing '\r', trims, and splits the verb from its args.
+/// Trims (which drops a CRLF line's '\r'), and splits the verb from its
+/// args.
 /// False for blank and '#'-comment lines, which get no reply.
 bool ParseRequest(std::string_view raw, Request* req);
 

@@ -307,19 +307,30 @@ LineResult RouterConnection::Handle(std::string_view raw) {
       reply = RouterErr("bad-request",
                         "unknown verb '" + std::string(req.verb) + "'");
       break;
-    default:
-      if (req.spec->verb == Verb::kClassify && !req.args.empty() &&
-          current_shard_ < 0) {
+    case Verb::kClassify:
+      if (!req.args.empty() && current_shard_ < 0) {
         // An inline-query classify needs no session; hash the query text
         // so the load spreads but stays deterministic.
         reply = Forward(router_->map_.OwnerOf(req.args), request, idempotent);
-      } else if (current_shard_ < 0) {
+        break;
+      }
+      [[fallthrough]];
+    case Verb::kUpdate:
+    case Verb::kPush:
+    case Verb::kLoad:
+    case Verb::kBegin:
+    case Verb::kEpoch:
+    case Verb::kResilience:
+    case Verb::kExplain:
+      // No default: -Wswitch flags a verb added to kVerbs but not here.
+      if (current_shard_ < 0) {
         reply = RouterErr("no-session",
                           "no session selected (open or use one first)");
       } else {
         reply =
             Forward(static_cast<size_t>(current_shard_), request, idempotent);
       }
+      break;
   }
   return result;
 }
