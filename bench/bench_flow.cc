@@ -1,11 +1,9 @@
 // E12: the network-flow substrate that every PTIME construction rests on.
-// Dinic max-flow on layered graphs and König bipartite vertex cover.
+// Times Dinic max-flow on layered graphs and König bipartite vertex
+// cover; flow_test holds their values.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-
-#include "bench_util.h"
 #include "flow/bipartite.h"
 #include "flow/max_flow.h"
 #include "util/rng.h"
@@ -27,30 +25,6 @@ int64_t LayeredFlow(int layers, int width) {
   }
   for (int i = 0; i < width; ++i) f.AddEdge(node(layers - 1, i), t, 1);
   return f.Compute(s, t);
-}
-
-void PrintFlowTable() {
-  bench::PrintHeader("E12: flow substrate sanity",
-                     "Layered unit-capacity graphs: max flow equals the "
-                     "layer width; König cover equals max matching.");
-  std::printf("%-20s %10s %10s\n", "instance", "expected", "got");
-  for (int width : {4, 8, 16}) {
-    int64_t flow = LayeredFlow(6, width);
-    std::printf("layered(6,%-2d)        %10d %10lld\n", width, width,
-                static_cast<long long>(flow));
-  }
-  Rng rng(9);
-  for (int n : {16, 64}) {
-    BipartiteCover cover(n, n);
-    for (int l = 0; l < n; ++l) {
-      for (int r = 0; r < n; ++r) {
-        if (rng.Chance(1, 8)) cover.AddEdge(l, r);
-      }
-    }
-    cover.Compute();
-    std::printf("konig(G(%3d,1/8))    %10d %10d\n", n, cover.MatchingSize(),
-                cover.CoverSize());
-  }
 }
 
 void BM_DinicLayered(benchmark::State& state) {
@@ -82,10 +56,4 @@ BENCHMARK(BM_Konig)->Arg(32)->Arg(128)->Arg(512);
 }  // namespace
 }  // namespace rescq
 
-int main(int argc, char** argv) {
-  rescq::PrintFlowTable();
-  std::printf("\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

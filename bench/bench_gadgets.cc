@@ -1,102 +1,20 @@
-// E5/E6: the hardness gadgets.
-//  - VC -> q_vc (Proposition 9): resilience equals the vertex cover number.
-//  - VC -> q_chain (the Figure 8 or-property paths): rho = VC + |E|.
-//  - 3SAT -> q_chain (Proposition 10 / Figure 10): satisfiable iff
-//    rho = n*m + 5m, checked against DPLL.
-// Timing series: gadget construction and exact solving vs instance size.
+// E5/E6: the hardness gadgets — VC -> q_vc (Proposition 9), VC -> q_chain
+// (the Figure 8 or-property paths) and 3SAT -> q_chain (Proposition 10 /
+// Figure 10). Timing only: gadget construction and exact solving vs
+// instance size. reductions_test holds each gadget's identity
+// (rho = VC, rho = VC + |E|, satisfiable iff rho = k).
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-
-#include "bench_util.h"
+#include "reductions/cnf.h"
 #include "reductions/gadget_sat_qchain.h"
-#include "reductions/gadget_vc_qchain.h"
 #include "reductions/gadget_vc_qvc.h"
-#include "reductions/sat_solver.h"
-#include "reductions/vertex_cover.h"
+#include "reductions/graph.h"
 #include "resilience/exact_solver.h"
+#include "util/rng.h"
 
 namespace rescq {
 namespace {
-
-void PrintVcTables() {
-  bench::PrintHeader("E5a: VC -> q_vc (Proposition 9)",
-                     "rho(q_vc, D_G) must equal the minimum vertex cover.");
-  std::printf("%-14s %4s %4s %6s %6s %6s\n", "graph", "|V|", "|E|", "VC",
-              "rho", "match");
-  Rng rng(5);
-  auto row = [&](const char* name, const Graph& g) {
-    VcQvcGadget gadget = BuildVcQvcGadget(g);
-    int vc = MinVertexCover(g).size;
-    int rho = ComputeResilienceExact(gadget.query, gadget.db).resilience;
-    std::printf("%-14s %4d %4zu %6d %6d %6s\n", name, g.num_vertices,
-                g.edges.size(), vc, rho, vc == rho ? "ok" : "MISMATCH");
-  };
-  row("C5", CycleGraph(5));
-  row("C8", CycleGraph(8));
-  row("K4", CompleteGraph(4));
-  row("K5", CompleteGraph(5));
-  row("Petersen", PetersenGraph());
-  row("G(10,0.3)", RandomGraph(10, 3, 10, rng));
-  row("G(12,0.5)", RandomGraph(12, 1, 2, rng));
-
-  bench::PrintHeader("E5b: VC -> q_chain (or-property paths, Figure 8)",
-                     "rho(q_chain, D_G) must equal VC(G) + |E(G)|.");
-  std::printf("%-14s %4s %4s %6s %10s %6s %6s\n", "graph", "|V|", "|E|",
-              "VC", "VC+|E|", "rho", "match");
-  auto row2 = [&](const char* name, const Graph& g) {
-    VcChainGadget gadget = BuildVcQchainGadget(g);
-    int vc = MinVertexCover(g).size;
-    int expect = vc + gadget.offset;
-    int rho = ComputeResilienceExact(gadget.query, gadget.db).resilience;
-    std::printf("%-14s %4d %4zu %6d %10d %6d %6s\n", name, g.num_vertices,
-                g.edges.size(), vc, expect, rho,
-                expect == rho ? "ok" : "MISMATCH");
-  };
-  row2("C5", CycleGraph(5));
-  row2("K4", CompleteGraph(4));
-  row2("Petersen", PetersenGraph());
-  row2("G(10,0.3)", RandomGraph(10, 3, 10, rng));
-}
-
-void PrintSatTable() {
-  bench::PrintHeader(
-      "E5c: 3SAT -> q_chain (Proposition 10 / Figure 10)",
-      "For each formula: satisfiable (DPLL) iff rho equals k = n*m + 5m "
-      "(exact solver on the gadget database).");
-  std::printf("%-10s %3s %3s %5s %5s %5s %8s %6s\n", "formula", "n", "m",
-              "sat", "k", "rho", "tuples", "match");
-  Rng rng(2020);
-  for (int trial = 0; trial < 8; ++trial) {
-    int n = 3 + static_cast<int>(rng.Below(2));
-    int m = 2 + static_cast<int>(rng.Below(3));
-    CnfFormula f = RandomCnf(n, m, 3, rng);
-    bool sat = IsSatisfiable(f);
-    SatChainGadget gadget = BuildSatQchainGadget(f);
-    int rho = ComputeResilienceExact(gadget.query, gadget.db).resilience;
-    bool match = sat ? rho == gadget.k : rho >= gadget.k + 1;
-    std::printf("random#%-3d %3d %3d %5s %5d %5d %8d %6s\n", trial, n, m,
-                sat ? "yes" : "no", gadget.k, rho,
-                gadget.db.NumActiveTuples(), match ? "ok" : "MISMATCH");
-  }
-  // The canonical unsatisfiable formula.
-  CnfFormula unsat;
-  unsat.num_vars = 3;
-  for (int mask = 0; mask < 8; ++mask) {
-    Clause c;
-    for (int v = 0; v < 3; ++v) {
-      c.literals.push_back(Literal{v, ((mask >> v) & 1) != 0});
-    }
-    unsat.clauses.push_back(c);
-  }
-  SatChainGadget gadget = BuildSatQchainGadget(unsat);
-  int rho = ComputeResilienceExact(gadget.query, gadget.db).resilience;
-  std::printf("%-10s %3d %3zu %5s %5d %5d %8d %6s\n", "unsat8", 3,
-              unsat.clauses.size(), "no", gadget.k, rho,
-              gadget.db.NumActiveTuples(),
-              rho >= gadget.k + 1 ? "ok" : "MISMATCH");
-}
 
 void BM_BuildSatGadget(benchmark::State& state) {
   int m = static_cast<int>(state.range(0));
@@ -137,11 +55,4 @@ BENCHMARK(BM_ExactSolveVcGadget)->Arg(8)->Arg(12)->Arg(16)
 }  // namespace
 }  // namespace rescq
 
-int main(int argc, char** argv) {
-  rescq::PrintVcTables();
-  rescq::PrintSatTable();
-  std::printf("\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,9 +1,10 @@
-// E9/E10/E11: Independent Join Paths (Section 9 + Appendix C).
-//  - E9: the checker on the four worked examples, including the Example 60
-//    erratum (the printed database fails condition 5) and its repair.
-//  - E10: the automated search (Example 62: Bell(9) = 21147 partitions).
-//  - E11: the generalized VC construction behind Conjecture 49:
-//    rho(D_G) = VC(G) + |E|*(c-1), validated on oriented graphs.
+// E10: the automated Independent Join Path search (Section 9 + Appendix
+// C; Example 62: Bell(9) = 21147 partitions): what it finds per query
+// and how many partitions and candidates it examines, then the timing
+// of the search and of the Definition 48 checker. ijp_test holds the
+// verdicts: the checker on the worked examples (E9), the search's
+// found/not-found per query, and Conjecture 49's composition
+// rho(D_G) = VC(G) + |E|*(c-1) (E11).
 
 #include <benchmark/benchmark.h>
 
@@ -14,41 +15,16 @@
 #include "ijp/examples.h"
 #include "ijp/ijp.h"
 #include "ijp/ijp_search.h"
-#include "ijp/ijp_vc_reduction.h"
-#include "reductions/vertex_cover.h"
-#include "resilience/exact_solver.h"
 #include "util/combinatorics.h"
 
 namespace rescq {
 namespace {
 
-void PrintCheckerTable() {
-  bench::PrintHeader("E9: Definition 48 checker on the worked examples",
-                     "Examples 58-60 are IJPs; Example 61 fails condition "
-                     "4 by design. Example 60 as printed fails condition 5 "
-                     "(erratum: the undrawn witness (5,2,3)); one private "
-                     "hop repairs it.");
-  std::printf("%-28s %-10s %6s %12s\n", "example", "verdict", "c",
-              "failed cond");
-  auto row = [&](const char* name, IjpExample ex) {
-    IjpCheckResult r = CheckIjp(ex.query, ex.db, ex.endpoint_a,
-                                ex.endpoint_b);
-    std::printf("%-28s %-10s %6d %12d\n", name,
-                r.is_ijp ? "IJP" : "not-IJP", r.resilience,
-                r.failed_condition);
-  };
-  row("58 (q_vc)", BuildIjpExample58());
-  row("59 (triangle)", BuildIjpExample59());
-  row("60 (z5, as printed)", BuildIjpExample60AsPrinted());
-  row("60 (z5, repaired)", BuildIjpExample60());
-  row("61 (two self-joins)", BuildIjpExample61());
-}
-
 void PrintSearchTable() {
   bench::PrintHeader(
       "E10: automated IJP search (Appendix C.2 / Example 62)",
       "Canonical databases + set-partition enumeration. Hard queries "
-      "yield IJPs; PTIME queries must not (Conjecture 49's converse).");
+      "yield IJPs, PTIME queries none (Conjecture 49's converse).");
   std::printf("%-12s %6s %6s %12s %12s %8s\n", "query", "found", "joins",
               "partitions", "candidates", "c");
   auto row = [&](const char* name, int min_joins, int max_joins) {
@@ -79,62 +55,6 @@ void PrintSearchTable() {
   row("z3", 1, 2);         // Prop 36 (PTIME)
 }
 
-Graph Star(int leaves) {
-  Graph g;
-  g.num_vertices = leaves + 1;
-  for (int i = 1; i <= leaves; ++i) g.edges.emplace_back(0, i);
-  return g;
-}
-
-Graph EvenCycleOriented(int n) {
-  Graph g;
-  g.num_vertices = n;
-  for (int i = 0; i < n; ++i) {
-    int j = (i + 1) % n;
-    g.edges.emplace_back(i % 2 == 0 ? i : j, i % 2 == 0 ? j : i);
-  }
-  return g;
-}
-
-void PrintConjectureTable() {
-  bench::PrintHeader(
-      "E11: Conjecture 49's reduction template",
-      "Compose an IJP per graph edge (endpoint tuples shared per vertex); "
-      "the or-property predicts rho(D_G) = VC(G) + |E|*(c-1).");
-  std::printf("%-14s %-12s %4s %4s %10s %6s %6s\n", "query", "graph", "VC",
-              "|E|", "predicted", "rho", "match");
-  struct Case {
-    const char* name;
-    IjpExample ex;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"q_vc", BuildIjpExample58()});
-  cases.push_back({"q_triangle", BuildIjpExample59()});
-  cases.push_back({"z5", BuildIjpExample60()});
-  for (Case& c : cases) {
-    for (auto& [gname, graph] :
-         std::vector<std::pair<const char*, Graph>>{
-             {"star3", Star(3)},
-             {"star5", Star(5)},
-             {"C4", EvenCycleOriented(4)},
-             {"C6", EvenCycleOriented(6)}}) {
-      std::optional<IjpVcInstance> inst = BuildIjpVcInstance(
-          c.ex.query, c.ex.db, c.ex.endpoint_a, c.ex.endpoint_b,
-          c.ex.expected_resilience, graph);
-      if (!inst.has_value()) {
-        std::printf("%-14s %-12s construction not applicable\n", c.name,
-                    gname);
-        continue;
-      }
-      int rho = ComputeResilienceExact(inst->query, inst->db).resilience;
-      std::printf("%-14s %-12s %4d %4zu %10d %6d %6s\n", c.name, gname,
-                  MinVertexCover(graph).size, graph.edges.size(),
-                  inst->expected_resilience, rho,
-                  rho == inst->expected_resilience ? "ok" : "MISMATCH");
-    }
-  }
-}
-
 void BM_IjpSearchTriangle(benchmark::State& state) {
   Query q = CatalogQuery("q_triangle");
   IjpSearchOptions options;
@@ -159,9 +79,7 @@ BENCHMARK(BM_IjpCheck59);
 }  // namespace rescq
 
 int main(int argc, char** argv) {
-  rescq::PrintCheckerTable();
   rescq::PrintSearchTable();
-  rescq::PrintConjectureTable();
   std::printf("\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -5,14 +5,12 @@
 // solve, and hub-churn incremental epochs — each timed dark
 // (instrumentation off), with metrics on, and with metrics + tracing
 // on. The contract (docs/OBSERVABILITY.md) is that the armed
-// end-to-end paths stay within RESCQ_OBS_MAX_OVERHEAD of dark; with
-// RESCQ_BENCH_OBS_ENFORCE=1 in the environment (the release-bench CI
-// job) a violation fails the run.
+// end-to-end paths stay within kMaxOverheadRatio of dark; a violation
+// exits 1.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 
@@ -145,18 +143,13 @@ int main(int argc, char** argv) {
       "metrics registry armed, and with metrics + Chrome tracing armed. "
       "The armed end-to-end rows must stay within the printed bound of "
       "dark; the raw helper loop is a worst case reported for context.");
-  std::printf("overhead bound: %.2fx (enforced with RESCQ_BENCH_OBS_ENFORCE=1)"
-              "\n\n",
-              rescq::kMaxOverheadRatio);
+  std::printf("overhead bound: %.2fx\n\n", rescq::kMaxOverheadRatio);
   std::printf("%-22s | %10s %10s %10s | %6s %6s\n", "workload", "dark_ms",
               "metrics_ms", "full_ms", "xmet", "xfull");
   rescq::ProbeRawHelpers();
   rescq::ProbeExactSolve();
   rescq::ProbeIncrementalEpochs();
-  if (rescq::g_violations > 0 &&
-      std::getenv("RESCQ_BENCH_OBS_ENFORCE") != nullptr) {
-    return 1;
-  }
+  if (rescq::g_violations > 0) return 1;
   std::printf("\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

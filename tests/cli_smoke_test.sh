@@ -407,6 +407,10 @@ else
     sed 's/^/    /' "$loadgen_json"
     failures=$((failures + 1))
   fi
+  # --timeout-ms 0 turns the connect and reply deadlines off.
+  expect "loadgen with --timeout-ms 0 is oracle-clean" "0 mismatch" \
+      loadgen --port "$serve_port" --connections 1 --scenario vc_er \
+      --size 4 --epochs 1 --seed 3 --check-oracle --timeout-ms 0
   # An update file piped verbatim: a whole session script, ~250 updates
   # in one epoch, in one write. Every line gets its reply, in order, and
   # the connection closes on quit within 5 s.

@@ -2,8 +2,10 @@
 
 #include "cq/parser.h"
 #include "db/database.h"
+#include "db/witness.h"
 #include "resilience/exact_solver.h"
 #include "util/rng.h"
+#include "workload/scenario.h"
 
 namespace rescq {
 namespace {
@@ -214,6 +216,44 @@ TEST(HittingSet, NodeBudgetReturnsFeasibleIncumbent) {
   HittingSetResult full = SolveMinHittingSet(HittingSetFamily::From(sets));
   EXPECT_LE(full.size, r.size);
   EXPECT_TRUE(full.proven_optimal);
+}
+
+// Witness-set count and minimum hitting set of q_vc's witness family on
+// the vc_er / vc_grid scenarios (seed 1). Frozen from the release where
+// the pre-overhaul branch-and-bound and the current solver agreed on
+// every case. Each vc_grid optimum is floor(n/2), the grid's vertex
+// cover number.
+struct FrozenOptimum {
+  const char* scenario;
+  int size;
+  size_t sets;
+  int rho;
+};
+
+constexpr FrozenOptimum kFrozenOptima[] = {
+    {"vc_er", 16, 57, 10},    {"vc_er", 20, 93, 14},
+    {"vc_er", 24, 131, 18},   {"vc_er", 26, 148, 20},
+    {"vc_grid", 25, 40, 12},  {"vc_grid", 49, 84, 24},
+    {"vc_grid", 64, 112, 32}, {"vc_grid", 81, 144, 40},
+};
+
+TEST(HittingSet, ScenarioFamiliesMatchTheFrozenOptima) {
+  for (const FrozenOptimum& c : kFrozenOptima) {
+    const Scenario* scenario = FindScenario(c.scenario);
+    ASSERT_NE(scenario, nullptr) << c.scenario;
+    ScenarioParams params;
+    params.size = c.size;
+    Database db = scenario->generate(params);
+    std::vector<TupleId> tuples;
+    HittingSetFamily family = HittingSetFamily::From(
+        CollectWitnessFamily(MustParseQuery(scenario->query), db,
+                             kNoWitnessLimit),
+        &tuples);
+    HittingSetResult r = SolveMinHittingSet(family);
+    EXPECT_EQ(family.size(), c.sets) << c.scenario << " " << c.size;
+    EXPECT_EQ(r.size, c.rho) << c.scenario << " " << c.size;
+    EXPECT_TRUE(r.proven_optimal) << c.scenario << " " << c.size;
+  }
 }
 
 // --- Resilience via the exact solver -----------------------------------------

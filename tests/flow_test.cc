@@ -4,6 +4,7 @@
 
 #include "flow/bipartite.h"
 #include "flow/max_flow.h"
+#include "util/rng.h"
 
 namespace rescq {
 namespace {
@@ -70,18 +71,24 @@ TEST(MaxFlow, DisconnectedIsZero) {
 }
 
 TEST(MaxFlow, LayeredGraphValue) {
-  // 3 layers of 3 nodes, unit capacities, complete between layers:
-  // value = 3.
-  MaxFlow f(11);  // s=0, t=10, layers 1-3, 4-6, 7-9
-  for (int i = 1; i <= 3; ++i) f.AddEdge(0, i, 1);
-  for (int i = 1; i <= 3; ++i) {
-    for (int j = 4; j <= 6; ++j) f.AddEdge(i, j, 1);
+  // `layers` layers of `width` nodes, unit capacities, complete between
+  // consecutive layers: the value is the width.
+  const std::pair<int, int> shapes[] = {{3, 3}, {6, 4}, {6, 8}, {6, 16}};
+  for (const std::pair<int, int>& shape : shapes) {
+    const int layers = shape.first, width = shape.second;
+    MaxFlow f(2 + layers * width);  // s=0, t=1
+    auto node = [&](int layer, int i) { return 2 + layer * width + i; };
+    for (int i = 0; i < width; ++i) f.AddEdge(0, node(0, i), 1);
+    for (int l = 0; l + 1 < layers; ++l) {
+      for (int i = 0; i < width; ++i) {
+        for (int j = 0; j < width; ++j) {
+          f.AddEdge(node(l, i), node(l + 1, j), 1);
+        }
+      }
+    }
+    for (int i = 0; i < width; ++i) f.AddEdge(node(layers - 1, i), 1, 1);
+    EXPECT_EQ(f.Compute(0, 1), width) << layers << "x" << width;
   }
-  for (int j = 4; j <= 6; ++j) {
-    for (int k = 7; k <= 9; ++k) f.AddEdge(j, k, 1);
-  }
-  for (int k = 7; k <= 9; ++k) f.AddEdge(k, 10, 1);
-  EXPECT_EQ(f.Compute(0, 10), 3);
 }
 
 TEST(MaxFlow, AddNode) {
@@ -162,17 +169,31 @@ TEST(Bipartite, CoverEqualsMatchingByKonig) {
 }
 
 TEST(Bipartite, CoverIsActuallyACover) {
-  BipartiteCover c(4, 4);
-  std::vector<std::pair<int, int>> edges = {{0, 1}, {0, 2}, {1, 0}, {2, 3},
-                                            {3, 3}, {1, 2}, {2, 0}};
-  for (auto [l, r] : edges) c.AddEdge(l, r);
-  c.Compute();
-  for (auto [l, r] : edges) {
-    EXPECT_TRUE(c.left_in_cover()[static_cast<size_t>(l)] ||
-                c.right_in_cover()[static_cast<size_t>(r)])
-        << l << "-" << r;
+  // A fixed 4x4 graph, then random G(16,1/8) and G(64,1/8).
+  std::vector<std::pair<int, std::vector<std::pair<int, int>>>> graphs = {
+      {4, {{0, 1}, {0, 2}, {1, 0}, {2, 3}, {3, 3}, {1, 2}, {2, 0}}}};
+  Rng rng(9);
+  for (int n : {16, 64}) {
+    std::vector<std::pair<int, int>> edges;
+    for (int l = 0; l < n; ++l) {
+      for (int r = 0; r < n; ++r) {
+        if (rng.Chance(1, 8)) edges.emplace_back(l, r);
+      }
+    }
+    graphs.push_back({n, edges});
   }
-  EXPECT_EQ(c.CoverSize(), c.MatchingSize());
+  for (const auto& [n, edges] : graphs) {
+    BipartiteCover c(n, n);
+    for (auto [l, r] : edges) c.AddEdge(l, r);
+    c.Compute();
+    for (auto [l, r] : edges) {
+      EXPECT_TRUE(c.left_in_cover()[static_cast<size_t>(l)] ||
+                  c.right_in_cover()[static_cast<size_t>(r)])
+          << n << ": " << l << "-" << r;
+    }
+    EXPECT_GT(c.MatchingSize(), 0) << n;
+    EXPECT_EQ(c.CoverSize(), c.MatchingSize()) << n;
+  }
 }
 
 TEST(Bipartite, EmptyGraph) {

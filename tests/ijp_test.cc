@@ -241,7 +241,8 @@ TEST_P(IjpVcComposition, ResilienceEqualsVcPlusEdgesTimesCMinus1) {
   }
   // Endpoint constant sets must be disjoint for the construction;
   // Example 59/60 endpoints are disjoint, Example 58's too.
-  for (const Graph& g : {Star(3), EvenCycleOriented(4), EvenCycleOriented(6)}) {
+  for (const Graph& g : {Star(3), Star(5), EvenCycleOriented(4),
+                         EvenCycleOriented(6)}) {
     std::optional<IjpVcInstance> inst =
         BuildIjpVcInstance(ex.query, ex.db, ex.endpoint_a, ex.endpoint_b,
                            ex.expected_resilience, g);

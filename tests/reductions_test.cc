@@ -133,22 +133,41 @@ TEST(VcQvcGadget, ResilienceEqualsVertexCover) {
   }
 }
 
+// G(10,0.3), G(12,0.5) and a second G(10,0.3), drawn in that order from
+// one stream: denser and larger than the random trials above.
+std::vector<Graph> SeededRandomGraphs() {
+  Rng rng(5);
+  Graph a = RandomGraph(10, 3, 10, rng);
+  Graph b = RandomGraph(12, 1, 2, rng);
+  Graph c = RandomGraph(10, 3, 10, rng);
+  return {a, b, c};
+}
+
 TEST(VcQvcGadget, NamedGraphs) {
-  for (const Graph& g : {CycleGraph(5), CompleteGraph(4), PetersenGraph()}) {
+  std::vector<Graph> graphs = {CycleGraph(5),    CycleGraph(8),
+                               CompleteGraph(4), CompleteGraph(5),
+                               PetersenGraph()};
+  for (const Graph& g : SeededRandomGraphs()) graphs.push_back(g);
+  for (const Graph& g : graphs) {
     VcQvcGadget gadget = BuildVcQvcGadget(g);
     EXPECT_EQ(ComputeResilienceExact(gadget.query, gadget.db).resilience,
-              MinVertexCover(g).size);
+              MinVertexCover(g).size)
+        << g.num_vertices << " vertices, " << g.edges.size() << " edges";
   }
 }
 
 // --- VC -> q_chain gadget (or-property paths) -----------------------------------
 
 TEST(VcChainGadget, ResilienceIsVcPlusEdges) {
-  for (const Graph& g :
-       {CycleGraph(4), CycleGraph(5), CompleteGraph(3), CompleteGraph(4)}) {
+  std::vector<Graph> graphs = {CycleGraph(4),    CycleGraph(5),
+                               CompleteGraph(3), CompleteGraph(4),
+                               PetersenGraph()};
+  for (const Graph& g : SeededRandomGraphs()) graphs.push_back(g);
+  for (const Graph& g : graphs) {
     VcChainGadget gadget = BuildVcQchainGadget(g);
     ResilienceResult r = ComputeResilienceExact(gadget.query, gadget.db);
-    EXPECT_EQ(r.resilience, MinVertexCover(g).size + gadget.offset);
+    EXPECT_EQ(r.resilience, MinVertexCover(g).size + gadget.offset)
+        << g.num_vertices << " vertices, " << g.edges.size() << " edges";
   }
 }
 
@@ -179,12 +198,22 @@ TEST(VcChainGadget, CoverPlusOnePerEdgeBreaksQuery) {
 // --- 3SAT -> q_chain gadget (Proposition 10 / Figure 10) -------------------------
 
 TEST(SatChainGadget, SatisfiableIffResilienceEqualsK) {
+  // Two draws: 3 variables with 2..3 clauses, then 3..4 variables with
+  // 2..4 clauses.
+  std::vector<CnfFormula> formulas;
   Rng rng(7);
-  int checked_sat = 0, checked_unsat = 0;
   for (int trial = 0; trial < 12; ++trial) {
-    int n = 3;
-    int m = 2 + static_cast<int>(rng.Below(2));  // 2..3 clauses
-    CnfFormula f = RandomCnf(n, m, 3, rng);
+    int m = 2 + static_cast<int>(rng.Below(2));
+    formulas.push_back(RandomCnf(3, m, 3, rng));
+  }
+  Rng wide(2020);
+  for (int trial = 0; trial < 8; ++trial) {
+    int n = 3 + static_cast<int>(wide.Below(2));
+    int m = 2 + static_cast<int>(wide.Below(3));
+    formulas.push_back(RandomCnf(n, m, 3, wide));
+  }
+  int checked_sat = 0, checked_unsat = 0;
+  for (const CnfFormula& f : formulas) {
     SatChainGadget gadget = BuildSatQchainGadget(f);
     ResilienceResult r = ComputeResilienceExact(gadget.query, gadget.db);
     if (IsSatisfiable(f)) {

@@ -75,6 +75,25 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+TEST(PTimeSolverAgreementAtScale, FlowConstructionsMatchExactUpTo200Tuples) {
+  // Past the random sweep's sizes: 50 and 200 tuples per relation over
+  // a quarter as many constants, so the PTIME constructions work on
+  // large connected regions.
+  for (const char* name : {"q_ACconf", "q_Aperm", "q_A3perm_R"}) {
+    Query q = MustParseQuery(FindCatalogEntry(name)->text);
+    for (int tuples : {50, 200}) {
+      Rng rng(0xABC ^ static_cast<uint64_t>(tuples));
+      Database db = RandomDatabase(q, tuples / 4, tuples, rng);
+      ResilienceResult fast = ComputeResilience(q, db);
+      ResilienceResult exact = ComputeResilienceExact(q, db);
+      ASSERT_EQ(fast.unbreakable, exact.unbreakable) << name << " " << tuples;
+      EXPECT_EQ(fast.resilience, exact.resilience) << name << " " << tuples;
+      EXPECT_TRUE(VerifyContingency(q, db, fast.contingency))
+          << name << " " << tuples;
+    }
+  }
+}
+
 // --- Hard queries still get correct answers through the exact solver ---------
 
 class HardSolverAgreement : public ::testing::TestWithParam<CatalogEntry> {};

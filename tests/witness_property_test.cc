@@ -11,6 +11,7 @@
 #include "db/witness.h"
 #include "legacy_witness.h"
 #include "util/rng.h"
+#include "workload/scenario.h"
 
 namespace rescq {
 namespace {
@@ -206,6 +207,33 @@ TEST(WitnessScale, LargeChainInstanceEnumerates) {
     db.AddTuple("R", {db.InternIndexed("n", i), db.InternIndexed("n", i + 1)});
   }
   EXPECT_EQ(EnumerateWitnesses(q, db, kNoWitnessLimit).size(), 399u);
+}
+
+TEST(WitnessScale, ArenaHoldsAtMostHalfTheLegacyBytes) {
+  // The serving-shaped workloads: sparse ER vertex cover (many small
+  // components) and a dense permutation instance (density 8 puts ~8
+  // noise edges per node on the permutation, so q_perm's mutual pairs
+  // number in the dozens). The span arena must hold at most half the
+  // bytes of the legacy per-set vectors plus their dedup index.
+  constexpr double kMinReduction = 2.0;
+  struct Workload {
+    const char* scenario;
+    int size;
+    double density;
+  };
+  for (const Workload& w :
+       {Workload{"vc_er", 1200, 0.00075}, Workload{"perm", 64, 8.0}}) {
+    const Scenario* scenario = FindScenario(w.scenario);
+    ASSERT_NE(scenario, nullptr) << w.scenario;
+    Database db = scenario->generate({w.size, w.density, 1});
+    WitnessFamily family = CollectWitnessFamily(
+        MustParseQuery(scenario->query), db, kNoWitnessLimit);
+    ASSERT_GT(family.size(), 0u) << w.scenario;
+    const double ratio =
+        static_cast<double>(LegacyFamilyBytes(family.Materialize())) /
+        static_cast<double>(family.ApproxBytes());
+    EXPECT_GE(ratio, kMinReduction) << w.scenario;
+  }
 }
 
 }  // namespace

@@ -1015,7 +1015,7 @@ int CmdLoadgen(const std::vector<std::string>& args) {
               Unsigned("--witness-limit", &options.witness_limit),
               Unsigned("--node-budget", &options.node_budget),
               Text("--session-prefix", &options.session_prefix),
-              PositiveInt("--timeout-ms", &options.timeout_ms)},
+              Unsigned("--timeout-ms", &options.timeout_ms, 0, INT32_MAX)},
              OutputFlags(&files)});
   if (!ParseFlags("loadgen", args, flags, nullptr)) return 2;
   if (options.port <= 0) {
