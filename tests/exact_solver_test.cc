@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cq/parser.h"
 #include "db/database.h"
 #include "db/witness.h"
@@ -222,19 +224,42 @@ TEST(HittingSet, NodeBudgetReturnsFeasibleIncumbent) {
 // the vc_er / vc_grid scenarios (seed 1). Frozen from the release where
 // the pre-overhaul branch-and-bound and the current solver agreed on
 // every case. Each vc_grid optimum is floor(n/2), the grid's vertex
-// cover number.
+// cover number. The search trace is pinned as well: node and prune
+// counts plus the chosen elements (hitting-set element ids, ascending).
+// A change to the search's data layout must not move any of them; only
+// a deliberate change to its branching or bounds may. vc_er 26 and 40
+// run past kFlowBoundMinNodes, so their rows cover flow-bound prunes.
 struct FrozenOptimum {
   const char* scenario;
   int size;
   size_t sets;
   int rho;
+  uint64_t nodes;
+  uint64_t packing_prunes;
+  uint64_t flow_prunes;
+  const char* chosen;
 };
 
 constexpr FrozenOptimum kFrozenOptima[] = {
-    {"vc_er", 16, 57, 10},    {"vc_er", 20, 93, 14},
-    {"vc_er", 24, 131, 18},   {"vc_er", 26, 148, 20},
-    {"vc_grid", 25, 40, 12},  {"vc_grid", 49, 84, 24},
-    {"vc_grid", 64, 112, 32}, {"vc_grid", 81, 144, 40},
+    {"vc_er", 16, 57, 10, 13, 1, 0, "0 5 7 9 11 13 15 17 21 24"},
+    {"vc_er", 20, 93, 14, 21, 3, 0, "0 1 3 7 9 13 15 17 19 27 34 46 55 76"},
+    {"vc_er", 24, 131, 18, 29, 8, 0,
+     "0 1 3 5 9 11 13 17 19 21 26 30 32 41 44 46 48 54"},
+    {"vc_er", 26, 148, 20, 33, 7, 2,
+     "0 1 3 5 7 9 13 15 17 19 21 25 29 33 37 39 43 58 61 78"},
+    {"vc_er", 40, 360, 33, 113, 16, 19,
+     "0 1 3 5 7 9 11 13 15 17 19 21 25 35 41 45 49 51 53 55 57 59 62 64 69 "
+     "74 76 78 84 98 112 125 173"},
+    {"vc_grid", 25, 40, 12, 3, 1, 0, "1 3 9 11 17 23 29 34 40 45 51 57"},
+    {"vc_grid", 49, 84, 24, 5, 2, 0,
+     "1 3 9 11 17 19 25 31 37 43 48 54 60 65 71 77 83 88 94 100 105 111 117 "
+     "123"},
+    {"vc_grid", 64, 112, 32, 1, 1, 0,
+     "0 5 7 13 15 21 23 29 32 38 44 50 58 64 70 75 78 84 90 96 104 110 116 "
+     "121 124 130 136 142 150 156 162 167"},
+    {"vc_grid", 81, 144, 40, 7, 3, 0,
+     "1 3 9 11 17 19 25 27 33 39 45 51 57 62 68 74 80 85 91 97 103 109 114 "
+     "120 126 132 137 143 149 155 161 166 172 178 184 189 195 201 207 213"},
 };
 
 TEST(HittingSet, ScenarioFamiliesMatchTheFrozenOptima) {
@@ -249,10 +274,21 @@ TEST(HittingSet, ScenarioFamiliesMatchTheFrozenOptima) {
         CollectWitnessFamily(MustParseQuery(scenario->query), db,
                              kNoWitnessLimit),
         &tuples);
-    HittingSetResult r = SolveMinHittingSet(family);
+    ExactStats stats;
+    HittingSetResult r = SolveMinHittingSet(family, ExactOptions{}, &stats);
+    std::string chosen;
+    for (int e : r.chosen) {
+      chosen += (chosen.empty() ? "" : " ") + std::to_string(e);
+    }
     EXPECT_EQ(family.size(), c.sets) << c.scenario << " " << c.size;
     EXPECT_EQ(r.size, c.rho) << c.scenario << " " << c.size;
     EXPECT_TRUE(r.proven_optimal) << c.scenario << " " << c.size;
+    EXPECT_EQ(stats.nodes, c.nodes) << c.scenario << " " << c.size;
+    EXPECT_EQ(stats.packing_prunes, c.packing_prunes)
+        << c.scenario << " " << c.size;
+    EXPECT_EQ(stats.flow_prunes, c.flow_prunes)
+        << c.scenario << " " << c.size;
+    EXPECT_EQ(chosen, c.chosen) << c.scenario << " " << c.size;
   }
 }
 
