@@ -23,10 +23,14 @@ void BM_ComponentFlowHittingSet(benchmark::State& state,
   }
 }
 
+// vc_er 32 and 40 run past kFlowBoundMinNodes, so the flow bound fires
+// and the cover search backtracks through its undo trail.
 BENCHMARK_CAPTURE(BM_ComponentFlowHittingSet, vc_er, "vc_er")
     ->Arg(16)
     ->Arg(20)
     ->Arg(24)
+    ->Arg(32)
+    ->Arg(40)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_ComponentFlowHittingSet, vc_grid, "vc_grid")
     ->Arg(25)

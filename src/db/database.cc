@@ -1,9 +1,25 @@
 #include "db/database.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 #include "util/string_util.h"
 
 namespace rescq {
+
+size_t Database::RelationData::Probe(const Value* row) const {
+  const size_t mask = index.size() - 1;
+  for (size_t slot = HashValues(row, static_cast<size_t>(arity)) & mask;;
+       slot = (slot + 1) & mask) {
+    const int32_t r = index[slot];
+    if (r < 0 || std::equal(row, row + arity, this->row(r))) return slot;
+  }
+}
+
+void Database::RelationData::GrowIndex() {
+  index.assign(std::max<size_t>(8, 2 * index.size()), -1);
+  for (int r = 0; r < num_rows(); ++r) index[Probe(row(r))] = r;
+}
 
 Value Database::Intern(const std::string& name) {
   auto it = value_ids_.find(name);
@@ -54,12 +70,17 @@ TupleId Database::AddTuple(const std::string& relation,
                            const std::vector<Value>& values) {
   int rel = AddRelation(relation, static_cast<int>(values.size()));
   RelationData& data = relations_[static_cast<size_t>(rel)];
-  auto it = data.row_index.find(values);
-  if (it != data.row_index.end()) return TupleId{rel, it->second};
-  int row = static_cast<int>(data.rows.size());
-  data.rows.push_back(values);
+  if (data.index.empty()) data.GrowIndex();
+  size_t slot = data.Probe(values.data());
+  if (data.index[slot] >= 0) return TupleId{rel, data.index[slot]};
+  const int row = data.num_rows();
+  if (2 * (static_cast<size_t>(row) + 1) > data.index.size()) {
+    data.GrowIndex();
+    slot = data.Probe(values.data());
+  }
+  data.values.insert(data.values.end(), values.begin(), values.end());
   data.active.push_back(true);
-  data.row_index[values] = row;
+  data.index[slot] = row;
   ++num_active_;
   return TupleId{rel, row};
 }
@@ -69,9 +90,12 @@ std::optional<TupleId> Database::FindTuple(
   int rel = RelationId(relation);
   if (rel < 0) return std::nullopt;
   const RelationData& data = relations_[static_cast<size_t>(rel)];
-  auto it = data.row_index.find(values);
-  if (it == data.row_index.end()) return std::nullopt;
-  return TupleId{rel, it->second};
+  if (static_cast<int>(values.size()) != data.arity || data.index.empty()) {
+    return std::nullopt;
+  }
+  const int32_t row = data.index[data.Probe(values.data())];
+  if (row < 0) return std::nullopt;
+  return TupleId{rel, row};
 }
 
 std::optional<TupleId> Database::FindTupleByNames(
@@ -88,12 +112,7 @@ std::optional<TupleId> Database::FindTupleByNames(
 }
 
 int Database::NumRows(int rel) const {
-  return static_cast<int>(relations_[static_cast<size_t>(rel)].rows.size());
-}
-
-const std::vector<Value>& Database::Row(TupleId id) const {
-  return relations_[static_cast<size_t>(id.relation)]
-      .rows[static_cast<size_t>(id.row)];
+  return relations_[static_cast<size_t>(rel)].num_rows();
 }
 
 bool Database::IsActive(TupleId id) const {
@@ -114,23 +133,22 @@ void Database::ActivateAll() {
   num_active_ = 0;
   for (RelationData& data : relations_) {
     std::fill(data.active.begin(), data.active.end(), true);
-    num_active_ += static_cast<int>(data.rows.size());
+    num_active_ += data.num_rows();
   }
 }
 
 std::vector<TupleId> Database::ActiveTuples(int rel) const {
   std::vector<TupleId> out;
   const RelationData& data = relations_[static_cast<size_t>(rel)];
-  for (int row = 0; row < static_cast<int>(data.rows.size()); ++row) {
+  for (int row = 0; row < data.num_rows(); ++row) {
     if (data.active[static_cast<size_t>(row)]) out.push_back(TupleId{rel, row});
   }
   return out;
 }
 
 std::string Database::TupleToString(TupleId id) const {
-  const RelationData& data = relations_[static_cast<size_t>(id.relation)];
-  std::string s = data.name + "(";
-  const std::vector<Value>& row = data.rows[static_cast<size_t>(id.row)];
+  std::string s = relation_name(id.relation) + "(";
+  const RowView row = Row(id);
   for (size_t i = 0; i < row.size(); ++i) {
     if (i > 0) s += ",";
     s += ValueName(row[i]);

@@ -1,15 +1,34 @@
 #ifndef RESCQ_DB_DATABASE_H_
 #define RESCQ_DB_DATABASE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "db/value.h"
-#include "util/fnv.h"
 
 namespace rescq {
+
+/// A read-only view of one stored row: its values, contiguous in the
+/// relation's storage. A view is invalidated by the next AddTuple (the
+/// storage may grow and move); copy the values out to keep them across
+/// inserts.
+class RowView {
+ public:
+  RowView(const Value* data, size_t size) : data_(data), size_(size) {}
+
+  const Value* begin() const { return data_; }
+  const Value* end() const { return data_ + size_; }
+  size_t size() const { return size_; }
+  Value operator[](size_t i) const { return data_[i]; }
+
+ private:
+  const Value* data_;
+  size_t size_;
+};
 
 /// A database instance: a set of named relations over an interned value
 /// domain. Tuples can be *deactivated* (simulating deletion) and
@@ -61,7 +80,8 @@ class Database {
       const std::vector<std::string>& constants) const;
 
   int NumRows(int rel) const;
-  const std::vector<Value>& Row(TupleId id) const;
+  /// The tuple's values; see RowView for how long the view stays valid.
+  RowView Row(TupleId id) const;
   bool IsActive(TupleId id) const;
   void SetActive(TupleId id, bool active);
   void ActivateAll();
@@ -76,25 +96,29 @@ class Database {
   std::string TupleToString(TupleId id) const;
 
  private:
-  // FNV-1a over the value ids (the shared util/fnv implementation) —
-  // the exact-match row index is on the update hot path (every
-  // insert/delete resolves through it), so rows hash directly instead
-  // of being serialized into string keys.
-  struct RowHash {
-    size_t operator()(const std::vector<Value>& values) const {
-      Fnv1a h;
-      for (Value v : values) h.MixU32(static_cast<uint32_t>(v));
-      return static_cast<size_t>(h.digest());
-    }
-  };
-
+  // One relation's rows, stored flat: row r is values[r * arity, (r + 1)
+  // * arity). `index` is an open-addressing exact-match table for
+  // FindTuple and duplicate suppression: each slot holds a row id (-1 =
+  // empty), probed linearly from the row's hash and compared against
+  // `values`. Its capacity is a power of two, at least twice the row
+  // count.
   struct RelationData {
     std::string name;
     int arity = 0;
-    std::vector<std::vector<Value>> rows;
-    std::vector<bool> active;
-    // Exact-match index for FindTuple / duplicate suppression.
-    std::unordered_map<std::vector<Value>, int, RowHash> row_index;
+    std::vector<Value> values;
+    std::vector<bool> active;  // one per row: its size is the row count
+    std::vector<int32_t> index;
+
+    int num_rows() const { return static_cast<int>(active.size()); }
+    const Value* row(int r) const {
+      return values.data() +
+             static_cast<size_t>(r) * static_cast<size_t>(arity);
+    }
+    /// The slot holding the row equal to `row`, or else the empty slot
+    /// where it would go. The index must be non-empty.
+    size_t Probe(const Value* row) const;
+    /// Doubles the index (or creates it) and re-inserts every row.
+    void GrowIndex();
   };
 
   std::vector<std::string> value_names_;
@@ -103,6 +127,11 @@ class Database {
   std::unordered_map<std::string, int> relation_ids_;
   int num_active_ = 0;
 };
+
+inline RowView Database::Row(TupleId id) const {
+  const RelationData& data = relations_[static_cast<size_t>(id.relation)];
+  return RowView(data.row(id.row), static_cast<size_t>(data.arity));
+}
 
 }  // namespace rescq
 

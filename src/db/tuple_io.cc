@@ -143,7 +143,7 @@ void WriteTuples(const Database& db, std::ostream& out,
   for (int rel = 0; rel < db.num_relations(); ++rel) {
     for (TupleId id : db.ActiveTuples(rel)) {
       out << db.relation_name(rel) << "(";
-      const std::vector<Value>& row = db.Row(id);
+      RowView row = db.Row(id);
       for (size_t i = 0; i < row.size(); ++i) {
         if (i > 0) out << ", ";
         out << db.ValueName(row[i]);

@@ -1,8 +1,11 @@
 #ifndef RESCQ_DB_VALUE_H_
 #define RESCQ_DB_VALUE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+
+#include "util/fnv.h"
 
 namespace rescq {
 
@@ -32,6 +35,15 @@ struct TupleIdHash {
         static_cast<uint32_t>(t.row));
   }
 };
+
+/// FNV-1a over a run of values (the shared util/fnv hash), for hashed
+/// exact-match lookups keyed by rows or interface values: the values
+/// hash directly instead of being serialized into string keys.
+inline size_t HashValues(const Value* values, size_t n) {
+  Fnv1a h;
+  for (size_t i = 0; i < n; ++i) h.MixU32(static_cast<uint32_t>(values[i]));
+  return static_cast<size_t>(h.digest());
+}
 
 }  // namespace rescq
 

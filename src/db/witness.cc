@@ -117,7 +117,7 @@ struct Enumerator {
   }
 
   void IndexRow(ColumnIndex& idx, int rel, int row) {
-    const std::vector<Value>& t = db.Row(TupleId{rel, row});
+    RowView t = db.Row(TupleId{rel, row});
     const int arity = db.relation_arity(rel);
     for (int c = 0; c < arity; ++c) {
       auto [it, inserted] =
@@ -280,7 +280,7 @@ struct Enumerator {
       if (changed != nullptr && ai < pinned_atom && changed->count(id) > 0) {
         return true;
       }
-      const std::vector<Value>& t = db.Row(id);
+      RowView t = db.Row(id);
       std::vector<VarId>& newly_bound = newly_bound_stack[depth];
       newly_bound.clear();
       bool ok = true;

@@ -14,7 +14,7 @@ namespace rescq {
 namespace {
 
 std::set<Value> ConstantSet(const Database& db, TupleId t) {
-  const std::vector<Value>& row = db.Row(t);
+  RowView row = db.Row(t);
   return std::set<Value>(row.begin(), row.end());
 }
 
@@ -37,6 +37,13 @@ int ResilienceWithout(const Query& q, Database& db,
 
 IjpCheckResult CheckIjp(const Query& q, Database& db, TupleId endpoint_a,
                         TupleId endpoint_b) {
+  return internal::CheckIjp(q, db, endpoint_a, endpoint_b,
+                            EnumerateWitnesses(q, db, kNoWitnessLimit));
+}
+
+IjpCheckResult internal::CheckIjp(const Query& q, Database& db,
+                                  TupleId endpoint_a, TupleId endpoint_b,
+                                  const std::vector<Witness>& witnesses) {
   IjpCheckResult out;
 
   // Condition 1: same relation, incomparable constant sets.
@@ -67,7 +74,6 @@ IjpCheckResult CheckIjp(const Query& q, Database& db, TupleId endpoint_a,
 
   // Condition 2: each endpoint in exactly one witness; those witnesses use
   // exactly m distinct tuples.
-  std::vector<Witness> witnesses = EnumerateWitnesses(q, db, kNoWitnessLimit);
   int count_a = 0, count_b = 0;
   const Witness* wa = nullptr;
   const Witness* wb = nullptr;
@@ -125,8 +131,8 @@ IjpCheckResult CheckIjp(const Query& q, Database& db, TupleId endpoint_a,
   }
 
   // Condition 4: exogenous projections must exist for both endpoints.
-  const std::vector<Value>& row_a = db.Row(endpoint_a);
-  const std::vector<Value>& row_b = db.Row(endpoint_b);
+  RowView row_a = db.Row(endpoint_a);
+  RowView row_b = db.Row(endpoint_b);
   RESCQ_CHECK_EQ(row_a.size(), row_b.size());
   for (int rel = 0; rel < db.num_relations(); ++rel) {
     const std::string& name = db.relation_name(rel);

@@ -7,6 +7,7 @@
 
 #include "cq/query.h"
 #include "db/database.h"
+#include "db/witness.h"
 
 namespace rescq {
 
@@ -42,6 +43,18 @@ struct IjpCheckResult {
 /// Condition 5 uses the exact solver (4 calls).
 IjpCheckResult CheckIjp(const Query& q, Database& db, TupleId endpoint_a,
                         TupleId endpoint_b);
+
+namespace internal {
+
+/// CheckIjp given `witnesses`, the witnesses of (q, db) as db stands.
+/// CheckIjp enumerates them and calls this; SearchForIjp enumerates each
+/// partition database once and checks all of its endpoint pairs against
+/// that one list.
+IjpCheckResult CheckIjp(const Query& q, Database& db, TupleId endpoint_a,
+                        TupleId endpoint_b,
+                        const std::vector<Witness>& witnesses);
+
+}  // namespace internal
 
 }  // namespace rescq
 

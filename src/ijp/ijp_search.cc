@@ -1,6 +1,7 @@
 #include "ijp/ijp_search.h"
 
 #include <map>
+#include <vector>
 
 #include "util/check.h"
 #include "util/combinatorics.h"
@@ -60,6 +61,10 @@ IjpSearchResult SearchForIjp(const Query& q, const IjpSearchOptions& options) {
         return true;
       }
       Database db = BuildMergedDatabase(q, k, rgs);
+      // One enumeration serves every pair: CheckIjp leaves db's activity
+      // as it found it.
+      const std::vector<Witness> witnesses =
+          EnumerateWitnesses(q, db, kNoWitnessLimit);
       // Try every endpoint pair of every endogenous relation.
       for (int rel = 0; rel < db.num_relations(); ++rel) {
         const std::string& name = db.relation_name(rel);
@@ -68,7 +73,8 @@ IjpSearchResult SearchForIjp(const Query& q, const IjpSearchOptions& options) {
         for (size_t i = 0; i < tuples.size(); ++i) {
           for (size_t j = i + 1; j < tuples.size(); ++j) {
             ++result.candidates_checked;
-            IjpCheckResult check = CheckIjp(q, db, tuples[i], tuples[j]);
+            IjpCheckResult check = internal::CheckIjp(
+                q, db, tuples[i], tuples[j], witnesses);
             if (check.is_ijp) {
               result.found = true;
               result.joins = k;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <map>
 #include <numeric>
-#include <set>
 #include <utility>
 
 #include "flow/max_flow.h"
@@ -443,67 +442,104 @@ struct Solver {
 // bound backed by the fractional-matching flow bound, and a max-degree
 // greedy cover seeding the incumbent. Cycles and trees collapse under
 // the reductions, which is what the paper's variable gadgets are made of.
+//
+// The graph is built once as CSR neighbour lists (each ascending) and
+// never copied: taking a vertex into the cover only marks it taken and
+// decrements its live neighbours' degrees. An edge is live while neither
+// endpoint is taken. `cover` doubles as the undo trail — every taken
+// vertex is on it, in take order — so a branch backtracks by popping it
+// back to the size it had on entry.
 struct VcSolver {
-  std::vector<std::set<int>> adj;
+  std::vector<int> offsets;     // CSR: offsets[v]..offsets[v+1] in `nbrs`
+  std::vector<int> nbrs;        // ascending per vertex
+  std::vector<int> degree;      // live degree; 0 once taken
+  std::vector<uint8_t> taken;   // per vertex
   SearchCtx* ctx = nullptr;
-  std::vector<int> cover;   // current partial cover
+  std::vector<int> cover;   // current partial cover, and the undo trail
   std::vector<int> best;
   size_t best_size = ~size_t{0};
+  // Scratch reused by every node's bounds.
+  std::vector<uint8_t> matched;
+  std::vector<std::pair<int, int>> edges;
+
+  size_t num_vertices() const { return degree.size(); }
+  const int* begin(size_t v) const { return nbrs.data() + offsets[v]; }
+  const int* end(size_t v) const { return nbrs.data() + offsets[v + 1]; }
 
   void TakeVertex(int v) {
+    const size_t vi = static_cast<size_t>(v);
     cover.push_back(v);
-    std::set<int> neighbors = adj[static_cast<size_t>(v)];
-    for (int u : neighbors) {
-      adj[static_cast<size_t>(u)].erase(v);
+    taken[vi] = 1;
+    degree[vi] = 0;
+    for (const int* u = begin(vi); u != end(vi); ++u) {
+      if (!taken[static_cast<size_t>(*u)]) --degree[static_cast<size_t>(*u)];
     }
-    adj[static_cast<size_t>(v)].clear();
+  }
+
+  // Pops the trail back to `size`, restoring every popped vertex's edges.
+  void UndoTo(size_t size) {
+    while (cover.size() > size) {
+      const size_t vi = static_cast<size_t>(cover.back());
+      cover.pop_back();
+      taken[vi] = 0;
+      for (const int* u = begin(vi); u != end(vi); ++u) {
+        if (taken[static_cast<size_t>(*u)]) continue;
+        ++degree[static_cast<size_t>(*u)];
+        ++degree[vi];
+      }
+    }
   }
 
   void Reduce() {
     bool changed = true;
     while (changed) {
       changed = false;
-      for (size_t v = 0; v < adj.size(); ++v) {
-        if (adj[v].size() == 1) {
-          TakeVertex(*adj[v].begin());
-          changed = true;
-        }
+      for (size_t v = 0; v < num_vertices(); ++v) {
+        if (degree[v] != 1) continue;
+        const int* u = begin(v);
+        while (taken[static_cast<size_t>(*u)]) ++u;
+        TakeVertex(*u);
+        changed = true;
       }
     }
+  }
+
+  // The lowest-numbered vertex of maximum live degree; -1 if no edge is
+  // left.
+  int MaxDegreeVertex() const {
+    int v = -1;
+    int max_deg = 0;
+    for (size_t u = 0; u < num_vertices(); ++u) {
+      if (degree[u] > max_deg) {
+        max_deg = degree[u];
+        v = static_cast<int>(u);
+      }
+    }
+    return v;
   }
 
   // Max-degree greedy cover: seeds `best` so that pruning bites from the
   // first search node and a budget-stopped search still holds a feasible
   // answer.
   void GreedySeed() {
-    std::vector<std::set<int>> saved = adj;
-    for (;;) {
-      int v = -1;
-      size_t max_deg = 0;
-      for (size_t u = 0; u < adj.size(); ++u) {
-        if (adj[u].size() > max_deg) {
-          max_deg = adj[u].size();
-          v = static_cast<int>(u);
-        }
-      }
-      if (v < 0) break;
+    for (int v = MaxDegreeVertex(); v >= 0; v = MaxDegreeVertex()) {
       TakeVertex(v);
     }
     best = cover;
     best_size = cover.size();
-    adj = std::move(saved);
-    cover.clear();
+    UndoTo(0);
   }
 
-  size_t MatchingLowerBound() const {
-    std::vector<bool> used(adj.size(), false);
+  size_t MatchingLowerBound() {
+    matched.assign(num_vertices(), 0);
     size_t matching = 0;
-    for (size_t v = 0; v < adj.size(); ++v) {
-      if (used[v]) continue;
-      for (int u : adj[v]) {
-        if (!used[static_cast<size_t>(u)]) {
-          used[v] = true;
-          used[static_cast<size_t>(u)] = true;
+    for (size_t v = 0; v < num_vertices(); ++v) {
+      if (taken[v] || matched[v]) continue;
+      for (const int* u = begin(v); u != end(v); ++u) {
+        const size_t ui = static_cast<size_t>(*u);
+        if (!taken[ui] && !matched[ui]) {
+          matched[v] = 1;
+          matched[ui] = 1;
           ++matching;
           break;
         }
@@ -515,29 +551,25 @@ struct VcSolver {
   // Fractional matching over the remaining edges (see
   // FractionalMatchingBound): exact on bipartite residuals by König, and
   // gains the +1/2-per-odd-component the greedy matching leaves behind.
-  size_t FlowLowerBound() const {
-    std::vector<std::pair<int, int>> edges;
-    for (size_t v = 0; v < adj.size(); ++v) {
-      for (int u : adj[v]) {
-        if (u > static_cast<int>(v)) edges.emplace_back(static_cast<int>(v), u);
+  size_t FlowLowerBound() {
+    edges.clear();
+    for (size_t v = 0; v < num_vertices(); ++v) {
+      if (taken[v]) continue;
+      for (const int* u = begin(v); u != end(v); ++u) {
+        if (*u > static_cast<int>(v) && !taken[static_cast<size_t>(*u)]) {
+          edges.emplace_back(static_cast<int>(v), *u);
+        }
       }
     }
     if (edges.size() < kFlowBoundMinEdges) return 0;  // not worth a Dinic run
     return static_cast<size_t>(
-        FractionalMatchingBound(edges, static_cast<int>(adj.size())));
+        FractionalMatchingBound(edges, static_cast<int>(num_vertices())));
   }
 
   void Search() {
     if (!ctx->TakeNode()) return;
     Reduce();
-    int branch = -1;
-    size_t max_deg = 0;
-    for (size_t v = 0; v < adj.size(); ++v) {
-      if (adj[v].size() > max_deg) {
-        max_deg = adj[v].size();
-        branch = static_cast<int>(v);
-      }
-    }
+    const int branch = MaxDegreeVertex();
     if (branch < 0) {
       if (cover.size() < best_size) {
         best = cover;
@@ -558,20 +590,21 @@ struct VcSolver {
       }
     }
 
-    std::vector<std::set<int>> saved_adj = adj;
-    size_t saved_cover = cover.size();
+    const size_t saved_cover = cover.size();
     // Branch 1: v in the cover.
     TakeVertex(branch);
     Search();
-    adj = saved_adj;
-    cover.resize(saved_cover);
+    UndoTo(saved_cover);
     if (ctx->BudgetExceeded()) return;
-    // Branch 2: all neighbors of v in the cover.
-    std::set<int> neighbors = adj[static_cast<size_t>(branch)];
-    for (int u : neighbors) TakeVertex(u);
+    // Branch 2: all neighbors of v in the cover. Only the neighbour being
+    // taken changes state, so the live test still sees the list as it
+    // was on entry.
+    const size_t bi = static_cast<size_t>(branch);
+    for (const int* u = begin(bi); u != end(bi); ++u) {
+      if (!taken[static_cast<size_t>(*u)]) TakeVertex(*u);
+    }
     Search();
-    adj = saved_adj;
-    cover.resize(saved_cover);
+    UndoTo(saved_cover);
   }
 };
 
@@ -583,24 +616,43 @@ struct VcInstance {
 };
 
 // Builds the cover instance for one component; every span must have
-// size 1 or 2 (deduplicated). Edges touching a forced element are
-// already hit and stay out of the graph.
+// size 1 or 2 (deduplicated, so no edge repeats). Edges touching a
+// forced element are already hit and stay out of the graph.
 VcInstance BuildVcInstance(const Family& f, int num_elements) {
-  std::vector<bool> forced(static_cast<size_t>(num_elements), false);
+  const size_t n = static_cast<size_t>(num_elements);
+  std::vector<bool> forced(n, false);
   for (size_t i = 0; i < f.size(); ++i) {
     if (f.len(i) == 1) forced[static_cast<size_t>(f.begin(i)[0])] = true;
   }
+  auto is_edge = [&](size_t i) {
+    return f.len(i) == 2 && !forced[static_cast<size_t>(f.begin(i)[0])] &&
+           !forced[static_cast<size_t>(f.begin(i)[1])];
+  };
   VcInstance inst;
-  inst.vc.adj.resize(static_cast<size_t>(num_elements));
+  VcSolver& vc = inst.vc;
+  vc.degree.assign(n, 0);
   for (size_t i = 0; i < f.size(); ++i) {
-    if (f.len(i) != 2) continue;
-    const int a = f.begin(i)[0], b = f.begin(i)[1];
-    if (forced[static_cast<size_t>(a)] || forced[static_cast<size_t>(b)]) {
-      continue;  // already hit
-    }
-    inst.vc.adj[static_cast<size_t>(a)].insert(b);
-    inst.vc.adj[static_cast<size_t>(b)].insert(a);
+    if (!is_edge(i)) continue;
+    ++vc.degree[static_cast<size_t>(f.begin(i)[0])];
+    ++vc.degree[static_cast<size_t>(f.begin(i)[1])];
   }
+  vc.offsets.assign(n + 1, 0);
+  for (size_t v = 0; v < n; ++v) {
+    vc.offsets[v + 1] = vc.offsets[v] + vc.degree[v];
+  }
+  vc.nbrs.resize(static_cast<size_t>(vc.offsets[n]));
+  std::vector<int> pos(vc.offsets.begin(), vc.offsets.end() - 1);
+  for (size_t i = 0; i < f.size(); ++i) {
+    if (!is_edge(i)) continue;
+    const int a = f.begin(i)[0], b = f.begin(i)[1];
+    vc.nbrs[static_cast<size_t>(pos[static_cast<size_t>(a)]++)] = b;
+    vc.nbrs[static_cast<size_t>(pos[static_cast<size_t>(b)]++)] = a;
+  }
+  for (size_t v = 0; v < n; ++v) {
+    std::sort(vc.nbrs.begin() + vc.offsets[v],
+              vc.nbrs.begin() + vc.offsets[v + 1]);
+  }
+  vc.taken.assign(n, 0);
   for (int e = 0; e < num_elements; ++e) {
     if (forced[static_cast<size_t>(e)]) inst.forced.push_back(e);
   }

@@ -1,7 +1,8 @@
 #include "resilience/linear_flow_solver.h"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "complexity/linearity.h"
 #include "db/witness.h"
@@ -9,6 +10,16 @@
 #include "util/check.h"
 
 namespace rescq {
+
+namespace {
+
+struct ValuesHash {
+  size_t operator()(const std::vector<Value>& values) const {
+    return HashValues(values.data(), values.size());
+  }
+};
+
+}  // namespace
 
 std::optional<ResilienceResult> SolveLinearFlow(
     const Query& q, const Database& db,
@@ -18,58 +29,57 @@ std::optional<ResilienceResult> SolveLinearFlow(
   const std::vector<int>& order = *order_opt;
   const int m = q.num_atoms();
   std::vector<std::vector<VarId>> interfaces = LinearInterfaces(q, order);
-
-  std::vector<Witness> witnesses = EnumerateWitnesses(q, db, kNoWitnessLimit);
   ResilienceResult result;
   result.solver = SolverKind::kLinearFlow;
-  if (witnesses.empty()) return result;
 
   MaxFlow flow(2);  // s = 0, t = 1
   const int s = 0;
   const int t = 1;
-  // Interface nodes: (boundary index, interface values) -> node.
-  std::map<std::pair<int, std::vector<Value>>, int> nodes;
-  auto boundary_node = [&](int boundary, const std::vector<Value>& key) {
+  // Interface nodes per inner boundary: interface values -> node. The
+  // key buffer is reused, so only a boundary's first sight of a key
+  // allocates.
+  std::vector<std::unordered_map<std::vector<Value>, int, ValuesHash>>
+      nodes(static_cast<size_t>(m));
+  std::vector<Value> key;
+  auto boundary_node = [&](const Witness& w, int boundary) {
     if (boundary == 0) return s;
     if (boundary == m) return t;
-    auto [it, inserted] = nodes.try_emplace({boundary, key}, -1);
+    key.clear();
+    for (VarId v : interfaces[static_cast<size_t>(boundary - 1)]) {
+      key.push_back(w.assignment[static_cast<size_t>(v)]);
+    }
+    auto [it, inserted] =
+        nodes[static_cast<size_t>(boundary)].try_emplace(key, -1);
     if (inserted) it->second = flow.AddNode();
     return it->second;
   };
-  // Edges: (position, tuple) -> edge index; edge tag indexes edge_tuples.
-  std::map<std::pair<int, TupleId>, int> edges;
+  // The tuples that already have an edge, per position; edge tags index
+  // edge_tuples.
+  std::vector<std::unordered_set<TupleId, TupleIdHash>> edges(
+      static_cast<size_t>(m));
   std::vector<TupleId> edge_tuples;
   std::vector<bool> edge_deletable;
 
-  for (const Witness& w : witnesses) {
+  // Witnesses stream in enumeration order, so nodes and edges are added
+  // in the same order a materialized witness list would give. With no
+  // witness the graph has no edge, and the cut below is empty.
+  ForEachWitness(q, db, [&](const Witness& w) {
     for (int pos = 0; pos < m; ++pos) {
       int atom_idx = order[static_cast<size_t>(pos)];
       TupleId tuple = w.atom_tuples[static_cast<size_t>(atom_idx)];
-      auto key = std::make_pair(pos, tuple);
-      if (edges.count(key)) continue;
-
-      std::vector<Value> left_key, right_key;
-      if (pos > 0) {
-        for (VarId v : interfaces[static_cast<size_t>(pos - 1)]) {
-          left_key.push_back(w.assignment[static_cast<size_t>(v)]);
-        }
-      }
-      if (pos < m - 1) {
-        for (VarId v : interfaces[static_cast<size_t>(pos)]) {
-          right_key.push_back(w.assignment[static_cast<size_t>(v)]);
-        }
-      }
-      int from = boundary_node(pos, left_key);
-      int to = boundary_node(pos + 1, right_key);
+      if (!edges[static_cast<size_t>(pos)].insert(tuple).second) continue;
+      int from = boundary_node(w, pos);
+      int to = boundary_node(w, pos + 1);
       bool deletable = !q.atom(atom_idx).exogenous &&
                        !(force_undeletable && force_undeletable(db, tuple));
       int64_t cap = deletable ? 1 : kInfCapacity;
       int tag = static_cast<int>(edge_tuples.size());
       edge_tuples.push_back(tuple);
       edge_deletable.push_back(deletable);
-      edges[key] = flow.AddEdge(from, to, cap, tag);
+      flow.AddEdge(from, to, cap, tag);
     }
-  }
+    return true;
+  });
 
   int64_t value = flow.Compute(s, t);
   if (value >= kInfCapacity) {

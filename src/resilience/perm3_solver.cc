@@ -95,7 +95,7 @@ std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
 
   // Canonical read of an R tuple (column swap applied).
   auto r_row = [&](TupleId id) {
-    const std::vector<Value>& row = db.Row(id);
+    RowView row = db.Row(id);
     return shape->r_swapped ? std::make_pair(row[1], row[0])
                             : std::make_pair(row[0], row[1]);
   };

@@ -17,7 +17,7 @@ std::optional<ResilienceResult> SolveRepFlow(const Query& q,
   std::optional<ResilienceResult> result = SolveLinearFlow(
       q, db, [r_rel](const Database& d, TupleId t) {
         if (t.relation != r_rel) return false;
-        const std::vector<Value>& row = d.Row(t);
+        RowView row = d.Row(t);
         return row[0] != row[1];  // non-loop R tuples are never needed
       });
   if (result.has_value()) result->solver = SolverKind::kRepFlow;

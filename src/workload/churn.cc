@@ -146,14 +146,14 @@ struct ChurnGenerator {
     // deterministic fallback for sparse hubs.
     for (int attempt = 0; attempt < 32 && can_delete; ++attempt) {
       TupleId t = active[rng.Below(active.size())];
-      const std::vector<Value>& row = working.Row(t);
+      RowView row = working.Row(t);
       if (std::find(row.begin(), row.end(), hub) != row.end()) {
         return MakeDelete(working, t);
       }
     }
     std::vector<TupleId> touching;
     for (TupleId t : active) {
-      const std::vector<Value>& row = working.Row(t);
+      RowView row = working.Row(t);
       if (std::find(row.begin(), row.end(), hub) != row.end()) {
         touching.push_back(t);
       }

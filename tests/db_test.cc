@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -109,6 +111,91 @@ TEST(Database, ActiveCountMatchesARecountUnderRandomFlips) {
     }
     ASSERT_EQ(db.NumActiveTuples(), recount()) << "step " << step;
   }
+}
+
+TEST(Database, FlatRowIndexAgreesWithAMapReference) {
+  // Each relation's rows sit in one arity-strided array behind an
+  // open-addressing index of row ids. Unary, binary and ternary
+  // relations grow past several index resizes under a seeded stream of
+  // inserts (fresh and duplicate) and deactivations; every lookup must
+  // agree with a std::map reference, and lookups never intern.
+  constexpr int kDomain = 40;
+  const std::vector<std::pair<std::string, int>> relations = {
+      {"U", 1}, {"B", 2}, {"T", 3}};
+  Rng rng(0xF1A7);
+  Database db;
+  for (int i = 0; i < kDomain; ++i) db.InternIndexed("v", i);
+  std::map<std::pair<std::string, std::vector<Value>>, TupleId> reference;
+  std::map<std::string, int> rows_of;
+  std::vector<TupleId> ids;
+  std::map<TupleId, bool> active;
+  auto random_row = [&](int arity) {
+    std::vector<Value> row;
+    for (int c = 0; c < arity; ++c) {
+      row.push_back(static_cast<Value>(rng.Below(kDomain)));
+    }
+    return row;
+  };
+  auto names = [&](const std::vector<Value>& row) {
+    std::vector<std::string> out;
+    for (Value v : row) out.push_back(db.ValueName(v));
+    return out;
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const auto& [rel, arity] = relations[rng.Below(relations.size())];
+    if (rng.Chance(1, 4) && !ids.empty()) {
+      const TupleId t = ids[rng.Below(ids.size())];
+      db.SetActive(t, false);
+      active[t] = false;
+      continue;
+    }
+    const std::vector<Value> row = random_row(arity);
+    const TupleId t = db.AddTuple(rel, row);
+    auto [it, inserted] = reference.emplace(std::make_pair(rel, row), t);
+    if (inserted) {
+      EXPECT_EQ(t.row, rows_of[rel]++) << "ids follow insertion order";
+      ids.push_back(t);
+      active[t] = true;
+    } else {
+      EXPECT_EQ(t, it->second) << "a duplicate insert returns the first id";
+    }
+    // A probe for a random row of the same relation, present or not.
+    const std::vector<Value> probe = random_row(arity);
+    auto want = reference.find(std::make_pair(rel, probe));
+    const std::optional<TupleId> got = db.FindTuple(rel, probe);
+    ASSERT_EQ(got.has_value(), want != reference.end()) << "step " << step;
+    if (got.has_value()) {
+      EXPECT_EQ(*got, want->second);
+    }
+  }
+  for (const auto& [rel, arity] : relations) {
+    ASSERT_GE(rows_of[rel], 40) << rel;  // several resizes from 8 slots
+    EXPECT_EQ(db.NumRows(db.RelationId(rel)), rows_of[rel]) << rel;
+  }
+  for (const auto& [key, t] : reference) {
+    const auto& [rel, row] = key;
+    EXPECT_EQ(db.FindTuple(rel, row), t);
+    EXPECT_EQ(db.FindTupleByNames(rel, names(row)), t);
+    const RowView view = db.Row(t);
+    EXPECT_EQ(std::vector<Value>(view.begin(), view.end()), row);
+    EXPECT_EQ(db.IsActive(t), active[t]);
+  }
+  // A lookup with the wrong number of values finds nothing, even where
+  // a prefix or an extension of it is stored.
+  const Value v0 = db.Intern("v_0");
+  for (const auto& [rel, arity] : relations) {
+    EXPECT_FALSE(db.FindTuple(rel, {}).has_value()) << rel;
+    EXPECT_FALSE(
+        db.FindTuple(rel, std::vector<Value>(arity + 1, v0)).has_value())
+        << rel;
+    EXPECT_FALSE(
+        db.FindTupleByNames(rel, std::vector<std::string>(arity + 1, "v_0"))
+            .has_value())
+        << rel;
+  }
+  EXPECT_FALSE(db.FindTupleByNames("B", {"v_0", "unseen"}).has_value());
+  EXPECT_FALSE(db.FindTupleByNames("Z", {"v_0"}).has_value());
+  EXPECT_EQ(db.domain_size(), kDomain);
 }
 
 // Builds the Section 2 example: qchain over

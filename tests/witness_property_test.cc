@@ -101,7 +101,7 @@ TEST(WitnessConsistency, EveryWitnessTupleMatchesItsAtom) {
         const Atom& atom = q.atom(i);
         TupleId t = w.atom_tuples[static_cast<size_t>(i)];
         ASSERT_TRUE(db.IsActive(t));
-        const std::vector<Value>& row = db.Row(t);
+        RowView row = db.Row(t);
         ASSERT_EQ(static_cast<int>(row.size()), atom.arity());
         for (int c = 0; c < atom.arity(); ++c) {
           EXPECT_EQ(row[static_cast<size_t>(c)],
