@@ -6,8 +6,8 @@
 // out-of-scope or open — that is the dichotomy.
 
 // The file also benchmarks the witness enumerator itself: the
-// smallest-posting-list probe on column-skewed instances (where probing
-// the first bound column degenerates to a full posting-list scan) and
+// shortest-row-chain probe on column-skewed instances (where probing
+// the first bound column degenerates to a full row-chain scan) and
 // the streaming ForEachWitness pipeline against materializing
 // EnumerateWitnesses.
 
@@ -128,10 +128,10 @@ BENCHMARK(BM_ClassifyFamily)->Unit(benchmark::kMillisecond);
 // --- Witness enumeration -----------------------------------------------------
 
 // Hub-skewed instance for "A(x), B(y), R(x,y)": R's hub column holds one
-// value shared by every row (a posting list as long as the relation)
+// value shared by every row (a row chain as long as the relation)
 // while the other column is distinct. With x and y both bound at the R
 // atom, probing the hub column scans every row per probe — the
-// smallest-posting-list choice probes the distinct column and touches
+// shortest-row-chain choice probes the distinct column and touches
 // one row. `hub_first` flips which column carries the skew; a
 // first-bound-column probe is fast on one orientation and quadratic on
 // the other, while the smallest-list probe makes both orientations

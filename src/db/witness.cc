@@ -1,8 +1,6 @@
 #include "db/witness.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "obs/memstats.h"
@@ -28,35 +26,28 @@ namespace {
 
 using TupleIdSet = std::unordered_set<TupleId, TupleIdHash>;
 
-// One posting list: a chain of segments inside the enumerator's shared
-// row pool. A segment at pool offset s is [next, cap, row...] — `next`
-// the offset of the following segment (-1 at the tail), `cap` its row
-// capacity. Chains grow geometrically, so a value with many rows costs
-// O(log rows) segments and a value with few costs one tiny one; rows
-// iterate in append order, exactly the order the legacy per-value
-// std::vector produced.
-struct Posting {
-  int32_t count = 0;      // rows in the chain
-  int32_t head = -1;      // first segment offset, -1 = empty
-  int32_t tail = -1;      // last segment offset
-  int32_t tail_used = 0;  // rows used in the tail segment
+// Per (relation, column): the rows holding each value, chained in append
+// order. `head`/`tail`/`count` are indexed by Value — values are dense
+// Database ids, so the arrays span the domain and a probe is one load —
+// and `next` by row, -1 ending a chain. Active rows are not
+// distinguished here; activity is checked at probe time so the index can
+// be built once and reused across deactivations.
+struct ColumnChains {
+  std::vector<int32_t> head;
+  std::vector<int32_t> tail;
+  std::vector<int32_t> count;
+  std::vector<int32_t> next;
 };
 
-constexpr int32_t kFirstSegmentRows = 4;
-constexpr int32_t kMaxSegmentRows = 1024;
-
-// Per-relation index: for each column, value -> posting chain (active
-// rows are not distinguished here; activity is checked at probe time so
-// the index can be built once per enumeration).
 struct ColumnIndex {
-  std::vector<std::unordered_map<Value, Posting>> by_column;
+  std::vector<ColumnChains> by_column;
 };
 
 // Streaming witness enumerator. Prepare() resolves relations and builds
 // the column indexes once; RunAll() enumerates every witness, and
 // RunPinned() enumerates only witnesses whose *first* changed atom (in
 // query order) is a given (atom, tuple) pair — the building block of
-// ForEachDeltaWitness, sharing the prepared indexes across pins.
+// WitnessIndex::ForEachDelta, sharing the prepared indexes across pins.
 struct Enumerator {
   Enumerator(const Query& query, const Database& database)
       : q(query), db(database) {}
@@ -66,8 +57,6 @@ struct Enumerator {
 
   std::vector<int> atom_rel;              // db relation id per atom
   std::vector<ColumnIndex> indexes;       // per db relation id
-  std::vector<int32_t> pool;              // shared posting-segment pool
-  size_t posting_keys = 0;                // live (column, value) postings
   std::vector<int> order;                 // atom visit order
   std::vector<Value> binding;             // per VarId, -1 if unbound
   std::vector<TupleId> matched;           // per atom (query order)
@@ -90,41 +79,42 @@ struct Enumerator {
   bool prepared = false;
   std::vector<int> indexed_rows;  // per db relation id: rows indexed so far
 
-  void AppendRow(Posting& p, int32_t row) {
-    if (p.tail < 0 ||
-        p.tail_used == pool[static_cast<size_t>(p.tail) + 1]) {
-      const int32_t cap =
-          p.tail < 0 ? kFirstSegmentRows
-                     : std::min<int32_t>(
-                           2 * pool[static_cast<size_t>(p.tail) + 1],
-                           kMaxSegmentRows);
-      const int32_t seg = static_cast<int32_t>(pool.size());
-      pool.push_back(-1);   // next
-      pool.push_back(cap);  // capacity
-      pool.resize(pool.size() + static_cast<size_t>(cap));
-      if (p.tail < 0) {
-        p.head = seg;
+  // Appends `row` to its value's chain in every column. The value arrays
+  // must already span the row's values (IndexNewRows grows them first).
+  void IndexRow(ColumnIndex& idx, int rel, int32_t row) {
+    RowView t = db.Row(TupleId{rel, row});
+    for (size_t c = 0; c < t.size(); ++c) {
+      ColumnChains& col = idx.by_column[c];
+      const size_t v = static_cast<size_t>(t[c]);
+      col.next.push_back(-1);
+      if (col.head[v] < 0) {
+        col.head[v] = row;
       } else {
-        pool[static_cast<size_t>(p.tail)] = seg;
+        col.next[static_cast<size_t>(col.tail[v])] = row;
       }
-      p.tail = seg;
-      p.tail_used = 0;
+      col.tail[v] = row;
+      ++col.count[v];
     }
-    pool[static_cast<size_t>(p.tail) + 2 +
-         static_cast<size_t>(p.tail_used)] = row;
-    ++p.tail_used;
-    ++p.count;
   }
 
-  void IndexRow(ColumnIndex& idx, int rel, int row) {
-    RowView t = db.Row(TupleId{rel, row});
-    const int arity = db.relation_arity(rel);
-    for (int c = 0; c < arity; ++c) {
-      auto [it, inserted] =
-          idx.by_column[static_cast<size_t>(c)].emplace(
-              t[static_cast<size_t>(c)], Posting{});
-      if (inserted) ++posting_keys;
-      AppendRow(it->second, row);
+  // Indexes rows [indexed_rows[rel], NumRows(rel)) of each query
+  // relation, first growing the value arrays to the current domain.
+  void IndexNewRows() {
+    const size_t domain = static_cast<size_t>(db.domain_size());
+    // A self-join relation repeats in atom_rel; its second visit finds
+    // nothing left to index.
+    for (int rel : atom_rel) {
+      ColumnIndex& idx = indexes[static_cast<size_t>(rel)];
+      for (ColumnChains& col : idx.by_column) {
+        col.head.resize(domain, -1);
+        col.tail.resize(domain, -1);
+        col.count.resize(domain, 0);
+      }
+      for (int row = indexed_rows[static_cast<size_t>(rel)];
+           row < db.NumRows(rel); ++row) {
+        IndexRow(idx, rel, row);
+      }
+      indexed_rows[static_cast<size_t>(rel)] = db.NumRows(rel);
     }
   }
 
@@ -144,23 +134,15 @@ struct Enumerator {
     return true;
   }
 
-  /// Appends rows added since BuildIndexes / the last sync to the
-  /// posting lists (only for relations the query touches); retries the
-  /// full Prepare when it failed before.
+  /// Indexes rows added since BuildIndexes / the last sync (only for
+  /// relations the query touches); retries the full Prepare when it
+  /// failed before.
   void SyncIndexes() {
     if (!prepared) {
       Prepare();
       return;
     }
-    std::set<int> needed(atom_rel.begin(), atom_rel.end());
-    for (int rel : needed) {
-      ColumnIndex& idx = indexes[static_cast<size_t>(rel)];
-      for (int row = indexed_rows[static_cast<size_t>(rel)];
-           row < db.NumRows(rel); ++row) {
-        IndexRow(idx, rel, row);
-      }
-      indexed_rows[static_cast<size_t>(rel)] = db.NumRows(rel);
-    }
+    IndexNewRows();
   }
 
   bool RunAll(WitnessVisitor v) {
@@ -250,17 +232,11 @@ struct Enumerator {
   void BuildIndexes() {
     indexes.assign(static_cast<size_t>(db.num_relations()), ColumnIndex{});
     indexed_rows.assign(static_cast<size_t>(db.num_relations()), 0);
-    pool.clear();
-    posting_keys = 0;
-    std::set<int> needed(atom_rel.begin(), atom_rel.end());
-    for (int rel : needed) {
-      ColumnIndex& idx = indexes[static_cast<size_t>(rel)];
-      idx.by_column.resize(static_cast<size_t>(db.relation_arity(rel)));
-      for (int row = 0; row < db.NumRows(rel); ++row) {
-        IndexRow(idx, rel, row);
-      }
-      indexed_rows[static_cast<size_t>(rel)] = db.NumRows(rel);
+    for (int rel : atom_rel) {
+      indexes[static_cast<size_t>(rel)].by_column.resize(
+          static_cast<size_t>(db.relation_arity(rel)));
     }
+    IndexNewRows();
   }
 
   // Returns false to stop enumeration (the callback asked to).
@@ -303,39 +279,35 @@ struct Enumerator {
       return keep_going;
     };
 
-    // Probe the index on the bound column with the smallest posting
-    // chain — any bound column is sound, the smallest one is the fewest
-    // candidate rows to unify. A bound value absent from its column
-    // means no row can match at all. With no bound column, scan. A
-    // pinned atom has exactly one candidate row.
+    // Probe the index on the bound column with the smallest row chain —
+    // any bound column is sound, the smallest one is the fewest candidate
+    // rows to unify (ties go to the first such column). A bound value
+    // with no row in its column means no row can match at all. With no
+    // bound column, scan. A pinned atom has exactly one candidate row.
     if (ai == pinned_atom) {
       return try_row(pinned_tuple.row);
     }
-    const Posting* posting = nullptr;
+    const ColumnChains* chains = nullptr;
+    int32_t best_head = -1;
+    int32_t best_count = 0;
     for (int c = 0; c < atom.arity(); ++c) {
       Value v =
           binding[static_cast<size_t>(atom.vars[static_cast<size_t>(c)])];
       if (v == -1) continue;
-      const auto& column =
+      const ColumnChains& col =
           indexes[static_cast<size_t>(rel)].by_column[static_cast<size_t>(c)];
-      auto it = column.find(v);
-      if (it == column.end()) return true;  // no matching row exists
-      if (posting == nullptr || it->second.count < posting->count) {
-        posting = &it->second;
+      const size_t slot = static_cast<size_t>(v);
+      if (slot >= col.count.size() || col.count[slot] == 0) return true;
+      if (chains == nullptr || col.count[slot] < best_count) {
+        chains = &col;
+        best_head = col.head[slot];
+        best_count = col.count[slot];
       }
     }
-    if (posting != nullptr) {
-      for (int32_t seg = posting->head; seg >= 0;
-           seg = pool[static_cast<size_t>(seg)]) {
-        const int32_t used = seg == posting->tail
-                                 ? posting->tail_used
-                                 : pool[static_cast<size_t>(seg) + 1];
-        for (int32_t i = 0; i < used; ++i) {
-          if (!try_row(pool[static_cast<size_t>(seg) + 2 +
-                            static_cast<size_t>(i)])) {
-            return false;
-          }
-        }
+    if (chains != nullptr) {
+      for (int32_t r = best_head; r >= 0;
+           r = chains->next[static_cast<size_t>(r)]) {
+        if (!try_row(r)) return false;
       }
       return true;
     }
@@ -345,21 +317,18 @@ struct Enumerator {
     return true;
   }
 
-  // Geometry-based heap accounting (obs/memstats.h): the posting pool is
-  // one tracked arena and the per-column maps are approximated from the
-  // tracked key count, so this is O(relations + atoms) bookkeeping, not
-  // a walk of the postings — cheap enough to read per probe.
+  // Heap accounting (obs/memstats.h): every byte sits in a vector, so
+  // this sums their geometry exactly — O(relations × arity + atoms)
+  // bookkeeping, cheap enough to read per probe.
   size_t ApproxBytes() const {
-    uint64_t bytes = obs::VectorBytes(pool) + obs::VectorBytes(indexes);
+    uint64_t bytes = obs::VectorBytes(indexes);
     for (const ColumnIndex& idx : indexes) {
       bytes += obs::VectorBytes(idx.by_column);
+      for (const ColumnChains& col : idx.by_column) {
+        bytes += obs::VectorBytes(col.head) + obs::VectorBytes(col.tail) +
+                 obs::VectorBytes(col.count) + obs::VectorBytes(col.next);
+      }
     }
-    // Per (column, value) key: the map's value_type, two pointers of
-    // node overhead, and ~one bucket slot (libstdc++ keeps the load
-    // factor near 1) — the HashContainerBytes convention, from the
-    // tracked count instead of a map walk.
-    bytes += static_cast<uint64_t>(posting_keys) *
-             (sizeof(std::pair<const Value, Posting>) + 3 * sizeof(void*));
     bytes += obs::VectorBytes(atom_rel) + obs::VectorBytes(indexed_rows) +
              obs::VectorBytes(order) + obs::VectorBytes(binding) +
              obs::VectorBytes(matched) + obs::VectorBytes(placed_scratch) +
@@ -388,8 +357,7 @@ struct Enumerator {
   }
 };
 
-// Pin-loop shared by the one-shot ForEachDeltaWitness and
-// WitnessIndex::ForEachDelta; `e` must be prepared.
+// WitnessIndex::ForEachDelta's pin loop; `e` must be prepared.
 bool RunDelta(Enumerator& e, const std::vector<TupleId>& changed,
               WitnessVisitor visit) {
   // Deduplicate and order the changed tuples: the pin loop must try each
@@ -415,15 +383,6 @@ bool ForEachWitness(const Query& q, const Database& db, WitnessVisitor visit) {
   Enumerator e{q, db};
   if (!e.Prepare()) return true;  // a missing relation means no witnesses
   return e.RunAll(visit);
-}
-
-bool ForEachDeltaWitness(const Query& q, const Database& db,
-                         const std::vector<TupleId>& changed,
-                         WitnessVisitor visit) {
-  if (changed.empty()) return true;
-  Enumerator e{q, db};
-  if (!e.Prepare()) return true;
-  return RunDelta(e, changed, visit);
 }
 
 struct WitnessIndex::Impl {

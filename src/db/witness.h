@@ -105,33 +105,20 @@ struct WitnessFamily {
 WitnessFamily CollectWitnessFamily(const Query& q, const Database& db,
                                    size_t witness_limit);
 
-/// Streams only the witnesses *incident* to `changed` — those matching
-/// at least one changed tuple in some atom — to `visit`. This is the
-/// delta form of ForEachWitness: after inserting tuples, the witness
-/// family gains exactly the witnesses incident to them; before deleting
-/// tuples (while they are still active), it loses exactly the incident
-/// ones. Each incident witness is visited exactly once, even when it
-/// uses several changed tuples or one changed tuple in several atoms
-/// (enumeration is anchored at the first atom, in query order, whose
-/// match is changed). Changed tuples that are inactive or whose relation
-/// the query does not mention contribute nothing. Same callback contract
-/// as ForEachWitness; returns true iff enumeration ran to completion.
-bool ForEachDeltaWitness(const Query& q, const Database& db,
-                         const std::vector<TupleId>& changed,
-                         WitnessVisitor visit);
-
 /// A persistent enumeration context over one (query, database) pair:
-/// relation resolution and the per-column posting lists are built once
-/// and *patched* as the database grows, instead of rebuilt on every
-/// enumeration — the hot-loop form ForEachWitness / ForEachDeltaWitness
-/// are one-shot wrappers around. This is what keeps incremental
-/// maintenance sublinear per epoch: activity flips need no index work at
-/// all (activity is checked at probe time), and appended rows are
-/// indexed by SyncNewRows in time proportional to the append.
+/// relation resolution and the per-column row chains are built once and
+/// *patched* as the database grows, instead of rebuilt on every
+/// enumeration — ForEachWitness is a one-shot wrapper around the same
+/// enumerator. This is what keeps incremental maintenance sublinear per
+/// epoch: activity flips need no index work at all (activity is checked
+/// at probe time), and appended rows are indexed by SyncNewRows in time
+/// proportional to the append.
 ///
-/// Posting lists are segment chains inside one append-only row pool
-/// (offsets, not per-value vectors), so the whole index is a handful of
-/// allocations and its footprint is tracked as plain arena geometry.
+/// Each (relation, column) chains the rows holding one value in append
+/// order: head/tail/count arrays indexed by Value (values are dense
+/// Database ids, so a bound value is probed in O(1)) and a next array
+/// indexed by row. The whole index is plain vectors, so its footprint is
+/// their exact geometry.
 ///
 /// The referenced query and database must outlive the index, and every
 /// database mutation between enumerations must be followed by
@@ -144,20 +131,32 @@ class WitnessIndex {
   WitnessIndex& operator=(const WitnessIndex&) = delete;
 
   /// Appends rows added since construction (or the last sync) to the
-  /// posting lists. Also resolves relations that did not exist yet when
-  /// the index was built (an update stream may create them).
+  /// row chains, growing the value arrays to constants interned since.
+  /// Also resolves relations that did not exist yet when the index was
+  /// built (an update stream may create them).
   void SyncNewRows();
 
   /// ForEachWitness over the prepared index.
   bool ForEach(WitnessVisitor visit);
 
-  /// ForEachDeltaWitness over the prepared index.
+  /// Streams only the witnesses *incident* to `changed` — those matching
+  /// at least one changed tuple in some atom — to `visit`. This is the
+  /// delta form of ForEach: after inserting tuples, the witness family
+  /// gains exactly the witnesses incident to them; before deleting
+  /// tuples (while they are still active), it loses exactly the incident
+  /// ones. Each incident witness is visited exactly once, even when it
+  /// uses several changed tuples or one changed tuple in several atoms
+  /// (enumeration is anchored at the first atom, in query order, whose
+  /// match is changed). Changed tuples that are inactive or whose
+  /// relation the query does not mention contribute nothing. Same
+  /// callback contract as ForEach; returns true iff enumeration ran to
+  /// completion.
   bool ForEachDelta(const std::vector<TupleId>& changed,
                     WitnessVisitor visit);
 
-  /// Approximate heap bytes held by the index (posting pool plus the
-  /// enumerator's resident scratch), O(1) from tracked arena geometry —
-  /// cheap enough to read per probe.
+  /// Heap bytes held by the index (row chains plus the enumerator's
+  /// resident scratch), summed from vector geometry — cheap enough to
+  /// read per probe.
   size_t ApproxBytes() const;
 
  private:

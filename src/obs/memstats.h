@@ -55,7 +55,7 @@ uint64_t HashContainerBytes(const HashContainer& m) {
 
 /// One memory report: where the bytes sit and what they amortize over.
 struct MemBreakdown {
-  uint64_t index_bytes = 0;      // WitnessIndex posting lists + row cache
+  uint64_t index_bytes = 0;      // WitnessIndex row chains + enumerator scratch
   uint64_t family_bytes = 0;     // maintained witness set-family
   uint64_t component_bytes = 0;  // per-component records (solutions, labels)
   uint64_t tuples = 0;           // active tuples the index covers

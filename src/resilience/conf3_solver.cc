@@ -25,11 +25,11 @@ std::optional<ResilienceResult> SolveForcedThenFlow(const Query& q,
     if (family.sets[i].len == 1) forced.insert(*family.begin(i));
   }
 
-  // Delete the forced tuples, flow on the rest, then restore.
-  Database& mutable_db = const_cast<Database&>(db);
-  for (TupleId t : forced) mutable_db.SetActive(t, false);
-  std::optional<ResilienceResult> flow = SolveLinearFlow(q, mutable_db);
-  for (TupleId t : forced) mutable_db.SetActive(t, true);
+  // Flow on a copy with the forced tuples deleted: `db` may be shared by
+  // concurrent solves, so it is never written. Tuple ids carry over.
+  Database residual = db;
+  for (TupleId t : forced) residual.SetActive(t, false);
+  std::optional<ResilienceResult> flow = SolveLinearFlow(q, residual);
   if (!flow.has_value()) return std::nullopt;
   RESCQ_CHECK(!flow->unbreakable);
 

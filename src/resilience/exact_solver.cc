@@ -317,16 +317,17 @@ struct Solver {
     }
   }
 
-  // Lower bound on additional elements: greedily pack pairwise
-  // element-disjoint open sets; each needs a distinct element.
-  int PackingLowerBound() {
+  // Greedily packs pairwise element-disjoint open sets (skipping 2-sets
+  // when `skip_pairs`), marking their elements in `used`; returns how
+  // many it packed. Smaller sets first makes the packing larger on
+  // average; sets are globally sorted by size already (the reduction
+  // sorts before superset removal; removal preserves order).
+  int PackDisjointOpenSets(bool skip_pairs, std::vector<bool>& used) const {
+    used.assign(static_cast<size_t>(num_elements), false);
     int packed = 0;
-    std::vector<bool> used(static_cast<size_t>(num_elements), false);
-    // Smaller sets first makes the packing larger on average; sets are
-    // globally sorted by size already (the reduction sorts before
-    // superset removal; removal preserves order).
     for (size_t i = 0; i < family.size(); ++i) {
       if (hit_count[i] > 0) continue;
+      if (skip_pairs && family.len(i) == 2) continue;
       bool disjoint = true;
       for (const int* p = family.begin(i); p != family.end(i); ++p) {
         if (used[static_cast<size_t>(*p)]) disjoint = false;
@@ -340,28 +341,22 @@ struct Solver {
     return packed;
   }
 
+  // Lower bound on additional elements: each packed open set needs a
+  // distinct element.
+  int PackingLowerBound() const {
+    std::vector<bool> used;
+    return PackDisjointOpenSets(/*skip_pairs=*/false, used);
+  }
+
   // Stronger lower bound: disjoint-pack the open sets of size != 2, then
   // add the fractional-matching dual over the open 2-sets that avoid the
   // packed elements. Dual-feasible for the hitting-set LP (each element
   // is claimed by at most one packed set or by the matching, never
   // both), so it is a valid bound; it beats pure packing whenever the
   // 2-sets form odd structures the greedy can only half-use.
-  int FlowLowerBound() {
-    std::vector<bool> used(static_cast<size_t>(num_elements), false);
-    int packed = 0;
-    for (size_t i = 0; i < family.size(); ++i) {
-      if (hit_count[i] > 0) continue;
-      if (family.len(i) == 2) continue;  // handled by the matching below
-      bool disjoint = true;
-      for (const int* p = family.begin(i); p != family.end(i); ++p) {
-        if (used[static_cast<size_t>(*p)]) disjoint = false;
-      }
-      if (!disjoint) continue;
-      ++packed;
-      for (const int* p = family.begin(i); p != family.end(i); ++p) {
-        used[static_cast<size_t>(*p)] = true;
-      }
-    }
+  int FlowLowerBound() const {
+    std::vector<bool> used;
+    const int packed = PackDisjointOpenSets(/*skip_pairs=*/true, used);
     std::vector<std::pair<int, int>> edges;
     for (size_t i = 0; i < family.size(); ++i) {
       if (hit_count[i] > 0 || family.len(i) != 2) continue;

@@ -143,7 +143,7 @@ class IncrementalSession {
   /// touched again never pay for it.
   EpochOutcome Apply(const Epoch& epoch);
 
-  /// Drops the rebuildable hot state — the WitnessIndex posting lists
+  /// Drops the rebuildable hot state — the WitnessIndex row chains
   /// and the refresh scratch — and returns the approximate bytes freed.
   /// The family, the decomposition, and the published answer survive:
   /// Peek() keeps answering, and the next Apply() rebuilds the index
@@ -163,7 +163,7 @@ class IncrementalSession {
   uint64_t rebuilds() const { return rebuilds_; }
 
   /// Approximate heap footprint of the session's maintained state —
-  /// the witness index's posting lists, the set-family (arena + flat
+  /// the witness index's row chains, the set-family (arena + flat
   /// per-set state + dense id space), and the component records — from
   /// container geometry (obs/memstats.h). O(live containers), computed
   /// per epoch behind the metrics gate and per registry sweep, never

@@ -30,7 +30,7 @@ struct ChurnKind {
 /// Every registered churn kind, in a stable order: insert (new facts
 /// only), delete (existing facts only), mixed (a coin flip per update),
 /// hub (updates target the most frequent constant, stressing the
-/// delta enumerator's skewed posting lists).
+/// delta enumerator's skewed per-value row chains).
 const std::vector<ChurnKind>& ChurnCatalog();
 
 /// The registered names, catalog order.

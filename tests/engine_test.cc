@@ -372,7 +372,9 @@ void StressConcurrentSolves(EngineOptions options) {
   std::vector<Case> cases;
   const char* texts[] = {"R(x,y), R(y,x)", "R(x,y), R(y,z)",
                          "R(x), S(x,y), R(y)", "R(x,y), S(y,z), T(z,x)",
-                         "A(x), R(x,y), R(y,x)", "R(x,y), R(y,z), S^x(z,w)"};
+                         "A(x), R(x,y), R(y,x)", "R(x,y), R(y,z), S^x(z,w)",
+                         // q_TS3conf: conf3-forced solves on a copy
+                         "T^x(x,y), R(x,y), R(z,y), R(z,w), S^x(z,w)"};
   for (const char* text : texts) {
     Case c;
     c.q = MustParseQuery(text);
