@@ -39,10 +39,6 @@ struct ColumnChains {
   std::vector<int32_t> next;
 };
 
-struct ColumnIndex {
-  std::vector<ColumnChains> by_column;
-};
-
 // Streaming witness enumerator. Prepare() resolves relations and builds
 // the column indexes once; RunAll() enumerates every witness, and
 // RunPinned() enumerates only witnesses whose *first* changed atom (in
@@ -56,7 +52,8 @@ struct Enumerator {
   const Database& db;
 
   std::vector<int> atom_rel;              // db relation id per atom
-  std::vector<ColumnIndex> indexes;       // per db relation id
+  // Per db relation id, one ColumnChains per column.
+  std::vector<std::vector<ColumnChains>> indexes;
   std::vector<int> order;                 // atom visit order
   std::vector<Value> binding;             // per VarId, -1 if unbound
   std::vector<TupleId> matched;           // per atom (query order)
@@ -81,10 +78,10 @@ struct Enumerator {
 
   // Appends `row` to its value's chain in every column. The value arrays
   // must already span the row's values (IndexNewRows grows them first).
-  void IndexRow(ColumnIndex& idx, int rel, int32_t row) {
+  void IndexRow(std::vector<ColumnChains>& columns, int rel, int32_t row) {
     RowView t = db.Row(TupleId{rel, row});
     for (size_t c = 0; c < t.size(); ++c) {
-      ColumnChains& col = idx.by_column[c];
+      ColumnChains& col = columns[c];
       const size_t v = static_cast<size_t>(t[c]);
       col.next.push_back(-1);
       if (col.head[v] < 0) {
@@ -104,15 +101,15 @@ struct Enumerator {
     // A self-join relation repeats in atom_rel; its second visit finds
     // nothing left to index.
     for (int rel : atom_rel) {
-      ColumnIndex& idx = indexes[static_cast<size_t>(rel)];
-      for (ColumnChains& col : idx.by_column) {
+      std::vector<ColumnChains>& columns = indexes[static_cast<size_t>(rel)];
+      for (ColumnChains& col : columns) {
         col.head.resize(domain, -1);
         col.tail.resize(domain, -1);
         col.count.resize(domain, 0);
       }
       for (int row = indexed_rows[static_cast<size_t>(rel)];
            row < db.NumRows(rel); ++row) {
-        IndexRow(idx, rel, row);
+        IndexRow(columns, rel, row);
       }
       indexed_rows[static_cast<size_t>(rel)] = db.NumRows(rel);
     }
@@ -230,10 +227,10 @@ struct Enumerator {
   }
 
   void BuildIndexes() {
-    indexes.assign(static_cast<size_t>(db.num_relations()), ColumnIndex{});
+    indexes.assign(static_cast<size_t>(db.num_relations()), {});
     indexed_rows.assign(static_cast<size_t>(db.num_relations()), 0);
     for (int rel : atom_rel) {
-      indexes[static_cast<size_t>(rel)].by_column.resize(
+      indexes[static_cast<size_t>(rel)].resize(
           static_cast<size_t>(db.relation_arity(rel)));
     }
     IndexNewRows();
@@ -288,24 +285,22 @@ struct Enumerator {
       return try_row(pinned_tuple.row);
     }
     const ColumnChains* chains = nullptr;
-    int32_t best_head = -1;
-    int32_t best_count = 0;
+    size_t best = 0;  // the probed value's slot in `chains`
     for (int c = 0; c < atom.arity(); ++c) {
       Value v =
           binding[static_cast<size_t>(atom.vars[static_cast<size_t>(c)])];
       if (v == -1) continue;
       const ColumnChains& col =
-          indexes[static_cast<size_t>(rel)].by_column[static_cast<size_t>(c)];
+          indexes[static_cast<size_t>(rel)][static_cast<size_t>(c)];
       const size_t slot = static_cast<size_t>(v);
       if (slot >= col.count.size() || col.count[slot] == 0) return true;
-      if (chains == nullptr || col.count[slot] < best_count) {
+      if (chains == nullptr || col.count[slot] < chains->count[best]) {
         chains = &col;
-        best_head = col.head[slot];
-        best_count = col.count[slot];
+        best = slot;
       }
     }
     if (chains != nullptr) {
-      for (int32_t r = best_head; r >= 0;
+      for (int32_t r = chains->head[best]; r >= 0;
            r = chains->next[static_cast<size_t>(r)]) {
         if (!try_row(r)) return false;
       }
@@ -322,9 +317,9 @@ struct Enumerator {
   // bookkeeping, cheap enough to read per probe.
   size_t ApproxBytes() const {
     uint64_t bytes = obs::VectorBytes(indexes);
-    for (const ColumnIndex& idx : indexes) {
-      bytes += obs::VectorBytes(idx.by_column);
-      for (const ColumnChains& col : idx.by_column) {
+    for (const std::vector<ColumnChains>& columns : indexes) {
+      bytes += obs::VectorBytes(columns);
+      for (const ColumnChains& col : columns) {
         bytes += obs::VectorBytes(col.head) + obs::VectorBytes(col.tail) +
                  obs::VectorBytes(col.count) + obs::VectorBytes(col.next);
       }
