@@ -1,12 +1,10 @@
 // E12: the network-flow substrate that every PTIME construction rests on.
-// Times Dinic max-flow on layered graphs and König bipartite vertex
-// cover; flow_test holds their values.
+// Times Dinic max-flow on layered graphs; flow_test holds the values, and
+// its Bipartite cases check the König cover on the unit network.
 
 #include <benchmark/benchmark.h>
 
-#include "flow/bipartite.h"
 #include "flow/max_flow.h"
-#include "util/rng.h"
 
 namespace rescq {
 namespace {
@@ -34,24 +32,6 @@ void BM_DinicLayered(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DinicLayered)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_Konig(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Rng rng(static_cast<uint64_t>(n));
-  std::vector<std::pair<int, int>> edges;
-  for (int l = 0; l < n; ++l) {
-    for (int r = 0; r < n; ++r) {
-      if (rng.Chance(1, 8)) edges.emplace_back(l, r);
-    }
-  }
-  for (auto _ : state) {
-    BipartiteCover cover(n, n);
-    for (auto [l, r] : edges) cover.AddEdge(l, r);
-    cover.Compute();
-    benchmark::DoNotOptimize(cover.CoverSize());
-  }
-}
-BENCHMARK(BM_Konig)->Arg(32)->Arg(128)->Arg(512);
 
 }  // namespace
 }  // namespace rescq

@@ -15,9 +15,9 @@ namespace rescq {
 /// by the linear-query network flow; the proof's exchange argument shows
 /// the flow's min cut is optimal on the residual database.
 ///
-/// The solver is generic "forced tuples + linear flow"; the dispatcher
-/// applies it to queries isomorphic to q^TS_3conf. Returns nullopt if q
-/// is not linear.
+/// The solver is generic "forced tuples + linear flow"; the registry
+/// plans it for linear queries isomorphic to q^TS_3conf. Returns nullopt
+/// if q is not linear (IsLinear, complexity/linearity.h).
 std::optional<ResilienceResult> SolveForcedThenFlow(const Query& q,
                                                     const Database& db);
 

@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resilience/exact_solver.h"
+#include "resilience/registry.h"
 #include "util/check.h"
 
 namespace rescq {
@@ -30,10 +31,8 @@ ExactOptions MakeExactOptions(const EngineOptions& options) {
 
 }  // namespace
 
-ResilienceEngine::ResilienceEngine(EngineOptions options,
-                                   const SolverRegistry* registry)
-    : options_(options),
-      registry_(registry != nullptr ? registry : &DefaultRegistry()) {}
+ResilienceEngine::ResilienceEngine(EngineOptions options)
+    : options_(options) {}
 
 std::shared_ptr<const ResiliencePlan> ResilienceEngine::Plan(const Query& q) {
   bool cache_hit = false;
@@ -65,7 +64,7 @@ std::shared_ptr<const ResiliencePlan> ResilienceEngine::PlanInternal(
   std::shared_ptr<const ResiliencePlan> plan;
   {
     obs::Span span("plan", "engine");
-    plan = std::make_shared<const ResiliencePlan>(BuildPlan(q, *registry_));
+    plan = std::make_shared<const ResiliencePlan>(BuildPlan(q));
   }
   if (options_.plan_cache_capacity == 0) return plan;
   std::lock_guard<std::mutex> lock(mu_);
@@ -145,34 +144,19 @@ SolveOutcome ResilienceEngine::Solve(
   for (const ComponentPlan& comp : plan->components) {
     if (comp.no_endogenous) continue;  // unbreakable whenever it holds
 
+    const SolverEntry* entry = DefaultRegistry().Find(comp.solver);
+    RESCQ_CHECK(entry != nullptr);
     ResilienceResult r;
-    bool solved = false;
-    for (SolverKind kind : comp.candidates) {
-      const SolverEntry* entry = registry_->Find(kind);
-      RESCQ_CHECK(entry != nullptr);
-      if (std::optional<ResilienceResult> attempt =
-              entry->run(comp.query, db)) {
-        r = std::move(*attempt);
-        solved = true;
-        break;
-      }
-      out.fallback_reasons.push_back(entry->name +
-                                     " declined the instance shape");
-    }
-    if (!solved) {
-      // The registry entry documents the fallback (Explain, self-checks)
-      // but the engine runs it: only the engine can thread the witness /
-      // node budgets and collect search stats.
-      RESCQ_CHECK(registry_->Find(comp.fallback) != nullptr);
-      r = RunExact(comp.query, db, comp.fallback, &out);
+    if (entry->run != nullptr) {
+      r = entry->run(comp.query, db);
+    } else {
+      // An exact entry only describes its solver (Explain, self-checks);
+      // the engine runs it: only the engine can thread the witness / node
+      // budgets and collect search stats.
+      r = RunExact(comp.query, db, comp.solver, &out);
       if (!out.error.empty()) {
         out.solve_ms = MsSince(start);
         return out;  // witness budget exceeded: result must not be used
-      }
-      if (comp.fallback == SolverKind::kExactFallback &&
-          !comp.candidates.empty()) {
-        out.fallback_reasons.push_back(
-            "exact-fallback ran: " + comp.fallback_reason);
       }
     }
     if (r.unbreakable) continue;

@@ -14,7 +14,6 @@
 #include "db/database.h"
 #include "resilience/exact_solver.h"
 #include "resilience/plan.h"
-#include "resilience/registry.h"
 #include "resilience/result.h"
 
 namespace rescq {
@@ -64,9 +63,6 @@ struct SolveOutcome {
   bool plan_cache_hit = false;
   double plan_ms = 0;   // query analysis time (0 on a cache hit)
   double solve_ms = 0;  // data-dependent solve time
-  /// One entry per construction that declined at run time, in dispatch
-  /// order, e.g. "perm-count declined the instance shape".
-  std::vector<std::string> fallback_reasons;
   /// Aggregated exact-path counters for this Solve: witnesses streamed,
   /// distinct witness sets, hitting-set components, branch-and-bound
   /// nodes, and which bound pruned. All zero when no exact solver ran.
@@ -79,11 +75,11 @@ struct SolveOutcome {
 /// Plan-once / solve-many resilience engine.
 ///
 /// Plan(q) runs the pure query analysis (minimize, normalize, split,
-/// classify, probe the registry) once and memoizes the immutable plan on
-/// the canonical query text behind a mutex-guarded LRU. Solve(q, db) reuses
-/// the cached plan and only pays for the data-dependent work. Plans are
-/// shared_ptr<const> — hold one engine per batch run and call it from
-/// any number of threads.
+/// classify, pick each component's solver) once and memoizes the
+/// immutable plan on the canonical query text behind a mutex-guarded LRU.
+/// Solve(q, db) reuses the cached plan and only pays for the
+/// data-dependent work. Plans are shared_ptr<const> — hold one engine per
+/// batch run and call it from any number of threads.
 ///
 /// Concurrency contract: every public method is safe to call from any
 /// number of threads on one engine instance. The only mutable state is
@@ -97,11 +93,7 @@ struct SolveOutcome {
 /// pools. tests/engine_test.cc stress-tests this under TSan.
 class ResilienceEngine {
  public:
-  /// `registry` defaults to DefaultRegistry(); it must outlive the
-  /// engine. A custom registry is the seam for tests and future
-  /// alternative solver sets.
-  explicit ResilienceEngine(EngineOptions options = {},
-                            const SolverRegistry* registry = nullptr);
+  explicit ResilienceEngine(EngineOptions options = {});
 
   /// The memoized plan for q (built on first use).
   std::shared_ptr<const ResiliencePlan> Plan(const Query& q);
@@ -117,7 +109,6 @@ class ResilienceEngine {
   PlanCacheStats plan_cache_stats() const;
 
   const EngineOptions& options() const { return options_; }
-  const SolverRegistry& registry() const { return *registry_; }
 
  private:
   using LruList =
@@ -129,13 +120,12 @@ class ResilienceEngine {
   /// Runs the exact solver with the engine's budgets, labels the result
   /// with `kind`, and merges search stats (and any witness-budget error)
   /// into the outcome. The engine executes exact dispatches itself —
-  /// registry fallback entries describe them for Explain, but only the
-  /// engine can thread budgets and counters through.
+  /// the registry's exact entries describe them for Explain, but only
+  /// the engine can thread budgets and counters through.
   ResilienceResult RunExact(const Query& q, const Database& db,
                             SolverKind kind, SolveOutcome* out) const;
 
   EngineOptions options_;
-  const SolverRegistry* registry_;
 
   mutable std::mutex mu_;
   LruList lru_;  // front = most recently used

@@ -34,7 +34,7 @@ using TupleOverride = std::function<bool(const Database&, TupleId)>;
 /// paper's point in Section 7.3 — so callers must not use this solver on
 /// permutation self-joins.
 ///
-/// Returns nullopt if q is not linear.
+/// Returns nullopt unless IsLinear(q) (complexity/linearity.h).
 std::optional<ResilienceResult> SolveLinearFlow(
     const Query& q, const Database& db,
     const TupleOverride& force_undeletable = nullptr);

@@ -81,6 +81,8 @@ std::optional<Perm3Shape> MatchPerm3(const Query& q) {
 
 }  // namespace
 
+bool Perm3FlowApplies(const Query& q) { return MatchPerm3(q).has_value(); }
+
 std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
                                                const Database& db) {
   std::optional<Perm3Shape> shape = MatchPerm3(q);

@@ -9,6 +9,10 @@
 
 namespace rescq {
 
+/// True when q matches q_A3perm-R or q_Swx3perm-R up to the renamings
+/// below: the shape SolvePerm3Flow covers.
+bool Perm3FlowApplies(const Query& q);
+
 /// Flow algorithm for the "permutation plus R" PTIME queries
 ///
 ///   q_A3perm-R  :- A(x),   R(x,y), R(y,z), R(z,y)   (Proposition 13)
@@ -30,7 +34,7 @@ namespace rescq {
 /// {a,b} the proofs' side rule picks R(a,b) when a's side is still alive
 /// and b's is not, and symmetrically.
 ///
-/// Returns nullopt if q does not match either shape.
+/// Returns nullopt unless Perm3FlowApplies(q).
 std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
                                                const Database& db);
 

@@ -5,7 +5,6 @@
 
 #include "complexity/patterns.h"
 #include "db/witness.h"
-#include "flow/bipartite.h"
 #include "flow/max_flow.h"
 #include "util/check.h"
 
@@ -67,6 +66,16 @@ std::vector<TupleId> PairOf(const Witness& w, const PermShape& shape) {
 
 }  // namespace
 
+bool PermutationCountApplies(const Query& q) {
+  std::optional<PermShape> shape = MatchPermShape(q);
+  return shape.has_value() && shape->l_atom == -1;
+}
+
+bool UnboundPermutationFlowApplies(const Query& q) {
+  std::optional<PermShape> shape = MatchPermShape(q);
+  return shape.has_value() && shape->l_atom != -1;
+}
+
 std::optional<ResilienceResult> SolvePermutationCount(const Query& q,
                                                       const Database& db) {
   std::optional<PermShape> shape = MatchPermShape(q);
@@ -81,52 +90,6 @@ std::optional<ResilienceResult> SolvePermutationCount(const Query& q,
   result.resilience = static_cast<int>(family.size());
   for (size_t i = 0; i < family.size(); ++i) {
     result.contingency.push_back(*family.begin(i));
-  }
-  std::sort(result.contingency.begin(), result.contingency.end());
-  return result;
-}
-
-std::optional<ResilienceResult> SolvePermutationBipartite(
-    const Query& q, const Database& db) {
-  std::optional<PermShape> shape = MatchPermShape(q);
-  if (!shape.has_value() || shape->l_atom == -1) return std::nullopt;
-  std::vector<Witness> witnesses = EnumerateWitnesses(q, db, kNoWitnessLimit);
-  ResilienceResult result;
-  result.solver = SolverKind::kPermBipartite;
-  if (witnesses.empty()) return result;
-
-  // Left: L-tuples; right: pair tuple-sets. One bipartite edge per
-  // witness. Deleting the L-tuple or either tuple of the pair kills the
-  // witness, so a vertex cover = a contingency set.
-  std::map<TupleId, int> left_ids;
-  std::vector<TupleId> lefts;
-  std::map<std::vector<TupleId>, int> right_ids;
-  std::vector<std::vector<TupleId>> rights;
-  std::vector<std::pair<int, int>> bip_edges;
-  for (const Witness& w : witnesses) {
-    TupleId l = w.atom_tuples[static_cast<size_t>(shape->l_atom)];
-    auto [lit, lnew] = left_ids.emplace(l, static_cast<int>(lefts.size()));
-    if (lnew) lefts.push_back(l);
-    std::vector<TupleId> pair = PairOf(w, *shape);
-    auto [rit, rnew] = right_ids.emplace(pair, static_cast<int>(rights.size()));
-    if (rnew) rights.push_back(pair);
-    bip_edges.emplace_back(lit->second, rit->second);
-  }
-  BipartiteCover cover(static_cast<int>(lefts.size()),
-                       static_cast<int>(rights.size()));
-  std::sort(bip_edges.begin(), bip_edges.end());
-  bip_edges.erase(std::unique(bip_edges.begin(), bip_edges.end()),
-                  bip_edges.end());
-  for (auto [l, r] : bip_edges) cover.AddEdge(l, r);
-  cover.Compute();
-  result.resilience = cover.CoverSize();
-  for (size_t i = 0; i < lefts.size(); ++i) {
-    if (cover.left_in_cover()[i]) result.contingency.push_back(lefts[i]);
-  }
-  for (size_t i = 0; i < rights.size(); ++i) {
-    if (cover.right_in_cover()[i]) {
-      result.contingency.push_back(rights[i].front());
-    }
   }
   std::sort(result.contingency.begin(), result.contingency.end());
   return result;

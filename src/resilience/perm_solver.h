@@ -9,27 +9,30 @@
 
 namespace rescq {
 
+/// True when q's endogenous atoms are exactly one permutation pair
+/// R(x,y),R(y,x): the shape SolvePermutationCount covers.
+bool PermutationCountApplies(const Query& q);
+
 /// Proposition 33 (q_perm): when the permutation pair R(x,y),R(y,x) are
 /// the only endogenous atoms, each tuple belongs to exactly one witness
 /// tuple-set, so resilience equals the number of distinct witness
-/// tuple-sets. Requires q's endogenous atoms to be exactly one
-/// permutation pair; returns nullopt otherwise.
+/// tuple-sets. Returns nullopt unless PermutationCountApplies(q).
 std::optional<ResilienceResult> SolvePermutationCount(const Query& q,
                                                       const Database& db);
 
-/// Proposition 33 (q_Aperm): with one more endogenous atom L bound to the
-/// permutation's x side, resilience reduces to minimum vertex cover in
-/// the bipartite graph (L-tuples) x (2-way pairs), solved via König.
-/// Requires: endogenous atoms = {L, R-pair}, L contains x but not y.
-/// Returns nullopt if the shape does not match.
-std::optional<ResilienceResult> SolvePermutationBipartite(const Query& q,
-                                                          const Database& db);
+/// True when q's endogenous atoms are a permutation pair plus exactly one
+/// atom L that contains one of the pair's variables but not the other:
+/// the shape SolveUnboundPermutationFlow covers.
+bool UnboundPermutationFlowApplies(const Query& q);
 
 /// Proposition 35, case 1 (unbound permutations): q = q_l(x), G(x,y) where
 /// q_l has exactly one endogenous atom. Network flow with a capacity-1
-/// pair edge per 2-way pair. This is König generalized to weighted L
-/// sides; implemented via max-flow so exogenous decorations of G are
-/// handled uniformly. Returns nullopt if the shape does not match.
+/// pair edge per 2-way pair. On q_Aperm this is Proposition 33's König
+/// cover of the bipartite graph (L-tuples) x (2-way pairs): the source
+/// side of the residual graph is König's alternating-path set, the same
+/// for every maximum matching. Max-flow handles weighted L sides and
+/// exogenous decorations of G uniformly. Returns nullopt unless
+/// UnboundPermutationFlowApplies(q).
 std::optional<ResilienceResult> SolveUnboundPermutationFlow(
     const Query& q, const Database& db);
 

@@ -3,6 +3,8 @@
 #include "cq/components.h"
 #include "cq/domination.h"
 #include "cq/homomorphism.h"
+#include "resilience/registry.h"
+#include "util/check.h"
 #include "util/fnv.h"
 #include "util/string_util.h"
 
@@ -10,7 +12,7 @@ namespace rescq {
 
 std::string QueryFingerprint(const Query& q) { return Fnv1aHex(q.ToString()); }
 
-ResiliencePlan BuildPlan(const Query& q, const SolverRegistry& registry) {
+ResiliencePlan BuildPlan(const Query& q) {
   ResiliencePlan plan;
   plan.original = q;
   plan.fingerprint = QueryFingerprint(q);
@@ -23,21 +25,20 @@ ResiliencePlan BuildPlan(const Query& q, const SolverRegistry& registry) {
     cp.classification = ClassifyResilience(comp);
     cp.no_endogenous = comp.EndogenousAtoms().empty();
     if (cp.no_endogenous) {
-      cp.fallback_reason = "no endogenous atoms: unbreakable whenever true";
+      cp.reason = "no endogenous atoms: unbreakable whenever true";
     } else if (cp.classification.complexity != Complexity::kPTime) {
-      cp.fallback = SolverKind::kExact;
-      cp.fallback_reason =
+      cp.reason =
           StrFormat("RES(component) is %s: exact branch-and-bound is the "
                     "planned solver",
                     ComplexityName(cp.classification.complexity));
+    } else if (std::optional<SolverKind> construction =
+                   DefaultRegistry().Probe(comp, cp.classification)) {
+      cp.solver = *construction;
     } else {
-      cp.candidates = registry.Probe(comp, cp.classification);
-      cp.fallback = SolverKind::kExactFallback;
-      cp.fallback_reason =
-          cp.candidates.empty()
-              ? StrFormat("PTIME pattern '%s' has no implemented construction",
-                          cp.classification.pattern.c_str())
-              : "every probed construction declined the instance shape";
+      cp.solver = SolverKind::kExactFallback;
+      cp.reason = StrFormat(
+          "pattern '%s': no registered construction accepts this component",
+          cp.classification.pattern.c_str());
     }
     cp.query = std::move(comp);
     plan.components.push_back(std::move(cp));
@@ -45,7 +46,7 @@ ResiliencePlan BuildPlan(const Query& q, const SolverRegistry& registry) {
   return plan;
 }
 
-std::string ResiliencePlan::Explain(const SolverRegistry& registry) const {
+std::string ResiliencePlan::Explain() const {
   std::string out;
   out += StrFormat("query:        %s\n", original.ToString().c_str());
   out += StrFormat("fingerprint:  %s\n", fingerprint.c_str());
@@ -69,25 +70,15 @@ std::string ResiliencePlan::Explain(const SolverRegistry& registry) const {
     out += StrFormat("  pattern:    %s\n", cp.classification.pattern.c_str());
     out += StrFormat("  reason:     %s\n", cp.classification.reason.c_str());
     if (cp.no_endogenous) {
-      out += StrFormat("  solver:     none needed — %s\n",
-                       cp.fallback_reason.c_str());
+      out += StrFormat("  solver:     none needed — %s\n", cp.reason.c_str());
       continue;
     }
-    for (size_t j = 0; j < cp.candidates.size(); ++j) {
-      const SolverEntry* e = registry.Find(cp.candidates[j]);
-      out += StrFormat("  solver:     %s%s (%s) — %s\n",
-                       j == 0 ? "" : "then ",
-                       e ? e->name.c_str() : SolverKindName(cp.candidates[j]),
-                       e ? e->citation.c_str() : "?",
-                       e ? e->description.c_str() : "unregistered");
-    }
-    const SolverEntry* fb = registry.Find(cp.fallback);
-    out += StrFormat("  %s %s (%s) — %s; %s\n",
-                     cp.candidates.empty() ? "solver:    " : "fallback:  ",
-                     fb ? fb->name.c_str() : SolverKindName(cp.fallback),
-                     fb ? fb->citation.c_str() : "?",
-                     fb ? fb->description.c_str() : "unregistered",
-                     cp.fallback_reason.c_str());
+    const SolverEntry* e = DefaultRegistry().Find(cp.solver);
+    RESCQ_CHECK(e != nullptr);
+    out += StrFormat("  solver:     %s (%s) — %s%s%s\n",
+                     SolverKindName(cp.solver), e->citation.c_str(),
+                     e->description.c_str(), cp.reason.empty() ? "" : "; ",
+                     cp.reason.c_str());
   }
   return out;
 }

@@ -6,13 +6,12 @@
 
 #include "complexity/classifier.h"
 #include "cq/query.h"
-#include "resilience/registry.h"
 #include "resilience/result.h"
 
 namespace rescq {
 
 /// The plan for one connected component of the normalized query: its
-/// classification and the dispatch chain the engine will run.
+/// classification and the one solver the engine will run.
 struct ComponentPlan {
   /// The component itself — connected, minimized, domination-normalized.
   Query query;
@@ -20,16 +19,13 @@ struct ComponentPlan {
   /// True when the component has no endogenous atoms: whenever it holds
   /// it is unbreakable, so it never contributes to the Lemma 14 minimum.
   bool no_endogenous = false;
-  /// Probe-selected constructions in dispatch order (empty for
-  /// non-PTIME components and for PTIME patterns without an
-  /// implemented construction).
-  std::vector<SolverKind> candidates;
-  /// What ends the chain: kExact (the planned solver for NP-complete /
-  /// open / out-of-scope components) or kExactFallback (a PTIME
-  /// component whose constructions may decline or do not exist).
-  SolverKind fallback = SolverKind::kExact;
-  /// Why the chain ends in an exact solver.
-  std::string fallback_reason;
+  /// The solver: the construction whose registry probe accepted the
+  /// component, kExact (NP-complete / open / out-of-scope components),
+  /// or kExactFallback (a PTIME component no construction covers).
+  SolverKind solver = SolverKind::kExact;
+  /// Why an exact solver runs, or why no solver is needed; empty when a
+  /// construction runs.
+  std::string reason;
 };
 
 /// A reusable, explainable query plan: all the pure query analysis of
@@ -49,9 +45,9 @@ struct ResiliencePlan {
   std::vector<ComponentPlan> components;
 
   /// Human-readable plan: pipeline stages, per-component classification,
-  /// chosen solver with its paper citation, and the fallback. This is
-  /// what `rescq explain` prints.
-  std::string Explain(const SolverRegistry& registry) const;
+  /// and the chosen solver with its paper citation. This is what
+  /// `rescq explain` prints.
+  std::string Explain() const;
 };
 
 /// Stable fingerprint of the query's canonical text; two parses of the
@@ -59,8 +55,8 @@ struct ResiliencePlan {
 /// ResiliencePlan::fingerprint.
 std::string QueryFingerprint(const Query& q);
 
-/// Runs the full query-analysis pipeline and probes the registry.
-ResiliencePlan BuildPlan(const Query& q, const SolverRegistry& registry);
+/// Runs the full query-analysis pipeline and probes DefaultRegistry().
+ResiliencePlan BuildPlan(const Query& q);
 
 }  // namespace rescq
 

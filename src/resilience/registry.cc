@@ -1,10 +1,7 @@
 #include "resilience/registry.h"
 
-#include "complexity/catalog.h"
-#include "cq/domination.h"
-#include "cq/homomorphism.h"
+#include "complexity/linearity.h"
 #include "resilience/conf3_solver.h"
-#include "resilience/exact_solver.h"
 #include "resilience/linear_flow_solver.h"
 #include "resilience/perm3_solver.h"
 #include "resilience/perm_solver.h"
@@ -15,31 +12,26 @@ namespace rescq {
 
 namespace {
 
-/// The q_Aperm shape (unary L bound to the permutation's x side) routes
-/// to the paper's König reduction; prepared once because the
-/// isomorphism probe runs at plan time for every unbound permutation.
-const Query& NormalizedAperm() {
-  static const Query* const kAperm = new Query(
-      NormalizeDomination(Minimize(CatalogQuery("q_Aperm"))));
-  return *kAperm;
-}
-
 bool PatternIs(const Classification& c, const char* pattern) {
   return c.pattern == pattern;
+}
+
+// A planned construction's probe already ran its shape matcher, and the
+// matchers read no data, so the construction cannot decline.
+ResilienceResult Planned(std::optional<ResilienceResult> result) {
+  RESCQ_CHECK_MSG(result.has_value(),
+                  "a planned construction declined its component");
+  return std::move(*result);
 }
 
 }  // namespace
 
 void SolverRegistry::Register(SolverEntry entry) {
-  RESCQ_CHECK_MSG(entry.name == SolverKindName(entry.kind),
-                  "registry name must match the stable SolverKindName");
+  const char* name = SolverKindName(entry.kind);
   for (const SolverEntry& existing : entries_) {
-    RESCQ_CHECK_MSG(existing.kind != entry.kind, entry.name.c_str());
-    RESCQ_CHECK_MSG(existing.name != entry.name, entry.name.c_str());
+    RESCQ_CHECK_MSG(existing.kind != entry.kind, name);
   }
-  RESCQ_CHECK_MSG(entry.run != nullptr, entry.name.c_str());
-  RESCQ_CHECK_MSG(entry.is_fallback || entry.probe != nullptr,
-                  entry.name.c_str());
+  RESCQ_CHECK_MSG((entry.probe == nullptr) == (entry.run == nullptr), name);
   entries_.push_back(std::move(entry));
 }
 
@@ -50,130 +42,96 @@ const SolverEntry* SolverRegistry::Find(SolverKind kind) const {
   return nullptr;
 }
 
-std::vector<SolverKind> SolverRegistry::Probe(const Query& component,
-                                              const Classification& c) const {
-  std::vector<SolverKind> kinds;
+std::optional<SolverKind> SolverRegistry::Probe(
+    const Query& component, const Classification& c) const {
   for (const SolverEntry& e : entries_) {
-    if (e.is_fallback) continue;
-    if (e.probe(component, c)) kinds.push_back(e.kind);
+    if (e.probe != nullptr && e.probe(component, c)) return e.kind;
   }
-  return kinds;
+  return std::nullopt;
 }
 
 const SolverRegistry& DefaultRegistry() {
   static const SolverRegistry* const kRegistry = [] {
     auto* r = new SolverRegistry();
 
-    r->Register({SolverKind::kLinearFlow, "linear-flow",
-                 "Propositions 12, 31, 32",
+    r->Register({SolverKind::kLinearFlow, "Propositions 12, 31, 32",
                  "linear-query network flow (covers sj-free triad-free "
                  "components and confluences without exogenous path)",
-                 [](const Query&, const Classification& c) {
-                   return PatternIs(c, "sj-free-triad-free") ||
-                          PatternIs(c, "confluence");
+                 [](const Query& q, const Classification& c) {
+                   return (PatternIs(c, "sj-free-triad-free") ||
+                           PatternIs(c, "confluence")) &&
+                          IsLinear(q);
                  },
                  [](const Query& q, const Database& db) {
-                   return SolveLinearFlow(q, db);
+                   return Planned(SolveLinearFlow(q, db));
                  }});
 
-    r->Register({SolverKind::kRepFlow, "rep-flow", "Proposition 36",
+    r->Register({SolverKind::kRepFlow, "Proposition 36",
                  "z3-family flow with non-loop R-tuples forced undeletable",
-                 [](const Query&, const Classification& c) {
-                   return PatternIs(c, "rep");
+                 [](const Query& q, const Classification& c) {
+                   return PatternIs(c, "rep") && RepFlowApplies(q);
                  },
                  [](const Query& q, const Database& db) {
-                   return SolveRepFlow(q, db);
+                   return Planned(SolveRepFlow(q, db));
                  }});
 
-    // The three unbound-permutation constructions are probed in cost
-    // order: witness counting when the pair is the whole endogenous
-    // part, the König cover for the q_Aperm shape, and the Prop 35 pair
-    // flow as the general case. Each declines at run time when the
-    // instance-level shape check fails, handing off to the next.
-    r->Register({SolverKind::kPermCount, "perm-count", "Proposition 33",
+    // The unbound permutations split by shape: witness counting when the
+    // pair is the whole endogenous part, the Prop 35 pair flow when one
+    // more atom L hangs off one side (q_Aperm's König cover included).
+    r->Register({SolverKind::kPermCount, "Proposition 33",
                  "q_perm witness counting: each tuple lies in exactly one "
                  "witness tuple-set",
-                 [](const Query&, const Classification& c) {
-                   return PatternIs(c, "unbound-permutation");
-                 },
-                 [](const Query& q, const Database& db) {
-                   return SolvePermutationCount(q, db);
-                 }});
-
-    r->Register({SolverKind::kPermBipartite, "perm-bipartite",
-                 "Proposition 33 (König)",
-                 "q_Aperm minimum vertex cover over (L-tuples) x (2-way "
-                 "pairs) via König's theorem",
                  [](const Query& q, const Classification& c) {
                    return PatternIs(c, "unbound-permutation") &&
-                          AreIsomorphicModuloRelabeling(
-                              NormalizeDomination(Minimize(q)),
-                              NormalizedAperm());
+                          PermutationCountApplies(q);
                  },
                  [](const Query& q, const Database& db) {
-                   return SolvePermutationBipartite(q, db);
+                   return Planned(SolvePermutationCount(q, db));
                  }});
 
-    r->Register({SolverKind::kUnboundPermFlow, "unbound-perm-flow",
-                 "Proposition 35",
-                 "unbound-permutation flow with capacity-1 pair edges",
-                 [](const Query&, const Classification& c) {
-                   return PatternIs(c, "unbound-permutation");
+    r->Register({SolverKind::kUnboundPermFlow, "Propositions 33, 35",
+                 "unbound-permutation flow with capacity-1 pair edges "
+                 "(the König cover on q_Aperm)",
+                 [](const Query& q, const Classification& c) {
+                   return PatternIs(c, "unbound-permutation") &&
+                          UnboundPermutationFlowApplies(q);
                  },
                  [](const Query& q, const Database& db) {
-                   return SolveUnboundPermutationFlow(q, db);
+                   return Planned(SolveUnboundPermutationFlow(q, db));
                  }});
 
-    r->Register({SolverKind::kPerm3Flow, "perm3-flow", "Propositions 13, 44",
+    r->Register({SolverKind::kPerm3Flow, "Propositions 13, 44",
                  "q_A3perm-R / q_Swx3perm-R pair-node flow",
-                 [](const Query&, const Classification& c) {
-                   return PatternIs(c, "catalog:q_A3perm_R") ||
-                          PatternIs(c, "catalog:q_Swx3perm_R");
+                 [](const Query& q, const Classification& c) {
+                   return (PatternIs(c, "catalog:q_A3perm_R") ||
+                           PatternIs(c, "catalog:q_Swx3perm_R")) &&
+                          Perm3FlowApplies(q);
                  },
                  [](const Query& q, const Database& db) {
-                   return SolvePerm3Flow(q, db);
+                   return Planned(SolvePerm3Flow(q, db));
                  }});
 
-    r->Register({SolverKind::kConf3Forced, "conf3-forced", "Proposition 41",
+    r->Register({SolverKind::kConf3Forced, "Proposition 41",
                  "q^TS_3conf forced singleton-witness tuples, then linear "
                  "flow on the residual",
-                 [](const Query&, const Classification& c) {
-                   return PatternIs(c, "catalog:q_TS3conf");
+                 [](const Query& q, const Classification& c) {
+                   return PatternIs(c, "catalog:q_TS3conf") && IsLinear(q);
                  },
                  [](const Query& q, const Database& db) {
-                   return SolveForcedThenFlow(q, db);
+                   return Planned(SolveForcedThenFlow(q, db));
                  }});
 
-    // Fallbacks: exact is the planned solver for NP-complete / open /
-    // out-of-scope components; exact-fallback records that a PTIME
-    // component had no construction (or every construction declined).
-    SolverEntry exact;
-    exact.kind = SolverKind::kExact;
-    exact.name = "exact";
-    exact.citation = "Section 3";
-    exact.description =
-        "branch-and-bound minimum hitting set over witness tuple-sets "
-        "(correct for every CQ)";
-    exact.run = [](const Query& q, const Database& db) {
-      return std::optional<ResilienceResult>(ComputeResilienceExact(q, db));
-    };
-    exact.is_fallback = true;
-    r->Register(std::move(exact));
-
-    SolverEntry fallback;
-    fallback.kind = SolverKind::kExactFallback;
-    fallback.name = "exact-fallback";
-    fallback.citation = "Section 3";
-    fallback.description =
-        "exact solver standing in for a PTIME construction that is not "
-        "implemented or declined the instance";
-    fallback.run = [](const Query& q, const Database& db) {
-      ResilienceResult r = ComputeResilienceExact(q, db);
-      r.solver = SolverKind::kExactFallback;
-      return std::optional<ResilienceResult>(std::move(r));
-    };
-    fallback.is_fallback = true;
-    r->Register(std::move(fallback));
+    // The exact entries: exact is the planned solver for NP-complete /
+    // open / out-of-scope components; exact-fallback marks a PTIME
+    // component that no implemented construction covers.
+    r->Register({SolverKind::kExact, "Section 3",
+                 "branch-and-bound minimum hitting set over witness "
+                 "tuple-sets (correct for every CQ)",
+                 nullptr, nullptr});
+    r->Register({SolverKind::kExactFallback, "Section 3",
+                 "exact solver standing in for a PTIME construction that is "
+                 "not implemented",
+                 nullptr, nullptr});
 
     return r;
   }();

@@ -18,45 +18,39 @@ namespace rescq {
 /// adding a kind without registering it (or without a SolverKindName
 /// case) fails the build or the test, not a production report.
 inline constexpr SolverKind kAllSolverKinds[] = {
-    SolverKind::kExact,           SolverKind::kLinearFlow,
-    SolverKind::kPermCount,       SolverKind::kPermBipartite,
-    SolverKind::kUnboundPermFlow, SolverKind::kPerm3Flow,
-    SolverKind::kRepFlow,         SolverKind::kConf3Forced,
-    SolverKind::kExactFallback,
+    SolverKind::kExact,     SolverKind::kLinearFlow,
+    SolverKind::kPermCount, SolverKind::kUnboundPermFlow,
+    SolverKind::kPerm3Flow, SolverKind::kRepFlow,
+    SolverKind::kConf3Forced, SolverKind::kExactFallback,
 };
 
-/// A self-describing resilience solver: how to recognize the queries it
-/// covers (pure query analysis, run once at plan time) and how to run
-/// the construction on an instance.
+/// A self-describing resilience solver. Its report string is
+/// SolverKindName(kind), a compatibility surface (CSV/JSON schemas, the
+/// CLI).
 struct SolverEntry {
   SolverKind kind = SolverKind::kExact;
-  /// Stable report string; must equal SolverKindName(kind). Report
-  /// strings are a compatibility surface (CSV/JSON schemas, the CLI).
-  std::string name;
   /// The paper result the construction implements, e.g. "Proposition 33".
   std::string citation;
   /// One-line description for `rescq explain`.
   std::string description;
-  /// True when this construction applies to the given connected,
-  /// minimized, domination-normalized component. Instance-independent.
+  /// The full applicability test, run once at plan time on a connected,
+  /// minimized, domination-normalized component: the classification
+  /// pattern plus the construction's own shape matcher. Instance-
+  /// independent, so a planned construction always runs. Null for the
+  /// exact entries, which are never probe-selected.
   std::function<bool(const Query& component, const Classification& c)> probe;
-  /// Runs the construction. nullopt means it declined: the probe matched
-  /// the classification but the concrete instance shape does not fit.
-  std::function<std::optional<ResilienceResult>(const Query& component,
-                                                const Database& db)>
+  /// Runs the construction on a component its probe accepted. Null for
+  /// the exact entries: the engine runs those itself, threading its
+  /// witness and node budgets through.
+  std::function<ResilienceResult(const Query& component, const Database& db)>
       run;
-  /// Fallback entries (exact / exact-fallback) terminate every dispatch
-  /// chain and are never probe-selected as constructions.
-  bool is_fallback = false;
 };
 
-/// Ordered collection of solver entries; registration order is dispatch
-/// order (e.g. the cheap q_perm witness count is probed before the
-/// König cover before the generic pair flow).
+/// The collection of solver entries.
 class SolverRegistry {
  public:
-  /// Registers an entry. Aborts on a duplicate kind or duplicate name,
-  /// or when name != SolverKindName(kind).
+  /// Registers an entry. Aborts on a duplicate kind, or when exactly one
+  /// of probe and run is set.
   void Register(SolverEntry entry);
 
   /// Entry for this kind, or nullptr.
@@ -64,18 +58,18 @@ class SolverRegistry {
 
   const std::vector<SolverEntry>& entries() const { return entries_; }
 
-  /// Kinds of the non-fallback constructions applicable to this
-  /// component, in registration order — the plan's dispatch chain.
-  std::vector<SolverKind> Probe(const Query& component,
-                                const Classification& c) const;
+  /// The construction whose probe accepts this component, or nullopt.
+  /// The probes are disjoint, so at most one accepts.
+  std::optional<SolverKind> Probe(const Query& component,
+                                  const Classification& c) const;
 
  private:
   std::vector<SolverEntry> entries_;
 };
 
 /// The built-in registry: every published construction this repo
-/// implements plus the exact fallbacks, mirroring the Theorem 37 /
-/// Section 8 dispatch that used to live in a hard-coded if/else chain.
+/// implements plus the two exact entries (exact, exact-fallback), which
+/// carry only their citation and description.
 const SolverRegistry& DefaultRegistry();
 
 }  // namespace rescq

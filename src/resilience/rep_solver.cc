@@ -1,19 +1,38 @@
 #include "resilience/rep_solver.h"
 
+#include <string>
+
+#include "complexity/linearity.h"
 #include "complexity/patterns.h"
 #include "resilience/linear_flow_solver.h"
 
 namespace rescq {
 
-std::optional<ResilienceResult> SolveRepFlow(const Query& q,
-                                             const Database& db) {
+namespace {
+
+// The relation of q's REP self-join pair, or nullopt when q's only
+// self-join is not a binary REP pair.
+std::optional<std::string> MatchRepRelation(const Query& q) {
   std::optional<SelfJoinInfo> sj = GetSingleSelfJoin(q);
   if (!sj.has_value() || sj->atoms.size() != 2) return std::nullopt;
   if (q.RelationArity(sj->relation) != 2) return std::nullopt;
   if (ClassifyPair(q, sj->atoms[0], sj->atoms[1]) != PairPattern::kRep) {
     return std::nullopt;
   }
-  int r_rel = db.RelationId(sj->relation);
+  return sj->relation;
+}
+
+}  // namespace
+
+bool RepFlowApplies(const Query& q) {
+  return MatchRepRelation(q).has_value() && IsLinear(q);
+}
+
+std::optional<ResilienceResult> SolveRepFlow(const Query& q,
+                                             const Database& db) {
+  std::optional<std::string> rep = MatchRepRelation(q);
+  if (!rep.has_value()) return std::nullopt;
+  int r_rel = db.RelationId(*rep);
   std::optional<ResilienceResult> result = SolveLinearFlow(
       q, db, [r_rel](const Database& d, TupleId t) {
         if (t.relation != r_rel) return false;

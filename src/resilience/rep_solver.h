@@ -9,6 +9,10 @@
 
 namespace rescq {
 
+/// True when q is linear and its only self-join is a binary REP pair:
+/// the shape SolveRepFlow covers.
+bool RepFlowApplies(const Query& q);
+
 /// Proposition 36 (the z3 family): a linear query whose only self-join is
 /// a REP pair sharing a variable, e.g. R(x,x),R(x,y),A(y). Every witness
 /// matches the REP atom with a loop tuple R(a,a), so a non-loop tuple
@@ -16,7 +20,7 @@ namespace rescq {
 /// minimum contingency set. The solver runs the linear-query network flow
 /// with non-loop R-tuples forced undeletable.
 ///
-/// Returns nullopt if q is not linear or has no REP self-join pair.
+/// Returns nullopt unless RepFlowApplies(q).
 std::optional<ResilienceResult> SolveRepFlow(const Query& q,
                                              const Database& db);
 

@@ -13,8 +13,8 @@ enum class SolverKind {
   kExact,             // branch-and-bound hitting set (any query)
   kLinearFlow,        // linear-query network flow (incl. Prop 31 confluence)
   kPermCount,         // q_perm witness counting (Prop 33)
-  kPermBipartite,     // q_Aperm König cover (Prop 33)
-  kUnboundPermFlow,   // unbound permutation flow (Prop 35, case 1)
+  kUnboundPermFlow,   // unbound permutation flow (Prop 35, case 1; the
+                      // q_Aperm König cover of Prop 33)
   kPerm3Flow,         // q_{A3perm-R} / q_{Swx3perm-R} pair flow (Props 13/44)
   kRepFlow,           // REP z3-style flow (Prop 36)
   kConf3Forced,       // q^TS_3conf forced tuples + flow (Prop 41)

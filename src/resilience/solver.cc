@@ -16,8 +16,6 @@ const char* SolverKindName(SolverKind kind) {
       return "linear-flow";
     case SolverKind::kPermCount:
       return "perm-count";
-    case SolverKind::kPermBipartite:
-      return "perm-bipartite";
     case SolverKind::kUnboundPermFlow:
       return "unbound-perm-flow";
     case SolverKind::kPerm3Flow:

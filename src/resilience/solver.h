@@ -14,16 +14,16 @@ namespace rescq {
 ///
 /// Thin wrapper over a process-shared ResilienceEngine (see engine.h):
 /// the query analysis is planned once per distinct query and memoized,
-/// then dispatched through the SolverRegistry. The pipeline follows the
+/// and the plan names one solver per component. The pipeline follows the
 /// paper: minimize the query (Section 4.1), normalize domination
 /// (Proposition 18), split into components (Lemma 14: the minimum over
 /// components), classify (Theorem 37 / Section 8), and then:
 ///
-///  - PTIME-classified queries run the matching published construction
-///    (linear flow, permutation count / König / pair flow, REP flow,
+///  - PTIME components that a published construction covers run it
+///    (linear flow, permutation count / pair flow, REP flow,
 ///    forced-tuples + flow, the Prop 13/44 pair-node flow);
-///  - PTIME queries whose construction is not implemented fall back to
-///    the exact solver (`kExactFallback`);
+///  - PTIME components that no implemented construction covers run the
+///    exact solver (`kExactFallback`);
 ///  - NP-complete / open / out-of-scope queries use the exact
 ///    branch-and-bound solver (`kExact`), which is correct for every CQ.
 ResilienceResult ComputeResilience(const Query& q, const Database& db);

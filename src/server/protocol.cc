@@ -491,7 +491,7 @@ std::string ProtocolHandler::DoExplain() {
   // The shared engine's plan cache makes this a lookup after the first
   // explain/open of the query, for any session.
   std::shared_ptr<const ResiliencePlan> plan = engine_->Plan(q);
-  std::string text = plan->Explain(engine_->registry());
+  std::string text = plan->Explain();
   std::vector<std::string> lines = Split(text, '\n');
   while (!lines.empty() && lines.back().empty()) lines.pop_back();
   std::string reply = StrFormat("ok explain %zu\n", lines.size());

@@ -260,7 +260,7 @@ const std::vector<Scenario>& ScenarioCatalog() {
        "random permutation + noise edges for q_perm (Prop 33 counting)",
        GeneratePermutation},
       {"perm_bipartite", "A(x), R(x,y), R(y,x)",
-       "permutation instance with sampled A for q_Aperm (Prop 33 Koenig)",
+       "permutation instance with sampled A for q_Aperm (Props 33/35 flow)",
        GenerateBipartitePermutation},
       {"vc_er", "R(x), S(x,y), R(y)",
        "Erdos-Renyi G(n, density) encoded for q_vc (Prop 9)",

@@ -26,7 +26,8 @@ Database GeneratePermutation(const ScenarioParams& p);
 
 /// Bipartite variant for q_Aperm :- A(x), R(x,y), R(y,x): the
 /// permutation instance with each constant added to A with probability
-/// `density` (König-cover side of Prop 33).
+/// `density`: the bipartite (L-tuples x 2-way pairs) cover of Prop 33,
+/// which the Prop 35 unbound-permutation flow solves.
 Database GenerateBipartitePermutation(const ScenarioParams& p);
 
 /// Erdős–Rényi G(size, density) encoded for q_vc :- R(x), S(x,y), R(y)

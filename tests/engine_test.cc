@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "cq/parser.h"
 #include "resilience/engine.h"
 #include "resilience/exact_solver.h"
+#include "resilience/registry.h"
 #include "resilience/solver.h"
 #include "workload/batch.h"
 #include "workload/generators.h"
@@ -33,24 +35,78 @@ TEST(Registry, CoversEverySolverKindWithUniqueStableNames) {
   for (SolverKind kind : kAllSolverKinds) {
     const SolverEntry* entry = registry.Find(kind);
     ASSERT_NE(entry, nullptr) << SolverKindName(kind);
-    EXPECT_EQ(entry->name, SolverKindName(kind));
-    EXPECT_TRUE(names.insert(entry->name).second)
-        << "duplicate registry name " << entry->name;
-    EXPECT_FALSE(entry->citation.empty()) << entry->name;
-    EXPECT_FALSE(entry->description.empty()) << entry->name;
+    std::string name = SolverKindName(kind);
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+    EXPECT_FALSE(entry->citation.empty()) << name;
+    EXPECT_FALSE(entry->description.empty()) << name;
   }
   EXPECT_EQ(registry.entries().size(), std::size(kAllSolverKinds));
 }
 
 TEST(Registry, FallbacksAreNeverProbeSelected) {
   const SolverRegistry& registry = DefaultRegistry();
+  for (SolverKind kind : {SolverKind::kExact, SolverKind::kExactFallback}) {
+    EXPECT_EQ(registry.Find(kind)->probe, nullptr) << SolverKindName(kind);
+    EXPECT_EQ(registry.Find(kind)->run, nullptr) << SolverKindName(kind);
+  }
   for (const CatalogEntry& entry : PaperCatalog()) {
     Query q = MustParseQuery(entry.text);
     Classification c = ClassifyResilience(q);
-    for (SolverKind kind : registry.Probe(q, c)) {
-      const SolverEntry* e = registry.Find(kind);
+    if (std::optional<SolverKind> kind = registry.Probe(q, c)) {
+      const SolverEntry* e = registry.Find(*kind);
       ASSERT_NE(e, nullptr);
-      EXPECT_FALSE(e->is_fallback) << entry.name;
+      EXPECT_NE(e->run, nullptr) << entry.name;
+    }
+  }
+}
+
+// Every component of every catalog and scenario query: at most one
+// construction probe accepts it, the plan names that construction (or
+// an exact solver when none does), and solving runs the planned solver.
+void ExpectPlannedSolverRuns(ResilienceEngine& engine, const Query& q,
+                             const Database& db, const std::string& label) {
+  std::shared_ptr<const ResiliencePlan> plan = engine.Plan(q);
+  std::set<SolverKind> planned;
+  for (const ComponentPlan& cp : plan->components) {
+    if (cp.no_endogenous) continue;
+    planned.insert(cp.solver);
+    int accepted = 0;
+    for (const SolverEntry& e : DefaultRegistry().entries()) {
+      if (e.probe != nullptr && e.probe(cp.query, cp.classification)) {
+        ++accepted;
+        EXPECT_STREQ(SolverKindName(e.kind), SolverKindName(cp.solver))
+            << label;
+      }
+    }
+    EXPECT_LE(accepted, 1) << label;
+    if (accepted == 0) {
+      SolverKind exact = cp.classification.complexity == Complexity::kPTime
+                             ? SolverKind::kExactFallback
+                             : SolverKind::kExact;
+      EXPECT_STREQ(SolverKindName(cp.solver), SolverKindName(exact)) << label;
+    }
+  }
+  SolveOutcome out = engine.Solve(plan, db);
+  ASSERT_TRUE(out.error.empty()) << label << ": " << out.error;
+  if (out.result.unbreakable || out.result.resilience == 0) return;
+  EXPECT_EQ(planned.count(out.result.solver), 1u)
+      << label << " ran " << SolverKindName(out.result.solver);
+}
+
+TEST(Registry, PlannedSolverIsTheOneThatRuns) {
+  ResilienceEngine engine;
+  for (const CatalogEntry& entry : PaperCatalog()) {
+    Query q = MustParseQuery(entry.text);
+    for (uint64_t seed : {1u, 2u}) {
+      ExpectPlannedSolverRuns(engine, q, GenerateUniform(q, {4, 0.5, seed}),
+                              entry.name + " seed " + std::to_string(seed));
+    }
+  }
+  for (const Scenario& scenario : ScenarioCatalog()) {
+    Query q = MustParseQuery(scenario.query);
+    for (uint64_t seed : {1u, 2u}) {
+      ExpectPlannedSolverRuns(engine, q, scenario.generate({6, 0.5, seed}),
+                              scenario.name + " seed " + std::to_string(seed));
     }
   }
 }
@@ -269,84 +325,34 @@ TEST(Engine, NodeBudgetReturnsVerifiedUpperBound) {
   }
 }
 
-TEST(Engine, FallbackReasonsRecordDeclinedConstructions) {
-  // q_Aperm: perm-count probes as applicable (unbound permutation) but
-  // declines at run time because A is also endogenous; the König cover
-  // then solves it. The declined attempt must be visible.
-  Query q = CatalogQuery("q_Aperm");
-  Database db;
-  db.AddTuple("A", {db.Intern("a")});
-  db.AddTuple("R", {db.Intern("a"), db.Intern("b")});
-  db.AddTuple("R", {db.Intern("b"), db.Intern("a")});
+TEST(Engine, UncoveredPtimeComponentPlansExactFallback) {
+  // q_rats is PTIME (sj-free and triad-free) but not linear, so no
+  // implemented construction covers it: the plan names exact-fallback,
+  // and that is the solver that runs.
+  Query q = CatalogQuery("q_rats");
   ResilienceEngine engine;
-  SolveOutcome out = engine.Solve(q, db);
-  EXPECT_EQ(out.result.solver, SolverKind::kPermBipartite);
-  ASSERT_FALSE(out.fallback_reasons.empty());
-  EXPECT_NE(out.fallback_reasons[0].find("perm-count"), std::string::npos);
-}
+  std::shared_ptr<const ResiliencePlan> plan = engine.Plan(q);
+  ASSERT_EQ(plan->components.size(), 1u);
+  EXPECT_EQ(plan->components[0].classification.complexity,
+            Complexity::kPTime);
+  EXPECT_STREQ(SolverKindName(plan->components[0].solver), "exact-fallback");
+  EXPECT_FALSE(plan->components[0].reason.empty());
 
-// A registry whose only construction always declines, to exercise the
-// exact fallback deterministically.
-SolverRegistry DecliningRegistry() {
-  SolverRegistry registry;
-  SolverEntry declines;
-  declines.kind = SolverKind::kLinearFlow;
-  declines.name = "linear-flow";
-  declines.citation = "test";
-  declines.description = "always declines";
-  declines.probe = [](const Query&, const Classification& c) {
-    return c.complexity == Complexity::kPTime;
-  };
-  declines.run = [](const Query&,
-                    const Database&) -> std::optional<ResilienceResult> {
-    return std::nullopt;
-  };
-  registry.Register(std::move(declines));
-
-  SolverEntry exact;
-  exact.kind = SolverKind::kExact;
-  exact.name = "exact";
-  exact.citation = "test";
-  exact.description = "exact";
-  exact.run = [](const Query& q,
-                 const Database& db) -> std::optional<ResilienceResult> {
-    return ComputeResilienceExact(q, db);
-  };
-  exact.is_fallback = true;
-  registry.Register(std::move(exact));
-
-  SolverEntry fallback;
-  fallback.kind = SolverKind::kExactFallback;
-  fallback.name = "exact-fallback";
-  fallback.citation = "test";
-  fallback.description = "exact fallback";
-  fallback.run = [](const Query& q,
-                    const Database& db) -> std::optional<ResilienceResult> {
-    ResilienceResult r = ComputeResilienceExact(q, db);
-    r.solver = SolverKind::kExactFallback;
-    return r;
-  };
-  fallback.is_fallback = true;
-  registry.Register(std::move(fallback));
-  return registry;
-}
-
-TEST(Engine, DeclinedConstructionFallsBackToExact) {
-  static const SolverRegistry registry = DecliningRegistry();
-  Query q = MustParseQuery("A(x), R(x,y), R(z,y), C(z)");
   Database db;
-  db.AddTuple("A", {db.Intern("a")});
-  db.AddTuple("R", {db.Intern("a"), db.Intern("b")});
-  db.AddTuple("R", {db.Intern("c"), db.Intern("b")});
-  db.AddTuple("C", {db.Intern("c")});
-
-  ResilienceEngine engine(EngineOptions{}, &registry);
-  SolveOutcome out = engine.Solve(q, db);
+  auto v = [&](const char* s) { return db.Intern(s); };
+  db.AddTuple("A", {v("a")});
+  db.AddTuple("A", {v("b")});
+  db.AddTuple("R", {v("a"), v("c")});
+  db.AddTuple("R", {v("b"), v("c")});
+  db.AddTuple("T", {v("d"), v("a")});
+  db.AddTuple("T", {v("d"), v("b")});
+  db.AddTuple("S", {v("c"), v("d")});
+  SolveOutcome out = engine.Solve(plan, db);
   EXPECT_TRUE(out.error.empty());
-  EXPECT_EQ(out.result.solver, SolverKind::kExactFallback);
+  EXPECT_STREQ(SolverKindName(out.result.solver), "exact-fallback");
   EXPECT_EQ(out.result.resilience,
             ComputeResilienceReference(q, db).resilience);
-  ASSERT_FALSE(out.fallback_reasons.empty());
+  EXPECT_EQ(out.result.resilience, 1);  // S(c,d) joins both witnesses
 }
 
 // --- Explain -----------------------------------------------------------------
@@ -419,16 +425,19 @@ TEST(Engine, ConcurrentSolvesComposeWithSolverWorkers) {
 
 TEST(Plan, ExplainNamesPipelineSolverAndCitation) {
   ResilienceEngine engine;
-  std::string ptime =
-      engine.Plan(CatalogQuery("q_ACconf"))->Explain(engine.registry());
+  std::string ptime = engine.Plan(CatalogQuery("q_ACconf"))->Explain();
   EXPECT_NE(ptime.find("pipeline"), std::string::npos);
   EXPECT_NE(ptime.find("linear-flow"), std::string::npos);
   EXPECT_NE(ptime.find("Proposition"), std::string::npos);
-  EXPECT_NE(ptime.find("fallback"), std::string::npos);
+  // One solver per component: no fallback line, no "then" chain.
+  EXPECT_EQ(ptime.find("fallback"), std::string::npos);
+  EXPECT_EQ(ptime.find("then "), std::string::npos);
 
-  std::string hard =
-      engine.Plan(MustParseQuery("R(x,y), R(y,z)"))->Explain(
-          engine.registry());
+  std::string uncovered = engine.Plan(CatalogQuery("q_rats"))->Explain();
+  EXPECT_NE(uncovered.find("solver:     exact-fallback"), std::string::npos);
+  EXPECT_EQ(uncovered.find("linear-flow"), std::string::npos);
+
+  std::string hard = engine.Plan(MustParseQuery("R(x,y), R(y,z)"))->Explain();
   EXPECT_NE(hard.find("NP-complete"), std::string::npos);
   EXPECT_NE(hard.find("branch-and-bound"), std::string::npos);
 }

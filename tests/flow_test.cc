@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "flow/bipartite.h"
 #include "flow/max_flow.h"
 #include "util/rng.h"
 
@@ -135,37 +137,85 @@ TEST(MaxFlow, SelfLoopOnSourceAndSink) {
   EXPECT_EQ(f.Compute(0, 1), 4);
 }
 
+// Minimum vertex cover of a bipartite graph on the unit network
+// s->L->R->t: capacity 1 on s->l and r->t, infinite on l->r. By König's
+// theorem the max flow (a maximum matching) equals the minimum cover,
+// and the min cut's edges name the cover: s->l puts l in it, r->t puts
+// r in it. This is the identity unbound-perm-flow relies on for q_Aperm.
+struct UnitNetworkCover {
+  int64_t flow = 0;
+  std::vector<bool> left;
+  std::vector<bool> right;
+  int size = 0;
+};
+
+UnitNetworkCover CoverByMaxFlow(
+    int num_left, int num_right,
+    const std::vector<std::pair<int, int>>& edges) {
+  MaxFlow f(2 + num_left + num_right);
+  const int s = 0;
+  const int t = 1;
+  auto left_node = [](int l) { return 2 + l; };
+  auto right_node = [&](int r) { return 2 + num_left + r; };
+  for (int l = 0; l < num_left; ++l) f.AddEdge(s, left_node(l), 1, l);
+  for (int r = 0; r < num_right; ++r) {
+    f.AddEdge(right_node(r), t, 1, num_left + r);
+  }
+  for (auto [l, r] : edges) {
+    f.AddEdge(left_node(l), right_node(r), kInfCapacity);
+  }
+  UnitNetworkCover cover;
+  cover.flow = f.Compute(s, t);
+  cover.left.assign(static_cast<size_t>(num_left), false);
+  cover.right.assign(static_cast<size_t>(num_right), false);
+  for (int e : f.MinCutEdges()) {
+    int64_t tag = f.edge(e).tag;
+    EXPECT_GE(tag, 0) << "an infinite l->r edge was cut";
+    if (tag < num_left) {
+      cover.left[static_cast<size_t>(tag)] = true;
+    } else {
+      cover.right[static_cast<size_t>(tag - num_left)] = true;
+    }
+    ++cover.size;
+  }
+  return cover;
+}
+
+// The cut edges form a vertex cover whose size equals the flow value.
+void ExpectCoverEqualsFlow(const UnitNetworkCover& c,
+                           const std::vector<std::pair<int, int>>& edges,
+                           const std::string& label) {
+  for (auto [l, r] : edges) {
+    EXPECT_TRUE(c.left[static_cast<size_t>(l)] ||
+                c.right[static_cast<size_t>(r)])
+        << label << ": " << l << "-" << r;
+  }
+  EXPECT_EQ(c.size, c.flow) << label;
+}
+
 TEST(Bipartite, PerfectMatchingSquare) {
   // K2,2: cover size 2.
-  BipartiteCover c(2, 2);
-  c.AddEdge(0, 0);
-  c.AddEdge(0, 1);
-  c.AddEdge(1, 0);
-  c.AddEdge(1, 1);
-  c.Compute();
-  EXPECT_EQ(c.MatchingSize(), 2);
-  EXPECT_EQ(c.CoverSize(), 2);
+  std::vector<std::pair<int, int>> edges = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
+  UnitNetworkCover c = CoverByMaxFlow(2, 2, edges);
+  EXPECT_EQ(c.flow, 2);
+  ExpectCoverEqualsFlow(c, edges, "K2,2");
 }
 
 TEST(Bipartite, StarNeedsOneVertex) {
   // One left vertex connected to 4 rights: cover = {left}.
-  BipartiteCover c(1, 4);
-  for (int r = 0; r < 4; ++r) c.AddEdge(0, r);
-  c.Compute();
-  EXPECT_EQ(c.CoverSize(), 1);
-  EXPECT_TRUE(c.left_in_cover()[0]);
+  std::vector<std::pair<int, int>> edges = {{0, 0}, {0, 1}, {0, 2}, {0, 3}};
+  UnitNetworkCover c = CoverByMaxFlow(1, 4, edges);
+  EXPECT_EQ(c.flow, 1);
+  ExpectCoverEqualsFlow(c, edges, "star");
+  EXPECT_TRUE(c.left[0]);
 }
 
 TEST(Bipartite, CoverEqualsMatchingByKonig) {
   // Path: L0-R0, L1-R0, L1-R1, L2-R1. Max matching 2, cover 2.
-  BipartiteCover c(3, 2);
-  c.AddEdge(0, 0);
-  c.AddEdge(1, 0);
-  c.AddEdge(1, 1);
-  c.AddEdge(2, 1);
-  c.Compute();
-  EXPECT_EQ(c.MatchingSize(), 2);
-  EXPECT_EQ(c.CoverSize(), 2);
+  std::vector<std::pair<int, int>> edges = {{0, 0}, {1, 0}, {1, 1}, {2, 1}};
+  UnitNetworkCover c = CoverByMaxFlow(3, 2, edges);
+  EXPECT_EQ(c.flow, 2);
+  ExpectCoverEqualsFlow(c, edges, "path");
 }
 
 TEST(Bipartite, CoverIsActuallyACover) {
@@ -183,24 +233,16 @@ TEST(Bipartite, CoverIsActuallyACover) {
     graphs.push_back({n, edges});
   }
   for (const auto& [n, edges] : graphs) {
-    BipartiteCover c(n, n);
-    for (auto [l, r] : edges) c.AddEdge(l, r);
-    c.Compute();
-    for (auto [l, r] : edges) {
-      EXPECT_TRUE(c.left_in_cover()[static_cast<size_t>(l)] ||
-                  c.right_in_cover()[static_cast<size_t>(r)])
-          << n << ": " << l << "-" << r;
-    }
-    EXPECT_GT(c.MatchingSize(), 0) << n;
-    EXPECT_EQ(c.CoverSize(), c.MatchingSize()) << n;
+    UnitNetworkCover c = CoverByMaxFlow(n, n, edges);
+    EXPECT_GT(c.flow, 0) << n;
+    ExpectCoverEqualsFlow(c, edges, "G(" + std::to_string(n) + ")");
   }
 }
 
 TEST(Bipartite, EmptyGraph) {
-  BipartiteCover c(3, 3);
-  c.Compute();
-  EXPECT_EQ(c.CoverSize(), 0);
-  EXPECT_EQ(c.MatchingSize(), 0);
+  UnitNetworkCover c = CoverByMaxFlow(3, 3, {});
+  EXPECT_EQ(c.flow, 0);
+  EXPECT_EQ(c.size, 0);
 }
 
 }  // namespace

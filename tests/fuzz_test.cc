@@ -6,11 +6,14 @@
 //  - the dispatcher's answer equals the exact oracle;
 //  - returned contingency sets really falsify the query;
 //  - PTIME-classified connected queries in the two-R-atom class are
-//    answered by a specialized construction or the documented fallback.
+//    answered by a specialized construction or the documented fallback;
+//  - at most one construction probe accepts a component, and the
+//    reported solver is the one the plan names.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include "complexity/catalog.h"
@@ -22,6 +25,7 @@
 #include "resilience/engine.h"
 #include "resilience/exact_solver.h"
 #include "resilience/incremental.h"
+#include "resilience/registry.h"
 #include "resilience/solver.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -79,6 +83,7 @@ Database RandomDatabase(const Query& q, int domain, int tuples, Rng& rng) {
 
 TEST(Fuzz, RandomQueriesSurviveTheFullPipeline) {
   Rng rng(0xD1CE);
+  ResilienceEngine engine;
   int ptime_seen = 0, hard_seen = 0;
   for (int round = 0; round < 200; ++round) {
     Query q = RandomQuery(rng);
@@ -88,8 +93,24 @@ TEST(Fuzz, RandomQueriesSurviveTheFullPipeline) {
     if (c.complexity == Complexity::kPTime) ++ptime_seen;
     if (c.complexity == Complexity::kNpComplete) ++hard_seen;
 
+    // At most one construction probe accepts a component, so the plan
+    // names one solver per component.
+    std::shared_ptr<const ResiliencePlan> plan = engine.Plan(q);
+    std::set<SolverKind> planned;
+    for (const ComponentPlan& cp : plan->components) {
+      if (cp.no_endogenous) continue;
+      planned.insert(cp.solver);
+      int accepted = 0;
+      for (const SolverEntry& e : DefaultRegistry().entries()) {
+        if (e.probe != nullptr && e.probe(cp.query, cp.classification)) {
+          ++accepted;
+        }
+      }
+      ASSERT_LE(accepted, 1) << q.ToString() << " round " << round;
+    }
+
     Database db = RandomDatabase(q, 4, 7, rng);
-    ResilienceResult fast = ComputeResilience(q, db);
+    ResilienceResult fast = engine.Solve(plan, db).result;
     ResilienceResult exact = ComputeResilienceExact(q, db);
     ASSERT_EQ(fast.unbreakable, exact.unbreakable)
         << q.ToString() << " round " << round;
@@ -97,6 +118,12 @@ TEST(Fuzz, RandomQueriesSurviveTheFullPipeline) {
     ASSERT_EQ(fast.resilience, exact.resilience)
         << q.ToString() << " round " << round << " via "
         << SolverKindName(fast.solver);
+    // The reported solver is the plan's: a planned construction runs.
+    if (fast.resilience > 0) {
+      ASSERT_EQ(planned.count(fast.solver), 1u)
+          << q.ToString() << " round " << round << " via "
+          << SolverKindName(fast.solver);
+    }
     ASSERT_EQ(static_cast<int>(fast.contingency.size()), fast.resilience);
     ASSERT_TRUE(VerifyContingency(q, db, fast.contingency))
         << q.ToString() << " round " << round;

@@ -160,11 +160,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(KindCase{"q_lin", SolverKind::kLinearFlow},
                       KindCase{"q_ACconf", SolverKind::kLinearFlow},
                       KindCase{"q_perm", SolverKind::kPermCount},
-                      KindCase{"q_Aperm", SolverKind::kPermBipartite},
+                      KindCase{"q_Aperm", SolverKind::kUnboundPermFlow},
                       KindCase{"z3", SolverKind::kRepFlow},
                       KindCase{"q_TS3conf", SolverKind::kConf3Forced},
                       KindCase{"q_A3perm_R", SolverKind::kPerm3Flow},
                       KindCase{"q_Swx3perm_R", SolverKind::kPerm3Flow},
+                      KindCase{"q_rats", SolverKind::kExactFallback},
+                      KindCase{"q_brats", SolverKind::kExactFallback},
                       KindCase{"q_chain", SolverKind::kExact}),
     [](const ::testing::TestParamInfo<KindCase>& info) {
       return info.param.query_name;
@@ -243,6 +245,17 @@ TEST(PermSolvers, CountOnPairsAndLoops) {
   EXPECT_EQ(r->resilience, 2);
 }
 
+TEST(PermSolvers, ShapePredicatesSplitTheUnboundPermutations) {
+  EXPECT_TRUE(PermutationCountApplies(CatalogQuery("q_perm")));
+  EXPECT_FALSE(UnboundPermutationFlowApplies(CatalogQuery("q_perm")));
+  EXPECT_FALSE(PermutationCountApplies(CatalogQuery("q_Aperm")));
+  EXPECT_TRUE(UnboundPermutationFlowApplies(CatalogQuery("q_Aperm")));
+  // L holding both pair variables is not Prop 35's case 1.
+  Query both = MustParseQuery("L(x,y), R(x,y), R(y,x)");
+  EXPECT_FALSE(PermutationCountApplies(both));
+  EXPECT_FALSE(UnboundPermutationFlowApplies(both));
+}
+
 TEST(PermSolvers, BipartiteSharedATuple) {
   // A(a) joins two pairs; deleting A(a) is optimal.
   Database db;
@@ -253,14 +266,10 @@ TEST(PermSolvers, BipartiteSharedATuple) {
   db.AddTuple("R", {v("a"), v("c")});
   db.AddTuple("R", {v("c"), v("a")});
   Query q = CatalogQuery("q_Aperm");
-  std::optional<ResilienceResult> r = SolvePermutationBipartite(q, db);
+  std::optional<ResilienceResult> r = SolveUnboundPermutationFlow(q, db);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->resilience, 1);
   EXPECT_EQ(db.TupleToString(r->contingency[0]), "A(a)");
-
-  std::optional<ResilienceResult> f = SolveUnboundPermutationFlow(q, db);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->resilience, 1);
 }
 
 TEST(PermSolvers, SharedRPairBeatsTwoATuples) {
@@ -273,7 +282,7 @@ TEST(PermSolvers, SharedRPairBeatsTwoATuples) {
   db.AddTuple("R", {v("a"), v("b")});
   db.AddTuple("R", {v("b"), v("a")});
   Query q = CatalogQuery("q_Aperm");
-  std::optional<ResilienceResult> r = SolvePermutationBipartite(q, db);
+  std::optional<ResilienceResult> r = SolveUnboundPermutationFlow(q, db);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->resilience, 1);
   EXPECT_EQ(db.TupleToString(r->contingency[0]).substr(0, 1), "R");

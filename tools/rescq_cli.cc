@@ -603,7 +603,7 @@ int CmdExplain(const std::vector<std::string>& args) {
   }
   ResilienceEngine engine;
   std::shared_ptr<const ResiliencePlan> plan = engine.Plan(*q);
-  std::fputs(plan->Explain(engine.registry()).c_str(), stdout);
+  std::fputs(plan->Explain().c_str(), stdout);
   return 0;
 }
 
