@@ -131,34 +131,42 @@ SolveOutcome ResilienceEngine::Solve(
   }
 
   // Lemma 14: the query is false as soon as one component is false, so
-  // rho(q, D) = min_i rho(q_i, D); a failing component means rho = 0.
-  for (const ComponentPlan& comp : plan->components) {
-    if (!QueryHolds(comp.query, db)) {
-      out.solve_ms = MsSince(start);
-      return out;  // default result: resilience 0
+  // rho(q, D) = min_i rho(q_i, D); a false component means rho = 0. A
+  // construction needs no holds check: on a false component it finds no
+  // witness and returns rho = 0 without `unbreakable`. Every component is
+  // settled this way before any exact search starts.
+  const size_t n = plan->components.size();
+  std::vector<ResilienceResult> results(n);
+  for (size_t i = 0; i < n; ++i) {
+    const ComponentPlan& comp = plan->components[i];
+    const SolverEntry* entry = DefaultRegistry().Find(comp.solver);
+    RESCQ_CHECK(entry != nullptr);
+    if (comp.no_endogenous || entry->run == nullptr) {
+      if (QueryHolds(comp.query, db)) continue;
+    } else {
+      results[i] = entry->run(comp.query, db);
+      if (results[i].unbreakable || results[i].resilience > 0) continue;
     }
+    out.solve_ms = MsSince(start);
+    return out;  // default result: resilience 0
   }
 
   ResilienceResult best;
   best.unbreakable = true;
-  for (const ComponentPlan& comp : plan->components) {
+  for (size_t i = 0; i < n; ++i) {
+    const ComponentPlan& comp = plan->components[i];
     if (comp.no_endogenous) continue;  // unbreakable whenever it holds
-
-    const SolverEntry* entry = DefaultRegistry().Find(comp.solver);
-    RESCQ_CHECK(entry != nullptr);
-    ResilienceResult r;
-    if (entry->run != nullptr) {
-      r = entry->run(comp.query, db);
-    } else {
+    if (DefaultRegistry().Find(comp.solver)->run == nullptr) {
       // An exact entry only describes its solver (Explain, self-checks);
       // the engine runs it: only the engine can thread the witness / node
       // budgets and collect search stats.
-      r = RunExact(comp.query, db, comp.solver, &out);
+      results[i] = RunExact(comp.query, db, comp.solver, &out);
       if (!out.error.empty()) {
         out.solve_ms = MsSince(start);
         return out;  // witness budget exceeded: result must not be used
       }
     }
+    const ResilienceResult& r = results[i];
     if (r.unbreakable) continue;
     if (best.unbreakable || r.resilience < best.resilience) best = r;
   }

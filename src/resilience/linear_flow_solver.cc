@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "complexity/linearity.h"
-#include "db/witness.h"
 #include "flow/max_flow.h"
 #include "util/check.h"
 
@@ -13,11 +11,16 @@ namespace rescq {
 
 namespace {
 
-struct ValuesHash {
-  size_t operator()(const std::vector<Value>& values) const {
-    return HashValues(values.data(), values.size());
+// For each variable of `vars`, the atom column of its first occurrence.
+std::vector<size_t> ColumnsOf(const Atom& atom,
+                              const std::vector<VarId>& vars) {
+  std::vector<size_t> cols;
+  for (VarId v : vars) {
+    cols.push_back(static_cast<size_t>(
+        std::find(atom.vars.begin(), atom.vars.end(), v) - atom.vars.begin()));
   }
-};
+  return cols;
+}
 
 }  // namespace
 
@@ -35,51 +38,76 @@ std::optional<ResilienceResult> SolveLinearFlow(
   MaxFlow flow(2);  // s = 0, t = 1
   const int s = 0;
   const int t = 1;
-  // Interface nodes per inner boundary: interface values -> node. The
-  // key buffer is reused, so only a boundary's first sight of a key
-  // allocates.
-  std::vector<std::unordered_map<std::vector<Value>, int, ValuesHash>>
-      nodes(static_cast<size_t>(m));
-  std::vector<Value> key;
-  auto boundary_node = [&](const Witness& w, int boundary) {
-    if (boundary == 0) return s;
-    if (boundary == m) return t;
-    key.clear();
-    for (VarId v : interfaces[static_cast<size_t>(boundary - 1)]) {
-      key.push_back(w.assignment[static_cast<size_t>(v)]);
+  // Interface values -> node, per inner boundary b (nodes[b - 1]). A key
+  // folds into a dense id: its first value v is id v + 1 (so a
+  // one-variable interface is indexed by value, unhashed), and each
+  // further value extends the id through a hashed (id, value) word.
+  std::vector<std::vector<int>> nodes(interfaces.size());
+  std::unordered_map<uint64_t, uint32_t> words;
+  uint32_t next_id = static_cast<uint32_t>(db.domain_size()) + 1;
+  // The node of `row`'s values at `cols` on boundary b; -1 when no edge
+  // has reached it, unless `add` adds it.
+  auto node = [&](int b, RowView row, const std::vector<size_t>& cols,
+                  bool add) {
+    uint32_t id = cols.empty() ? 0 : static_cast<uint32_t>(row[cols[0]]) + 1;
+    for (size_t i = 1; i < cols.size(); ++i) {
+      uint64_t word = uint64_t{id} << 32 | static_cast<uint32_t>(row[cols[i]]);
+      auto it = words.find(word);
+      if (it == words.end()) {
+        if (!add) return -1;
+        it = words.emplace(word, next_id++).first;
+      }
+      id = it->second;
     }
-    auto [it, inserted] =
-        nodes[static_cast<size_t>(boundary)].try_emplace(key, -1);
-    if (inserted) it->second = flow.AddNode();
-    return it->second;
+    std::vector<int>& ids = nodes[static_cast<size_t>(b - 1)];
+    if (id >= ids.size()) {
+      if (!add) return -1;
+      ids.resize(id + 1, -1);
+    }
+    if (ids[id] < 0 && add) ids[id] = flow.AddNode();
+    return ids[id];
   };
-  // The tuples that already have an edge, per position; edge tags index
-  // edge_tuples.
-  std::vector<std::unordered_set<TupleId, TupleIdHash>> edges(
-      static_cast<size_t>(m));
+  // Edge tags index edge_tuples.
   std::vector<TupleId> edge_tuples;
   std::vector<bool> edge_deletable;
 
-  // Witnesses stream in enumeration order, so nodes and edges are added
-  // in the same order a materialized witness list would give. With no
-  // witness the graph has no edge, and the cut below is empty.
-  ForEachWitness(q, db, [&](const Witness& w) {
-    for (int pos = 0; pos < m; ++pos) {
-      int atom_idx = order[static_cast<size_t>(pos)];
-      TupleId tuple = w.atom_tuples[static_cast<size_t>(atom_idx)];
-      if (!edges[static_cast<size_t>(pos)].insert(tuple).second) continue;
-      int from = boundary_node(w, pos);
-      int to = boundary_node(w, pos + 1);
-      bool deletable = !q.atom(atom_idx).exogenous &&
+  // One edge per (position, active tuple passing its atom's filter), from
+  // its left interface values' node to its right ones'. Positions run in
+  // order, and a tuple whose left node no earlier edge reached is
+  // skipped: every edge is reachable from s.
+  for (int pos = 0; pos < m; ++pos) {
+    const Atom& atom = q.atom(order[static_cast<size_t>(pos)]);
+    const int rel = db.RelationId(atom.relation);
+    // An absent relation, or one stored at another arity, matches no
+    // atom: no witness, rho = 0.
+    if (rel < 0 || db.relation_arity(rel) != atom.arity()) return result;
+    // A repeated variable (R(x,x)) asks its later columns to equal the
+    // first.
+    const std::vector<size_t> first_col = ColumnsOf(atom, atom.vars);
+    const std::vector<size_t> left_cols =
+        pos > 0 ? ColumnsOf(atom, interfaces[static_cast<size_t>(pos - 1)])
+                : std::vector<size_t>{};
+    const std::vector<size_t> right_cols =
+        pos + 1 < m ? ColumnsOf(atom, interfaces[static_cast<size_t>(pos)])
+                    : std::vector<size_t>{};
+    for (TupleId tuple : db.ActiveTuples(rel)) {
+      RowView row = db.Row(tuple);
+      bool matches = true;
+      for (size_t c = 0; c < first_col.size() && matches; ++c) {
+        matches = row[c] == row[first_col[c]];
+      }
+      if (!matches) continue;
+      const int from = pos == 0 ? s : node(pos, row, left_cols, false);
+      if (from < 0) continue;
+      const int to = pos + 1 == m ? t : node(pos + 1, row, right_cols, true);
+      bool deletable = !atom.exogenous &&
                        !(force_undeletable && force_undeletable(db, tuple));
-      int64_t cap = deletable ? 1 : kInfCapacity;
       int tag = static_cast<int>(edge_tuples.size());
       edge_tuples.push_back(tuple);
       edge_deletable.push_back(deletable);
-      flow.AddEdge(from, to, cap, tag);
+      flow.AddEdge(from, to, deletable ? 1 : kInfCapacity, tag);
     }
-    return true;
-  });
+  }
 
   int64_t value = flow.Compute(s, t);
   if (value >= kInfCapacity) {

@@ -20,10 +20,15 @@ using TupleOverride = std::function<bool(const Database&, TupleId)>;
 ///
 ///  - arrange the atoms in a linear order; between consecutive atoms the
 ///    shared variables form an "interface";
-///  - each witness becomes an s-t path whose i-th edge is the tuple
-///    matched by the i-th atom, connecting interface-value nodes;
-///  - endogenous tuples get capacity 1 (one edge per (position, tuple),
-///    shared across witnesses), exogenous (or overridden) tuples get ∞;
+///  - each *tuple* of the i-th atom's relation that passes the atom's
+///    repeated-variable filter is an edge at position i, from the node of
+///    its left interface values to the node of its right ones (one edge
+///    per (position, tuple)); the network is built from the tuples in
+///    O(|D|·m), never from the witnesses;
+///  - every s-t path is a witness; a dangling tuple (in no witness) lies
+///    on no s-t path, so it carries no flow and is never cut;
+///  - endogenous tuples get capacity 1, exogenous (or overridden) tuples
+///    get ∞;
 ///  - a minimum cut is a minimum contingency set.
 ///
 /// With a self-join, one tuple may appear at several positions (the

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <unordered_map>
 
 #include "db/witness.h"
 #include "flow/max_flow.h"
@@ -94,6 +94,7 @@ std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
   int r_rel = db.RelationId(shape->r);
   int l_rel = db.RelationId(q.atom(shape->l_atom).relation);
   RESCQ_CHECK(r_rel >= 0 && l_rel >= 0);
+  const size_t domain = static_cast<size_t>(db.domain_size());
 
   // Canonical read of an R tuple (column swap applied).
   auto r_row = [&](TupleId id) {
@@ -101,19 +102,15 @@ std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
     return shape->r_swapped ? std::make_pair(row[1], row[0])
                             : std::make_pair(row[0], row[1]);
   };
-  std::map<std::pair<Value, Value>, TupleId> r_tuples;
-  for (TupleId id : db.ActiveTuples(r_rel)) r_tuples[r_row(id)] = id;
-
-  // Classify: 2-way pairs {a,b} with a<=b (loops included) vs 1-way.
-  std::set<std::pair<Value, Value>> pairs;
-  std::vector<TupleId> one_way;
-  for (const auto& [ab, id] : r_tuples) {
-    auto [a, b] = ab;
-    if (r_tuples.count({b, a})) {
-      pairs.insert({std::min(a, b), std::max(a, b)});
-    } else {
-      one_way.push_back(id);
-    }
+  auto word = [](Value a, Value b) {
+    return uint64_t{static_cast<uint32_t>(a)} << 32 | static_cast<uint32_t>(b);
+  };
+  // Active R tuples by their canonical (a, b).
+  const std::vector<TupleId> r_active = db.ActiveTuples(r_rel);
+  std::unordered_map<uint64_t, TupleId> r_tuples;
+  for (TupleId id : r_active) {
+    auto [a, b] = r_row(id);
+    r_tuples.emplace(word(a, b), id);
   }
 
   MaxFlow flow(2);
@@ -123,81 +120,71 @@ std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
   std::vector<TupleId> tuple_tags;
   std::vector<std::pair<Value, Value>> pair_tags;
   constexpr int64_t kPairBase = 1'000'000'000;
-
-  std::map<Value, int> v_nodes;  // value a -> v_a
-  auto v_node = [&](Value a) {
-    auto [it, inserted] = v_nodes.try_emplace(a, -1);
-    if (inserted) it->second = flow.AddNode();
-    return it->second;
-  };
-  std::map<Value, int> u_nodes;  // value b -> u_b (reached via connector)
-  auto u_node = [&](Value b) {
-    auto [it, inserted] = u_nodes.try_emplace(b, -1);
-    if (inserted) it->second = flow.AddNode();
-    return it->second;
-  };
-  std::map<std::pair<Value, Value>, int> pair_nodes;
-  std::vector<int> l_edges;                 // edge idx per L tuple
-  std::vector<TupleId> l_edge_tuple;
+  // Per value a: v_a (fed by L tuples), u_a (reached by a 1-way
+  // connector), and the pair nodes containing a; -1 / empty = none.
+  std::vector<int> v_nodes(domain, -1);
+  std::vector<int> u_nodes(domain, -1);
+  std::vector<std::vector<int>> pairs_of(domain);
 
   // L tuples feed v_a with capacity 1.
+  std::vector<std::pair<int, size_t>> l_edges;  // (edge idx, a) per L tuple
   for (TupleId id : db.ActiveTuples(l_rel)) {
-    Value a = db.Row(id)[static_cast<size_t>(shape->l_x_pos)];
+    const size_t a = static_cast<size_t>(
+        db.Row(id)[static_cast<size_t>(shape->l_x_pos)]);
+    if (v_nodes[a] < 0) v_nodes[a] = flow.AddNode();
     int tag = static_cast<int>(tuple_tags.size());
     tuple_tags.push_back(id);
-    int e = flow.AddEdge(s, v_node(a), 1, tag);
-    l_edges.push_back(e);
-    l_edge_tuple.push_back(id);
+    l_edges.emplace_back(flow.AddEdge(s, v_nodes[a], 1, tag), a);
   }
-  // Pair nodes with capacity-1 edge to t.
-  for (const auto& p : pairs) {
+  // 2-way pairs {a,b} with a<=b (loops included): a node with a
+  // capacity-1 edge to t, fed directly by v_a and v_b. The rest are 1-way.
+  std::vector<TupleId> one_way;
+  for (TupleId id : r_active) {
+    auto [a, b] = r_row(id);
+    if (!r_tuples.count(word(b, a))) {
+      one_way.push_back(id);
+      continue;
+    }
+    if (a > b) continue;  // the pair is added from its (b, a) tuple
     int node = flow.AddNode();
-    pair_nodes[p] = node;
     int64_t tag = kPairBase + static_cast<int64_t>(pair_tags.size());
-    pair_tags.push_back(p);
+    pair_tags.push_back({a, b});
     flow.AddEdge(node, t, 1, tag);
-  }
-  // Direct membership edges v_a -> pair containing a.
-  for (const auto& [p, node] : pair_nodes) {
-    for (Value a : {p.first, p.second}) {
-      if (v_nodes.count(a)) {
-        flow.AddEdge(v_nodes[a], node, kInfCapacity);
+    for (Value v : {a, b}) {
+      pairs_of[static_cast<size_t>(v)].push_back(node);
+      if (v_nodes[static_cast<size_t>(v)] >= 0) {
+        flow.AddEdge(v_nodes[static_cast<size_t>(v)], node, kInfCapacity);
       }
-      if (p.first == p.second) break;
+      if (a == b) break;
     }
   }
   // 1-way connector edges v_a -> u_b (-> pairs containing b).
-  std::set<Value> u_values;
   for (TupleId id : one_way) {
     auto [a, b] = r_row(id);
-    if (!v_nodes.count(a)) continue;  // no L tuple can reach it
-    int tag = static_cast<int>(tuple_tags.size());
-    tuple_tags.push_back(id);
-    int64_t cap = shape->l_unary ? kInfCapacity : 1;
-    flow.AddEdge(v_nodes[a], u_node(b), cap, tag);
-    u_values.insert(b);
-  }
-  for (Value b : u_values) {
-    for (const auto& [p, node] : pair_nodes) {
-      if (p.first == b || p.second == b) {
-        flow.AddEdge(u_nodes[b], node, kInfCapacity);
+    const int from = v_nodes[static_cast<size_t>(a)];
+    if (from < 0) continue;  // no L tuple can reach it
+    int& u = u_nodes[static_cast<size_t>(b)];
+    if (u < 0) {
+      u = flow.AddNode();
+      for (int pair : pairs_of[static_cast<size_t>(b)]) {
+        flow.AddEdge(u, pair, kInfCapacity);
       }
     }
+    int tag = static_cast<int>(tuple_tags.size());
+    tuple_tags.push_back(id);
+    flow.AddEdge(from, u, shape->l_unary ? kInfCapacity : 1, tag);
   }
 
   int64_t value = flow.Compute(s, t);
   RESCQ_CHECK_LT(value, kInfCapacity);
   result.resilience = static_cast<int>(value);
 
-  // Which L values are still alive (some uncut L-edge feeds them)?
-  std::vector<int> cut = flow.MinCutEdges();
-  std::set<int> cut_set(cut.begin(), cut.end());
-  std::set<Value> alive;
-  for (size_t i = 0; i < l_edges.size(); ++i) {
-    if (!cut_set.count(l_edges[i])) {
-      Value a = db.Row(l_edge_tuple[i])[static_cast<size_t>(shape->l_x_pos)];
-      alive.insert(a);
-    }
+  // Which L values are still alive (some uncut L-edge feeds them)? The
+  // cut lists edge indices in ascending order.
+  const std::vector<int> cut = flow.MinCutEdges();
+  std::vector<bool> alive(domain, false);
+  for (auto [e, a] : l_edges) {
+    if (!std::binary_search(cut.begin(), cut.end(), e)) alive[a] = true;
   }
   for (int e : cut) {
     int64_t tag = flow.edge(e).tag;
@@ -207,16 +194,10 @@ std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
     }
     auto [a, b] = pair_tags[static_cast<size_t>(tag - kPairBase)];
     // Side rule from the proofs: delete the tuple leaving the side that
-    // is still alive.
-    std::pair<Value, Value> choice;
-    if (alive.count(a) && !alive.count(b)) {
-      choice = {a, b};
-    } else if (alive.count(b) && !alive.count(a)) {
-      choice = {b, a};
-    } else {
-      choice = {a, b};  // both or neither alive: arbitrary
-    }
-    auto it = r_tuples.find(choice);
+    // is still alive (both or neither alive: arbitrary, R(a,b)).
+    const bool take_ba = alive[static_cast<size_t>(b)] &&
+                         !alive[static_cast<size_t>(a)];
+    auto it = r_tuples.find(take_ba ? word(b, a) : word(a, b));
     RESCQ_CHECK(it != r_tuples.end());
     result.contingency.push_back(it->second);
   }

@@ -1,7 +1,7 @@
 #include "resilience/perm_solver.h"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
 
 #include "complexity/patterns.h"
 #include "db/witness.h"
@@ -53,17 +53,6 @@ std::optional<PermShape> MatchPermShape(const Query& q) {
   return shape;
 }
 
-// The pair tuples of a witness under a shape: the (deduplicated) tuples
-// matched by the two permutation atoms.
-std::vector<TupleId> PairOf(const Witness& w, const PermShape& shape) {
-  std::vector<TupleId> pair = {
-      w.atom_tuples[static_cast<size_t>(shape.a1)],
-      w.atom_tuples[static_cast<size_t>(shape.a2)]};
-  std::sort(pair.begin(), pair.end());
-  pair.erase(std::unique(pair.begin(), pair.end()), pair.end());
-  return pair;
-}
-
 }  // namespace
 
 bool PermutationCountApplies(const Query& q) {
@@ -99,48 +88,56 @@ std::optional<ResilienceResult> SolveUnboundPermutationFlow(
     const Query& q, const Database& db) {
   std::optional<PermShape> shape = MatchPermShape(q);
   if (!shape.has_value() || shape->l_atom == -1) return std::nullopt;
-  std::vector<Witness> witnesses = EnumerateWitnesses(q, db, kNoWitnessLimit);
   ResilienceResult result;
   result.solver = SolverKind::kUnboundPermFlow;
-  if (witnesses.empty()) return result;
 
+  // s -> L tuple (capacity 1) -> pair (∞, one edge per witness) -> t
+  // (capacity 1). Witnesses stream in enumeration order, so nodes and
+  // edges are added in the order a materialized witness list would give.
   MaxFlow flow(2);
   const int s = 0;
   const int t = 1;
-  std::map<TupleId, std::pair<int, int>> l_nodes;   // L-tuple -> (node, edge)
-  std::map<std::vector<TupleId>, std::pair<int, int>> pair_nodes;
-  std::vector<TupleId> edge_tuple;                  // tag -> L tuple
-  std::vector<std::vector<TupleId>> edge_pair;      // tag -> pair (offset)
+  // L nodes by L tuple. Pair nodes by the pair's two tuples, sorted (one
+  // tuple twice when both atoms matched it): both belong to the
+  // permutation relation, so their rows, packed in a word, are the key.
+  std::unordered_map<TupleId, int, TupleIdHash> l_nodes;
+  std::unordered_map<uint64_t, int> pair_nodes;
+  std::vector<TupleId> edge_tuple;  // tag -> L tuple
+  std::vector<TupleId> edge_pair;   // tag - kPairTagBase -> pair's first
   constexpr int64_t kPairTagBase = 1'000'000'000;
 
-  for (const Witness& w : witnesses) {
+  ForEachWitness(q, db, [&](const Witness& w) {
     TupleId l = w.atom_tuples[static_cast<size_t>(shape->l_atom)];
-    auto [lit, lnew] = l_nodes.try_emplace(l, std::make_pair(-1, -1));
+    auto [lit, lnew] = l_nodes.try_emplace(l, -1);
     if (lnew) {
-      int node = flow.AddNode();
+      lit->second = flow.AddNode();
       int tag = static_cast<int>(edge_tuple.size());
       edge_tuple.push_back(l);
-      int e = flow.AddEdge(s, node, 1, tag);
-      lit->second = {node, e};
+      flow.AddEdge(s, lit->second, 1, tag);
     }
-    std::vector<TupleId> pair = PairOf(w, *shape);
-    auto [pit, pnew] = pair_nodes.try_emplace(pair, std::make_pair(-1, -1));
+    TupleId lo = w.atom_tuples[static_cast<size_t>(shape->a1)];
+    TupleId hi = w.atom_tuples[static_cast<size_t>(shape->a2)];
+    if (hi < lo) std::swap(lo, hi);
+    auto [pit, pnew] = pair_nodes.try_emplace(
+        uint64_t{static_cast<uint32_t>(lo.row)} << 32 |
+            static_cast<uint32_t>(hi.row),
+        -1);
     if (pnew) {
-      int node = flow.AddNode();
+      pit->second = flow.AddNode();
       int64_t tag = kPairTagBase + static_cast<int64_t>(edge_pair.size());
-      edge_pair.push_back(pair);
-      int e = flow.AddEdge(node, t, 1, tag);
-      pit->second = {node, e};
+      edge_pair.push_back(lo);
+      flow.AddEdge(pit->second, t, 1, tag);
     }
-    flow.AddEdge(lit->second.first, pit->second.first, kInfCapacity);
-  }
+    flow.AddEdge(lit->second, pit->second, kInfCapacity);
+    return true;
+  });
   int64_t value = flow.Compute(s, t);
   RESCQ_CHECK_LT(value, kInfCapacity);
   for (int e : flow.MinCutEdges()) {
     int64_t tag = flow.edge(e).tag;
     if (tag >= kPairTagBase) {
       result.contingency.push_back(
-          edge_pair[static_cast<size_t>(tag - kPairTagBase)].front());
+          edge_pair[static_cast<size_t>(tag - kPairTagBase)]);
     } else {
       result.contingency.push_back(edge_tuple[static_cast<size_t>(tag)]);
     }

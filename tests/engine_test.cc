@@ -186,6 +186,44 @@ TEST(Engine, DisconnectedQueryTakesComponentMinimum) {
             ComputeResilienceReference(q, db).resilience);
 }
 
+TEST(Engine, FalseConstructionComponentSkipsTheExactSearch) {
+  // q_ACconf (linear-flow) next to q_vc (exact). The exact component
+  // holds, the construction finds no witness (no C tuple): the outcome
+  // is the default false-query one, and no exact search runs.
+  Query q = MustParseQuery("A(x), R(x,y), R(z,y), C(z), P(u), S(u,v), P(v)");
+  Database db;
+  Value a = db.Intern("a"), b = db.Intern("b");
+  db.AddTuple("A", {a});
+  db.AddTuple("R", {a, b});
+  db.AddTuple("P", {a});
+  db.AddTuple("P", {b});
+  db.AddTuple("S", {a, b});
+  ResilienceEngine engine;
+  SolveOutcome out = engine.Solve(q, db);
+  std::set<SolverKind> planned;
+  for (const ComponentPlan& cp : out.plan->components) {
+    planned.insert(cp.solver);
+  }
+  EXPECT_EQ(planned, (std::set<SolverKind>{SolverKind::kExact,
+                                           SolverKind::kLinearFlow}));
+  EXPECT_TRUE(out.error.empty());
+  EXPECT_FALSE(out.result.unbreakable);
+  EXPECT_EQ(out.result.resilience, 0);
+  EXPECT_TRUE(out.result.contingency.empty());
+  EXPECT_EQ(out.result.solver, SolverKind::kExact);
+  EXPECT_EQ(out.exact.witnesses, 0u);
+
+  // With C(a) the construction component holds, and the exact search
+  // runs on the other one.
+  db.AddTuple("C", {a});
+  out = engine.Solve(q, db);
+  EXPECT_EQ(out.result.resilience, 1);
+  EXPECT_GT(out.exact.witnesses, 0u);
+  EXPECT_EQ(out.result.resilience,
+            ComputeResilienceReference(q, db).resilience);
+  EXPECT_TRUE(VerifyContingency(q, db, out.result.contingency));
+}
+
 // --- Plan cache --------------------------------------------------------------
 
 TEST(Engine, PlanIsMemoizedOnTheQueryFingerprint) {

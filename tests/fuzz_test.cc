@@ -8,7 +8,8 @@
 //  - PTIME-classified connected queries in the two-R-atom class are
 //    answered by a specialized construction or the documented fallback;
 //  - at most one construction probe accepts a component, and the
-//    reported solver is the one the plan names.
+//    reported solver is the one the plan names;
+//  - the tuple-built linear flow agrees with the witness-built reference.
 
 #include <gtest/gtest.h>
 
@@ -25,12 +26,14 @@
 #include "resilience/engine.h"
 #include "resilience/exact_solver.h"
 #include "resilience/incremental.h"
+#include "resilience/linear_flow_solver.h"
 #include "resilience/registry.h"
 #include "resilience/solver.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "workload/churn.h"
 #include "workload/generators.h"
+#include "legacy_linear_flow.h"
 #include "legacy_witness.h"
 
 namespace rescq {
@@ -131,6 +134,40 @@ TEST(Fuzz, RandomQueriesSurviveTheFullPipeline) {
   // The generator must exercise both sides of the dichotomy.
   EXPECT_GT(ptime_seen, 10);
   EXPECT_GT(hard_seen, 10);
+}
+
+// Every component planned `linear-flow` gives, on random instances, the
+// witness-built reference network's unbreakable flag, rho and
+// contingency set (tests/legacy_linear_flow.h).
+TEST(Fuzz, TupleBuiltLinearFlowMatchesWitnessBuiltReference) {
+  Rng rng(0x11F1);
+  ResilienceEngine engine;
+  int compared = 0;
+  for (int round = 0; round < 300; ++round) {
+    Query q = RandomQuery(rng);
+    std::shared_ptr<const ResiliencePlan> plan = engine.Plan(q);
+    for (const ComponentPlan& cp : plan->components) {
+      if (cp.no_endogenous || cp.solver != SolverKind::kLinearFlow) continue;
+      for (int trial = 0; trial < 3; ++trial) {
+        Database db = RandomDatabase(q, 3 + static_cast<int>(rng.Below(4)),
+                                     2 + static_cast<int>(rng.Below(10)),
+                                     rng);
+        std::optional<ResilienceResult> got = SolveLinearFlow(cp.query, db);
+        std::optional<ResilienceResult> want =
+            LegacySolveLinearFlow(cp.query, db);
+        ASSERT_TRUE(got.has_value() && want.has_value()) << q.ToString();
+        ASSERT_EQ(got->unbreakable, want->unbreakable)
+            << cp.query.ToString() << " round " << round;
+        if (want->unbreakable) continue;
+        ASSERT_EQ(got->resilience, want->resilience)
+            << cp.query.ToString() << " round " << round;
+        ASSERT_EQ(got->contingency, want->contingency)
+            << cp.query.ToString() << " round " << round;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100);
 }
 
 TEST(Fuzz, TwoAtomClassNeverComesBackOpen) {
