@@ -178,6 +178,12 @@ for name in q_vc q_rats; do
     expect_same "explain $name matches the golden file" \
         "$SRC/tests/golden/explain_$name.golden" "$explain_out"
 done
+# One query per construction, so each construction's explain row is pinned.
+for name in q_ACconf z3 q_perm q_Aperm q_A3perm_R q_TS3conf; do
+    "$RESCQ" explain --name "$name"
+done > "$explain_out"
+expect_same "explain of one query per construction matches the golden file" \
+    "$SRC/tests/golden/explain_constructions.golden" "$explain_out"
 rm -f "$explain_out"
 
 # update-file round trip: a generated churn stream saved with
