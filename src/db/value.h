@@ -28,11 +28,21 @@ struct TupleId {
   }
 };
 
+/// A tuple id in one word: relation high, row low. Flow networks tag
+/// each deletable edge with it, so a cut edge names its tuple.
+inline uint64_t PackTupleId(TupleId t) {
+  return uint64_t{static_cast<uint32_t>(t.relation)} << 32 |
+         static_cast<uint32_t>(t.row);
+}
+
+inline TupleId UnpackTupleId(uint64_t packed) {
+  return {static_cast<int>(packed >> 32),
+          static_cast<int>(static_cast<uint32_t>(packed))};
+}
+
 struct TupleIdHash {
   size_t operator()(const TupleId& t) const {
-    return std::hash<uint64_t>()(
-        (static_cast<uint64_t>(static_cast<uint32_t>(t.relation)) << 32) |
-        static_cast<uint32_t>(t.row));
+    return std::hash<uint64_t>()(PackTupleId(t));
   }
 };
 

@@ -9,8 +9,7 @@
 
 namespace rescq {
 
-std::optional<ResilienceResult> SolveForcedThenFlow(const Query& q,
-                                                    const Database& db) {
+ResilienceResult SolveForcedThenFlow(const Query& q, const Database& db) {
   ResilienceResult result;
   result.solver = SolverKind::kConf3Forced;
 
@@ -29,15 +28,13 @@ std::optional<ResilienceResult> SolveForcedThenFlow(const Query& q,
   // concurrent solves, so it is never written. Tuple ids carry over.
   Database residual = db;
   for (TupleId t : forced) residual.SetActive(t, false);
-  std::optional<ResilienceResult> flow = SolveLinearFlow(q, residual);
-  if (!flow.has_value()) return std::nullopt;
-  RESCQ_CHECK(!flow->unbreakable);
+  ResilienceResult flow = SolveLinearFlow(q, residual);
+  RESCQ_CHECK(!flow.unbreakable);
 
-  result.resilience = static_cast<int>(forced.size()) + flow->resilience;
+  result.resilience = static_cast<int>(forced.size()) + flow.resilience;
   result.contingency.assign(forced.begin(), forced.end());
   result.contingency.insert(result.contingency.end(),
-                            flow->contingency.begin(),
-                            flow->contingency.end());
+                            flow.contingency.begin(), flow.contingency.end());
   std::sort(result.contingency.begin(), result.contingency.end());
   return result;
 }

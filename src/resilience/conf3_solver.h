@@ -1,8 +1,6 @@
 #ifndef RESCQ_RESILIENCE_CONF3_SOLVER_H_
 #define RESCQ_RESILIENCE_CONF3_SOLVER_H_
 
-#include <optional>
-
 #include "cq/query.h"
 #include "db/database.h"
 #include "resilience/result.h"
@@ -15,11 +13,10 @@ namespace rescq {
 /// by the linear-query network flow; the proof's exchange argument shows
 /// the flow's min cut is optimal on the residual database.
 ///
-/// The solver is generic "forced tuples + linear flow"; the registry
-/// plans it for linear queries isomorphic to q^TS_3conf. Returns nullopt
-/// if q is not linear (IsLinear, complexity/linearity.h).
-std::optional<ResilienceResult> SolveForcedThenFlow(const Query& q,
-                                                    const Database& db);
+/// The solver is generic "forced tuples + linear flow"; the solver
+/// table plans it for linear queries isomorphic to q^TS_3conf. Requires
+/// IsLinear(q) (complexity/linearity.h).
+ResilienceResult SolveForcedThenFlow(const Query& q, const Database& db);
 
 }  // namespace rescq
 

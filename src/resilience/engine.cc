@@ -139,12 +139,11 @@ SolveOutcome ResilienceEngine::Solve(
   std::vector<ResilienceResult> results(n);
   for (size_t i = 0; i < n; ++i) {
     const ComponentPlan& comp = plan->components[i];
-    const SolverEntry* entry = DefaultRegistry().Find(comp.solver);
-    RESCQ_CHECK(entry != nullptr);
-    if (comp.no_endogenous || entry->run == nullptr) {
+    const SolverRow& row = SolverRowOf(comp.solver);
+    if (comp.no_endogenous || row.run == nullptr) {
       if (QueryHolds(comp.query, db)) continue;
     } else {
-      results[i] = entry->run(comp.query, db);
+      results[i] = row.run(comp.query, db);
       if (results[i].unbreakable || results[i].resilience > 0) continue;
     }
     out.solve_ms = MsSince(start);
@@ -156,8 +155,8 @@ SolveOutcome ResilienceEngine::Solve(
   for (size_t i = 0; i < n; ++i) {
     const ComponentPlan& comp = plan->components[i];
     if (comp.no_endogenous) continue;  // unbreakable whenever it holds
-    if (DefaultRegistry().Find(comp.solver)->run == nullptr) {
-      // An exact entry only describes its solver (Explain, self-checks);
+    if (SolverRowOf(comp.solver).run == nullptr) {
+      // An exact row only describes its solver (Explain, self-checks);
       // the engine runs it: only the engine can thread the witness / node
       // budgets and collect search stats.
       results[i] = RunExact(comp.query, db, comp.solver, &out);

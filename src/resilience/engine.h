@@ -120,7 +120,7 @@ class ResilienceEngine {
   /// Runs the exact solver with the engine's budgets, labels the result
   /// with `kind`, and merges search stats (and any witness-budget error)
   /// into the outcome. The engine executes exact dispatches itself —
-  /// the registry's exact entries describe them for Explain, but only
+  /// the solver table's exact rows describe them for Explain, but only
   /// the engine can thread budgets and counters through.
   ResilienceResult RunExact(const Query& q, const Database& db,
                             SolverKind kind, SolveOutcome* out) const;

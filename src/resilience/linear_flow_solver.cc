@@ -4,7 +4,7 @@
 #include <unordered_map>
 
 #include "complexity/linearity.h"
-#include "flow/max_flow.h"
+#include "resilience/flow_cut.h"
 #include "util/check.h"
 
 namespace rescq {
@@ -24,16 +24,13 @@ std::vector<size_t> ColumnsOf(const Atom& atom,
 
 }  // namespace
 
-std::optional<ResilienceResult> SolveLinearFlow(
-    const Query& q, const Database& db,
-    const TupleOverride& force_undeletable) {
+ResilienceResult SolveLinearFlow(const Query& q, const Database& db,
+                                 const TupleOverride& force_undeletable) {
   std::optional<std::vector<int>> order_opt = FindLinearOrder(q);
-  if (!order_opt.has_value()) return std::nullopt;
+  RESCQ_CHECK_MSG(order_opt.has_value(), "linear flow needs a linear query");
   const std::vector<int>& order = *order_opt;
   const int m = q.num_atoms();
   std::vector<std::vector<VarId>> interfaces = LinearInterfaces(q, order);
-  ResilienceResult result;
-  result.solver = SolverKind::kLinearFlow;
 
   MaxFlow flow(2);  // s = 0, t = 1
   const int s = 0;
@@ -67,10 +64,6 @@ std::optional<ResilienceResult> SolveLinearFlow(
     if (ids[id] < 0 && add) ids[id] = flow.AddNode();
     return ids[id];
   };
-  // Edge tags index edge_tuples.
-  std::vector<TupleId> edge_tuples;
-  std::vector<bool> edge_deletable;
-
   // One edge per (position, active tuple passing its atom's filter), from
   // its left interface values' node to its right ones'. Positions run in
   // order, and a tuple whose left node no earlier edge reached is
@@ -79,8 +72,8 @@ std::optional<ResilienceResult> SolveLinearFlow(
     const Atom& atom = q.atom(order[static_cast<size_t>(pos)]);
     const int rel = db.RelationId(atom.relation);
     // An absent relation, or one stored at another arity, matches no
-    // atom: no witness, rho = 0.
-    if (rel < 0 || db.relation_arity(rel) != atom.arity()) return result;
+    // atom: no s-t path, rho = 0.
+    if (rel < 0 || db.relation_arity(rel) != atom.arity()) break;
     // A repeated variable (R(x,x)) asks its later columns to equal the
     // first.
     const std::vector<size_t> first_col = ColumnsOf(atom, atom.vars);
@@ -100,35 +93,12 @@ std::optional<ResilienceResult> SolveLinearFlow(
       const int from = pos == 0 ? s : node(pos, row, left_cols, false);
       if (from < 0) continue;
       const int to = pos + 1 == m ? t : node(pos + 1, row, right_cols, true);
-      bool deletable = !atom.exogenous &&
-                       !(force_undeletable && force_undeletable(db, tuple));
-      int tag = static_cast<int>(edge_tuples.size());
-      edge_tuples.push_back(tuple);
-      edge_deletable.push_back(deletable);
-      flow.AddEdge(from, to, deletable ? 1 : kInfCapacity, tag);
+      AddTupleEdge(flow, from, to, tuple,
+                   !atom.exogenous &&
+                       !(force_undeletable && force_undeletable(db, tuple)));
     }
   }
-
-  int64_t value = flow.Compute(s, t);
-  if (value >= kInfCapacity) {
-    result.unbreakable = true;
-    return result;
-  }
-  std::vector<TupleId> cut_tuples;
-  for (int e : flow.MinCutEdges()) {
-    int64_t tag = flow.edge(e).tag;
-    RESCQ_CHECK(edge_deletable[static_cast<size_t>(tag)]);
-    cut_tuples.push_back(edge_tuples[static_cast<size_t>(tag)]);
-  }
-  std::sort(cut_tuples.begin(), cut_tuples.end());
-  cut_tuples.erase(std::unique(cut_tuples.begin(), cut_tuples.end()),
-                   cut_tuples.end());
-  // Lemma 55: a (cardinality-)minimal cut never takes two copies of one
-  // tuple, so the cut value equals the number of distinct tuples.
-  RESCQ_CHECK_EQ(static_cast<int64_t>(cut_tuples.size()), value);
-  result.resilience = static_cast<int>(value);
-  result.contingency = std::move(cut_tuples);
-  return result;
+  return SolveMinCut(flow, SolverKind::kLinearFlow);
 }
 
 }  // namespace rescq

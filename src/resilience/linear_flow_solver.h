@@ -2,7 +2,6 @@
 #define RESCQ_RESILIENCE_LINEAR_FLOW_SOLVER_H_
 
 #include <functional>
-#include <optional>
 
 #include "cq/query.h"
 #include "db/database.h"
@@ -29,7 +28,8 @@ using TupleOverride = std::function<bool(const Database&, TupleId)>;
 ///    on no s-t path, so it carries no flow and is never cut;
 ///  - endogenous tuples get capacity 1, exogenous (or overridden) tuples
 ///    get ∞;
-///  - a minimum cut is a minimum contingency set.
+///  - a minimum cut is a minimum contingency set (SolveMinCut,
+///    resilience/flow_cut.h).
 ///
 /// With a self-join, one tuple may appear at several positions (the
 /// paper's duplicated R_l/R_r edges); Lemma 55 shows a minimal cut never
@@ -39,8 +39,8 @@ using TupleOverride = std::function<bool(const Database&, TupleId)>;
 /// paper's point in Section 7.3 — so callers must not use this solver on
 /// permutation self-joins.
 ///
-/// Returns nullopt unless IsLinear(q) (complexity/linearity.h).
-std::optional<ResilienceResult> SolveLinearFlow(
+/// Requires IsLinear(q) (complexity/linearity.h).
+ResilienceResult SolveLinearFlow(
     const Query& q, const Database& db,
     const TupleOverride& force_undeletable = nullptr);
 

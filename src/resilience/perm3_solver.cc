@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
-#include "db/witness.h"
-#include "flow/max_flow.h"
+#include "resilience/flow_cut.h"
 #include "util/check.h"
 
 namespace rescq {
@@ -83,17 +83,21 @@ std::optional<Perm3Shape> MatchPerm3(const Query& q) {
 
 bool Perm3FlowApplies(const Query& q) { return MatchPerm3(q).has_value(); }
 
-std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
-                                               const Database& db) {
+ResilienceResult SolvePerm3Flow(const Query& q, const Database& db) {
   std::optional<Perm3Shape> shape = MatchPerm3(q);
-  if (!shape.has_value()) return std::nullopt;
-  ResilienceResult result;
-  result.solver = SolverKind::kPerm3Flow;
-  if (!QueryHolds(q, db)) return result;
-
-  int r_rel = db.RelationId(shape->r);
-  int l_rel = db.RelationId(q.atom(shape->l_atom).relation);
-  RESCQ_CHECK(r_rel >= 0 && l_rel >= 0);
+  RESCQ_CHECK_MSG(shape.has_value(), "perm3 flow needs q_A3perm-R's shape");
+  // Every s-t path below is a witness and every witness gives one, so a
+  // false query needs no check: its flow is 0. An absent relation, or one
+  // stored at another arity, matches no atom: no witness, rho = 0.
+  const Atom& l = q.atom(shape->l_atom);
+  const int r_rel = db.RelationId(shape->r);
+  const int l_rel = db.RelationId(l.relation);
+  if (r_rel < 0 || l_rel < 0 || db.relation_arity(r_rel) != 2 ||
+      db.relation_arity(l_rel) != l.arity()) {
+    ResilienceResult result;
+    result.solver = SolverKind::kPerm3Flow;
+    return result;
+  }
   const size_t domain = static_cast<size_t>(db.domain_size());
 
   // Canonical read of an R tuple (column swap applied).
@@ -116,10 +120,6 @@ std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
   MaxFlow flow(2);
   const int s = 0;
   const int t = 1;
-  // Tag space: 0..N-1 index tuple tags, N.. index pair tags.
-  std::vector<TupleId> tuple_tags;
-  std::vector<std::pair<Value, Value>> pair_tags;
-  constexpr int64_t kPairBase = 1'000'000'000;
   // Per value a: v_a (fed by L tuples), u_a (reached by a 1-way
   // connector), and the pair nodes containing a; -1 / empty = none.
   std::vector<int> v_nodes(domain, -1);
@@ -127,17 +127,15 @@ std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
   std::vector<std::vector<int>> pairs_of(domain);
 
   // L tuples feed v_a with capacity 1.
-  std::vector<std::pair<int, size_t>> l_edges;  // (edge idx, a) per L tuple
   for (TupleId id : db.ActiveTuples(l_rel)) {
     const size_t a = static_cast<size_t>(
         db.Row(id)[static_cast<size_t>(shape->l_x_pos)]);
     if (v_nodes[a] < 0) v_nodes[a] = flow.AddNode();
-    int tag = static_cast<int>(tuple_tags.size());
-    tuple_tags.push_back(id);
-    l_edges.emplace_back(flow.AddEdge(s, v_nodes[a], 1, tag), a);
+    AddTupleEdge(flow, s, v_nodes[a], id);
   }
   // 2-way pairs {a,b} with a<=b (loops included): a node with a
-  // capacity-1 edge to t, fed directly by v_a and v_b. The rest are 1-way.
+  // capacity-1 edge to t, tagged R(a,b) and fed directly by v_a and v_b.
+  // The rest are 1-way.
   std::vector<TupleId> one_way;
   for (TupleId id : r_active) {
     auto [a, b] = r_row(id);
@@ -147,9 +145,7 @@ std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
     }
     if (a > b) continue;  // the pair is added from its (b, a) tuple
     int node = flow.AddNode();
-    int64_t tag = kPairBase + static_cast<int64_t>(pair_tags.size());
-    pair_tags.push_back({a, b});
-    flow.AddEdge(node, t, 1, tag);
+    AddTupleEdge(flow, node, t, id);
     for (Value v : {a, b}) {
       pairs_of[static_cast<size_t>(v)].push_back(node);
       if (v_nodes[static_cast<size_t>(v)] >= 0) {
@@ -170,41 +166,27 @@ std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
         flow.AddEdge(u, pair, kInfCapacity);
       }
     }
-    int tag = static_cast<int>(tuple_tags.size());
-    tuple_tags.push_back(id);
-    flow.AddEdge(from, u, shape->l_unary ? kInfCapacity : 1, tag);
+    AddTupleEdge(flow, from, u, id, !shape->l_unary);
   }
 
-  int64_t value = flow.Compute(s, t);
-  RESCQ_CHECK_LT(value, kInfCapacity);
-  result.resilience = static_cast<int>(value);
-
-  // Which L values are still alive (some uncut L-edge feeds them)? The
-  // cut lists edge indices in ascending order.
-  const std::vector<int> cut = flow.MinCutEdges();
-  std::vector<bool> alive(domain, false);
-  for (auto [e, a] : l_edges) {
-    if (!std::binary_search(cut.begin(), cut.end(), e)) alive[a] = true;
-  }
-  for (int e : cut) {
-    int64_t tag = flow.edge(e).tag;
-    if (tag < kPairBase) {
-      result.contingency.push_back(tuple_tags[static_cast<size_t>(tag)]);
-      continue;
-    }
-    auto [a, b] = pair_tags[static_cast<size_t>(tag - kPairBase)];
-    // Side rule from the proofs: delete the tuple leaving the side that
-    // is still alive (both or neither alive: arbitrary, R(a,b)).
-    const bool take_ba = alive[static_cast<size_t>(b)] &&
-                         !alive[static_cast<size_t>(a)];
-    auto it = r_tuples.find(take_ba ? word(b, a) : word(a, b));
-    RESCQ_CHECK(it != r_tuples.end());
-    result.contingency.push_back(it->second);
-  }
-  std::sort(result.contingency.begin(), result.contingency.end());
-  RESCQ_CHECK_EQ(static_cast<int>(result.contingency.size()),
-                 result.resilience);
-  return result;
+  // Value a is still alive when some uncut L edge feeds v_a. The cut is
+  // every edge from the source side to the sink side, so the L edges
+  // s -> v_a are uncut exactly when v_a is on the source side.
+  auto alive = [&](Value a) {
+    const int v = v_nodes[static_cast<size_t>(a)];
+    return v >= 0 && flow.OnSourceSide(v);
+  };
+  // A cut pair edge is tagged R(a,b). Side rule from the proofs: delete
+  // the tuple leaving the side that is still alive (both or neither
+  // alive: arbitrary, R(a,b)). L tuples and 1-way R tuples are taken
+  // verbatim.
+  return SolveMinCut(flow, SolverKind::kPerm3Flow, [&](TupleId tuple) {
+    if (tuple.relation != r_rel) return tuple;
+    auto [a, b] = r_row(tuple);
+    auto inverse = r_tuples.find(word(b, a));
+    if (inverse == r_tuples.end() || !alive(b) || alive(a)) return tuple;
+    return inverse->second;
+  });
 }
 
 }  // namespace rescq

@@ -1,8 +1,6 @@
 #ifndef RESCQ_RESILIENCE_PERM3_SOLVER_H_
 #define RESCQ_RESILIENCE_PERM3_SOLVER_H_
 
-#include <optional>
-
 #include "cq/query.h"
 #include "db/database.h"
 #include "resilience/result.h"
@@ -29,14 +27,14 @@ bool Perm3FlowApplies(const Query& q);
 ///       when L is binary (Prop 44: S(e,a) does not dominate R(a,b))
 ///   pair{u,v} --cap1--> t             one per 2-way pair (incl. loops)
 ///
-/// A minimum cut maps to a minimum contingency set: cut L-edges and
-/// (binary case) cut 1-way R-edges are taken verbatim; for a cut pair
-/// {a,b} the proofs' side rule picks R(a,b) when a's side is still alive
-/// and b's is not, and symmetrically.
+/// A minimum cut maps to a minimum contingency set (SolveMinCut,
+/// resilience/flow_cut.h): cut L-edges and (binary case) cut 1-way
+/// R-edges are taken verbatim; for a cut pair {a,b} the proofs' side rule
+/// picks R(b,a) when b's side is still alive (v_b on the cut's source
+/// side) and a's is not, and R(a,b) otherwise.
 ///
-/// Returns nullopt unless Perm3FlowApplies(q).
-std::optional<ResilienceResult> SolvePerm3Flow(const Query& q,
-                                               const Database& db);
+/// Requires Perm3FlowApplies(q).
+ResilienceResult SolvePerm3Flow(const Query& q, const Database& db);
 
 }  // namespace rescq
 

@@ -1,11 +1,12 @@
 #include "resilience/perm_solver.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "complexity/patterns.h"
 #include "db/witness.h"
-#include "flow/max_flow.h"
+#include "resilience/flow_cut.h"
 #include "util/check.h"
 
 namespace rescq {
@@ -65,10 +66,9 @@ bool UnboundPermutationFlowApplies(const Query& q) {
   return shape.has_value() && shape->l_atom != -1;
 }
 
-std::optional<ResilienceResult> SolvePermutationCount(const Query& q,
-                                                      const Database& db) {
-  std::optional<PermShape> shape = MatchPermShape(q);
-  if (!shape.has_value() || shape->l_atom != -1) return std::nullopt;
+ResilienceResult SolvePermutationCount(const Query& q, const Database& db) {
+  RESCQ_CHECK_MSG(PermutationCountApplies(q),
+                  "witness counting needs exactly a permutation pair");
   ResilienceResult result;
   result.solver = SolverKind::kPermCount;
   WitnessFamily family = CollectWitnessFamily(q, db, kNoWitnessLimit);
@@ -84,12 +84,11 @@ std::optional<ResilienceResult> SolvePermutationCount(const Query& q,
   return result;
 }
 
-std::optional<ResilienceResult> SolveUnboundPermutationFlow(
-    const Query& q, const Database& db) {
+ResilienceResult SolveUnboundPermutationFlow(const Query& q,
+                                             const Database& db) {
   std::optional<PermShape> shape = MatchPermShape(q);
-  if (!shape.has_value() || shape->l_atom == -1) return std::nullopt;
-  ResilienceResult result;
-  result.solver = SolverKind::kUnboundPermFlow;
+  RESCQ_CHECK_MSG(shape.has_value() && shape->l_atom != -1,
+                  "the pair flow needs a permutation pair plus one atom L");
 
   // s -> L tuple (capacity 1) -> pair (∞, one edge per witness) -> t
   // (capacity 1). Witnesses stream in enumeration order, so nodes and
@@ -102,18 +101,13 @@ std::optional<ResilienceResult> SolveUnboundPermutationFlow(
   // permutation relation, so their rows, packed in a word, are the key.
   std::unordered_map<TupleId, int, TupleIdHash> l_nodes;
   std::unordered_map<uint64_t, int> pair_nodes;
-  std::vector<TupleId> edge_tuple;  // tag -> L tuple
-  std::vector<TupleId> edge_pair;   // tag - kPairTagBase -> pair's first
-  constexpr int64_t kPairTagBase = 1'000'000'000;
 
   ForEachWitness(q, db, [&](const Witness& w) {
     TupleId l = w.atom_tuples[static_cast<size_t>(shape->l_atom)];
     auto [lit, lnew] = l_nodes.try_emplace(l, -1);
     if (lnew) {
       lit->second = flow.AddNode();
-      int tag = static_cast<int>(edge_tuple.size());
-      edge_tuple.push_back(l);
-      flow.AddEdge(s, lit->second, 1, tag);
+      AddTupleEdge(flow, s, lit->second, l);
     }
     TupleId lo = w.atom_tuples[static_cast<size_t>(shape->a1)];
     TupleId hi = w.atom_tuples[static_cast<size_t>(shape->a2)];
@@ -124,32 +118,12 @@ std::optional<ResilienceResult> SolveUnboundPermutationFlow(
         -1);
     if (pnew) {
       pit->second = flow.AddNode();
-      int64_t tag = kPairTagBase + static_cast<int64_t>(edge_pair.size());
-      edge_pair.push_back(lo);
-      flow.AddEdge(pit->second, t, 1, tag);
+      AddTupleEdge(flow, pit->second, t, lo);  // cutting it deletes `lo`
     }
     flow.AddEdge(lit->second, pit->second, kInfCapacity);
     return true;
   });
-  int64_t value = flow.Compute(s, t);
-  RESCQ_CHECK_LT(value, kInfCapacity);
-  for (int e : flow.MinCutEdges()) {
-    int64_t tag = flow.edge(e).tag;
-    if (tag >= kPairTagBase) {
-      result.contingency.push_back(
-          edge_pair[static_cast<size_t>(tag - kPairTagBase)]);
-    } else {
-      result.contingency.push_back(edge_tuple[static_cast<size_t>(tag)]);
-    }
-  }
-  std::sort(result.contingency.begin(), result.contingency.end());
-  result.contingency.erase(
-      std::unique(result.contingency.begin(), result.contingency.end()),
-      result.contingency.end());
-  result.resilience = static_cast<int>(value);
-  RESCQ_CHECK_EQ(result.resilience,
-                 static_cast<int>(result.contingency.size()));
-  return result;
+  return SolveMinCut(flow, SolverKind::kUnboundPermFlow);
 }
 
 }  // namespace rescq

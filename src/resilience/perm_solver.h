@@ -1,8 +1,6 @@
 #ifndef RESCQ_RESILIENCE_PERM_SOLVER_H_
 #define RESCQ_RESILIENCE_PERM_SOLVER_H_
 
-#include <optional>
-
 #include "cq/query.h"
 #include "db/database.h"
 #include "resilience/result.h"
@@ -16,9 +14,8 @@ bool PermutationCountApplies(const Query& q);
 /// Proposition 33 (q_perm): when the permutation pair R(x,y),R(y,x) are
 /// the only endogenous atoms, each tuple belongs to exactly one witness
 /// tuple-set, so resilience equals the number of distinct witness
-/// tuple-sets. Returns nullopt unless PermutationCountApplies(q).
-std::optional<ResilienceResult> SolvePermutationCount(const Query& q,
-                                                      const Database& db);
+/// tuple-sets. Requires PermutationCountApplies(q).
+ResilienceResult SolvePermutationCount(const Query& q, const Database& db);
 
 /// True when q's endogenous atoms are a permutation pair plus exactly one
 /// atom L that contains one of the pair's variables but not the other:
@@ -31,10 +28,10 @@ bool UnboundPermutationFlowApplies(const Query& q);
 /// cover of the bipartite graph (L-tuples) x (2-way pairs): the source
 /// side of the residual graph is König's alternating-path set, the same
 /// for every maximum matching. Max-flow handles weighted L sides and
-/// exogenous decorations of G uniformly. Returns nullopt unless
-/// UnboundPermutationFlowApplies(q).
-std::optional<ResilienceResult> SolveUnboundPermutationFlow(
-    const Query& q, const Database& db);
+/// exogenous decorations of G uniformly. A cut pair edge deletes the
+/// pair's smaller tuple. Requires UnboundPermutationFlowApplies(q).
+ResilienceResult SolveUnboundPermutationFlow(const Query& q,
+                                             const Database& db);
 
 }  // namespace rescq
 

@@ -31,14 +31,19 @@ ResiliencePlan BuildPlan(const Query& q) {
           StrFormat("RES(component) is %s: exact branch-and-bound is the "
                     "planned solver",
                     ComplexityName(cp.classification.complexity));
-    } else if (std::optional<SolverKind> construction =
-                   DefaultRegistry().Probe(comp, cp.classification)) {
-      cp.solver = *construction;
     } else {
       cp.solver = SolverKind::kExactFallback;
-      cp.reason = StrFormat(
-          "pattern '%s': no registered construction accepts this component",
-          cp.classification.pattern.c_str());
+      for (const SolverRow& row : kSolverTable) {
+        if (row.applies != nullptr && row.applies(comp, cp.classification)) {
+          cp.solver = row.kind;
+          break;
+        }
+      }
+      if (cp.solver == SolverKind::kExactFallback) {
+        cp.reason = StrFormat(
+            "pattern '%s': no registered construction accepts this component",
+            cp.classification.pattern.c_str());
+      }
     }
     cp.query = std::move(comp);
     plan.components.push_back(std::move(cp));
@@ -73,12 +78,10 @@ std::string ResiliencePlan::Explain() const {
       out += StrFormat("  solver:     none needed — %s\n", cp.reason.c_str());
       continue;
     }
-    const SolverEntry* e = DefaultRegistry().Find(cp.solver);
-    RESCQ_CHECK(e != nullptr);
-    out += StrFormat("  solver:     %s (%s) — %s%s%s\n",
-                     SolverKindName(cp.solver), e->citation.c_str(),
-                     e->description.c_str(), cp.reason.empty() ? "" : "; ",
-                     cp.reason.c_str());
+    const SolverRow& row = SolverRowOf(cp.solver);
+    out += StrFormat("  solver:     %s (%s) — %s%s%s\n", row.name,
+                     row.citation, row.description,
+                     cp.reason.empty() ? "" : "; ", cp.reason.c_str());
   }
   return out;
 }

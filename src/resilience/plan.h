@@ -19,7 +19,7 @@ struct ComponentPlan {
   /// True when the component has no endogenous atoms: whenever it holds
   /// it is unbreakable, so it never contributes to the Lemma 14 minimum.
   bool no_endogenous = false;
-  /// The solver: the construction whose registry probe accepted the
+  /// The solver: the construction whose kSolverTable row accepted the
   /// component, kExact (NP-complete / open / out-of-scope components),
   /// or kExactFallback (a PTIME component no construction covers).
   SolverKind solver = SolverKind::kExact;
@@ -55,7 +55,8 @@ struct ResiliencePlan {
 /// ResiliencePlan::fingerprint.
 std::string QueryFingerprint(const Query& q);
 
-/// Runs the full query-analysis pipeline and probes DefaultRegistry().
+/// Runs the full query-analysis pipeline and tries each construction row
+/// of kSolverTable (registry.h).
 ResiliencePlan BuildPlan(const Query& q);
 
 }  // namespace rescq

@@ -5,6 +5,7 @@
 #include "complexity/linearity.h"
 #include "complexity/patterns.h"
 #include "resilience/linear_flow_solver.h"
+#include "util/check.h"
 
 namespace rescq {
 
@@ -28,18 +29,17 @@ bool RepFlowApplies(const Query& q) {
   return MatchRepRelation(q).has_value() && IsLinear(q);
 }
 
-std::optional<ResilienceResult> SolveRepFlow(const Query& q,
-                                             const Database& db) {
+ResilienceResult SolveRepFlow(const Query& q, const Database& db) {
   std::optional<std::string> rep = MatchRepRelation(q);
-  if (!rep.has_value()) return std::nullopt;
+  RESCQ_CHECK_MSG(rep.has_value(), "rep flow needs a binary REP self-join");
   int r_rel = db.RelationId(*rep);
-  std::optional<ResilienceResult> result = SolveLinearFlow(
+  ResilienceResult result = SolveLinearFlow(
       q, db, [r_rel](const Database& d, TupleId t) {
         if (t.relation != r_rel) return false;
         RowView row = d.Row(t);
         return row[0] != row[1];  // non-loop R tuples are never needed
       });
-  if (result.has_value()) result->solver = SolverKind::kRepFlow;
+  result.solver = SolverKind::kRepFlow;
   return result;
 }
 

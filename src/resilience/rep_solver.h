@@ -1,8 +1,6 @@
 #ifndef RESCQ_RESILIENCE_REP_SOLVER_H_
 #define RESCQ_RESILIENCE_REP_SOLVER_H_
 
-#include <optional>
-
 #include "cq/query.h"
 #include "db/database.h"
 #include "resilience/result.h"
@@ -20,9 +18,8 @@ bool RepFlowApplies(const Query& q);
 /// minimum contingency set. The solver runs the linear-query network flow
 /// with non-loop R-tuples forced undeletable.
 ///
-/// Returns nullopt unless RepFlowApplies(q).
-std::optional<ResilienceResult> SolveRepFlow(const Query& q,
-                                             const Database& db);
+/// Requires RepFlowApplies(q).
+ResilienceResult SolveRepFlow(const Query& q, const Database& db);
 
 }  // namespace rescq
 

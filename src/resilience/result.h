@@ -19,9 +19,11 @@ enum class SolverKind {
   kRepFlow,           // REP z3-style flow (Prop 36)
   kConf3Forced,       // q^TS_3conf forced tuples + flow (Prop 41)
   kExactFallback,     // PTIME-classified query without a matching
-                      // implemented construction; solved exactly
+                      // implemented construction; solved exactly.
+                      // Stays last: it sizes kSolverTable (registry.h).
 };
 
+/// The kind's report name, read from its kSolverTable row.
 const char* SolverKindName(SolverKind kind);
 
 /// The answer to a resilience computation on (q, D).

@@ -1,37 +1,10 @@
 #include "resilience/solver.h"
 
-#include <cstdlib>
-
 #include "db/witness.h"
 #include "resilience/engine.h"
 #include "resilience/exact_solver.h"
 
 namespace rescq {
-
-const char* SolverKindName(SolverKind kind) {
-  switch (kind) {
-    case SolverKind::kExact:
-      return "exact";
-    case SolverKind::kLinearFlow:
-      return "linear-flow";
-    case SolverKind::kPermCount:
-      return "perm-count";
-    case SolverKind::kUnboundPermFlow:
-      return "unbound-perm-flow";
-    case SolverKind::kPerm3Flow:
-      return "perm3-flow";
-    case SolverKind::kRepFlow:
-      return "rep-flow";
-    case SolverKind::kConf3Forced:
-      return "conf3-forced";
-    case SolverKind::kExactFallback:
-      return "exact-fallback";
-  }
-  // Exhaustive by construction: a new SolverKind without a case above is
-  // a -Wswitch warning, and a corrupted value aborts instead of leaking
-  // a placeholder into reports (the names are a compatibility surface).
-  std::abort();
-}
 
 namespace {
 

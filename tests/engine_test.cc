@@ -1,4 +1,4 @@
-// ResilienceEngine: plan-once/solve-many API, the solver registry, and
+// ResilienceEngine: plan-once/solve-many API, the solver table, and
 // the plan cache — including the engine-vs-legacy equivalence sweep
 // over the whole paper catalog and every workload scenario.
 
@@ -30,38 +30,38 @@ namespace {
 // --- Registry self-check: report strings are a compatibility surface --------
 
 TEST(Registry, CoversEverySolverKindWithUniqueStableNames) {
-  const SolverRegistry& registry = DefaultRegistry();
   std::set<std::string> names;
-  for (SolverKind kind : kAllSolverKinds) {
-    const SolverEntry* entry = registry.Find(kind);
-    ASSERT_NE(entry, nullptr) << SolverKindName(kind);
-    std::string name = SolverKindName(kind);
+  for (size_t i = 0; i < kNumSolverKinds; ++i) {
+    const SolverRow& row = kSolverTable[i];
+    EXPECT_EQ(static_cast<size_t>(row.kind), i);
+    std::string name = SolverKindName(row.kind);
+    EXPECT_EQ(name, row.name);
     EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
-    EXPECT_FALSE(entry->citation.empty()) << name;
-    EXPECT_FALSE(entry->description.empty()) << name;
+    EXPECT_STRNE(row.citation, "") << name;
+    EXPECT_STRNE(row.description, "") << name;
+    // A construction both applies and runs; an exact row does neither.
+    EXPECT_EQ(row.applies == nullptr, row.run == nullptr) << name;
   }
-  EXPECT_EQ(registry.entries().size(), std::size(kAllSolverKinds));
 }
 
 TEST(Registry, FallbacksAreNeverProbeSelected) {
-  const SolverRegistry& registry = DefaultRegistry();
   for (SolverKind kind : {SolverKind::kExact, SolverKind::kExactFallback}) {
-    EXPECT_EQ(registry.Find(kind)->probe, nullptr) << SolverKindName(kind);
-    EXPECT_EQ(registry.Find(kind)->run, nullptr) << SolverKindName(kind);
+    EXPECT_EQ(SolverRowOf(kind).applies, nullptr) << SolverKindName(kind);
+    EXPECT_EQ(SolverRowOf(kind).run, nullptr) << SolverKindName(kind);
   }
   for (const CatalogEntry& entry : PaperCatalog()) {
     Query q = MustParseQuery(entry.text);
     Classification c = ClassifyResilience(q);
-    if (std::optional<SolverKind> kind = registry.Probe(q, c)) {
-      const SolverEntry* e = registry.Find(*kind);
-      ASSERT_NE(e, nullptr);
-      EXPECT_NE(e->run, nullptr) << entry.name;
+    for (const SolverRow& row : kSolverTable) {
+      if (row.applies != nullptr && row.applies(q, c)) {
+        EXPECT_NE(row.run, nullptr) << entry.name;
+      }
     }
   }
 }
 
 // Every component of every catalog and scenario query: at most one
-// construction probe accepts it, the plan names that construction (or
+// construction row accepts it, the plan names that construction (or
 // an exact solver when none does), and solving runs the planned solver.
 void ExpectPlannedSolverRuns(ResilienceEngine& engine, const Query& q,
                              const Database& db, const std::string& label) {
@@ -71,11 +71,10 @@ void ExpectPlannedSolverRuns(ResilienceEngine& engine, const Query& q,
     if (cp.no_endogenous) continue;
     planned.insert(cp.solver);
     int accepted = 0;
-    for (const SolverEntry& e : DefaultRegistry().entries()) {
-      if (e.probe != nullptr && e.probe(cp.query, cp.classification)) {
+    for (const SolverRow& row : kSolverTable) {
+      if (row.applies != nullptr && row.applies(cp.query, cp.classification)) {
         ++accepted;
-        EXPECT_STREQ(SolverKindName(e.kind), SolverKindName(cp.solver))
-            << label;
+        EXPECT_STREQ(row.name, SolverKindName(cp.solver)) << label;
       }
     }
     EXPECT_LE(accepted, 1) << label;

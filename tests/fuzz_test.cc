@@ -7,7 +7,7 @@
 //  - returned contingency sets really falsify the query;
 //  - PTIME-classified connected queries in the two-R-atom class are
 //    answered by a specialized construction or the documented fallback;
-//  - at most one construction probe accepts a component, and the
+//  - at most one construction row accepts a component, and the
 //    reported solver is the one the plan names;
 //  - the tuple-built linear flow agrees with the witness-built reference.
 
@@ -96,7 +96,7 @@ TEST(Fuzz, RandomQueriesSurviveTheFullPipeline) {
     if (c.complexity == Complexity::kPTime) ++ptime_seen;
     if (c.complexity == Complexity::kNpComplete) ++hard_seen;
 
-    // At most one construction probe accepts a component, so the plan
+    // At most one construction row accepts a component, so the plan
     // names one solver per component.
     std::shared_ptr<const ResiliencePlan> plan = engine.Plan(q);
     std::set<SolverKind> planned;
@@ -104,8 +104,9 @@ TEST(Fuzz, RandomQueriesSurviveTheFullPipeline) {
       if (cp.no_endogenous) continue;
       planned.insert(cp.solver);
       int accepted = 0;
-      for (const SolverEntry& e : DefaultRegistry().entries()) {
-        if (e.probe != nullptr && e.probe(cp.query, cp.classification)) {
+      for (const SolverRow& row : kSolverTable) {
+        if (row.applies != nullptr &&
+            row.applies(cp.query, cp.classification)) {
           ++accepted;
         }
       }
@@ -152,16 +153,16 @@ TEST(Fuzz, TupleBuiltLinearFlowMatchesWitnessBuiltReference) {
         Database db = RandomDatabase(q, 3 + static_cast<int>(rng.Below(4)),
                                      2 + static_cast<int>(rng.Below(10)),
                                      rng);
-        std::optional<ResilienceResult> got = SolveLinearFlow(cp.query, db);
+        ResilienceResult got = SolveLinearFlow(cp.query, db);
         std::optional<ResilienceResult> want =
             LegacySolveLinearFlow(cp.query, db);
-        ASSERT_TRUE(got.has_value() && want.has_value()) << q.ToString();
-        ASSERT_EQ(got->unbreakable, want->unbreakable)
+        ASSERT_TRUE(want.has_value()) << q.ToString();
+        ASSERT_EQ(got.unbreakable, want->unbreakable)
             << cp.query.ToString() << " round " << round;
         if (want->unbreakable) continue;
-        ASSERT_EQ(got->resilience, want->resilience)
+        ASSERT_EQ(got.resilience, want->resilience)
             << cp.query.ToString() << " round " << round;
-        ASSERT_EQ(got->contingency, want->contingency)
+        ASSERT_EQ(got.contingency, want->contingency)
             << cp.query.ToString() << " round " << round;
         ++compared;
       }

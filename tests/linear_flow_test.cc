@@ -63,13 +63,12 @@ TEST_P(LinearFlowAgreement, MatchesExactOracle) {
   for (int trial = 0; trial < 25; ++trial) {
     Database db = RandomDatabase(q, 3 + static_cast<int>(rng.Below(4)),
                                  4 + static_cast<int>(rng.Below(12)), rng);
-    std::optional<ResilienceResult> flow = SolveLinearFlow(q, db);
-    ASSERT_TRUE(flow.has_value()) << "query should be linear";
+    ResilienceResult flow = SolveLinearFlow(q, db);
     ResilienceResult exact = ComputeResilienceExact(q, db);
-    ASSERT_EQ(flow->unbreakable, exact.unbreakable) << "trial " << trial;
+    ASSERT_EQ(flow.unbreakable, exact.unbreakable) << "trial " << trial;
     if (exact.unbreakable) continue;
-    EXPECT_EQ(flow->resilience, exact.resilience) << "trial " << trial;
-    EXPECT_TRUE(VerifyContingency(q, db, flow->contingency))
+    EXPECT_EQ(flow.resilience, exact.resilience) << "trial " << trial;
+    EXPECT_TRUE(VerifyContingency(q, db, flow.contingency))
         << "trial " << trial;
   }
 }
@@ -106,10 +105,10 @@ TEST_P(LinearFlowAgreement, MatchesWitnessBuiltReference) {
     // Sparse draws leave many dangling tuples, dense ones many witnesses.
     Database db = RandomDatabase(q, 3 + static_cast<int>(rng.Below(6)),
                                  2 + static_cast<int>(rng.Below(20)), rng);
-    std::optional<ResilienceResult> flow = SolveLinearFlow(q, db);
+    ResilienceResult flow = SolveLinearFlow(q, db);
     std::optional<ResilienceResult> ref = LegacySolveLinearFlow(q, db);
-    ASSERT_TRUE(flow.has_value() && ref.has_value());
-    ExpectSameAsReference(*flow, *ref, "trial " + std::to_string(trial));
+    ASSERT_TRUE(ref.has_value());
+    ExpectSameAsReference(flow, *ref, "trial " + std::to_string(trial));
   }
 }
 
@@ -122,13 +121,13 @@ TEST(LinearFlow, RepOverrideMatchesWitnessBuiltReference) {
       Database db = RandomDatabase(q, 4, 2 + static_cast<int>(rng.Below(12)),
                                    rng);
       int r_rel = db.RelationId("R");
-      std::optional<ResilienceResult> rep = SolveRepFlow(q, db);
+      ResilienceResult rep = SolveRepFlow(q, db);
       std::optional<ResilienceResult> ref = LegacySolveLinearFlow(
           q, db, [r_rel](const Database& d, TupleId t) {
             return t.relation == r_rel && d.Row(t)[0] != d.Row(t)[1];
           });
-      ASSERT_TRUE(rep.has_value() && ref.has_value());
-      ExpectSameAsReference(*rep, *ref,
+      ASSERT_TRUE(ref.has_value());
+      ExpectSameAsReference(rep, *ref,
                             std::string(text) + " trial " +
                                 std::to_string(trial));
     }
@@ -142,8 +141,7 @@ TEST(LinearFlow, ForcedThenFlowMatchesWitnessBuiltReference) {
   for (int trial = 0; trial < 40; ++trial) {
     Database db = RandomDatabase(q, 3 + static_cast<int>(rng.Below(3)),
                                  3 + static_cast<int>(rng.Below(8)), rng);
-    std::optional<ResilienceResult> got = SolveForcedThenFlow(q, db);
-    ASSERT_TRUE(got.has_value());
+    ResilienceResult got = SolveForcedThenFlow(q, db);
     // The reference: delete the singleton-witness tuples, run the
     // witness-built flow on the rest.
     WitnessFamily family = CollectWitnessFamily(q, db, kNoWitnessLimit);
@@ -168,7 +166,7 @@ TEST(LinearFlow, ForcedThenFlowMatchesWitnessBuiltReference) {
                               ref->contingency.end());
       std::sort(want.contingency.begin(), want.contingency.end());
     }
-    ExpectSameAsReference(*got, want, "trial " + std::to_string(trial));
+    ExpectSameAsReference(got, want, "trial " + std::to_string(trial));
   }
   EXPECT_GT(forced_seen, 0) << "no draw exercised the forced tuples";
 }
@@ -200,16 +198,16 @@ TEST(LinearFlow, DanglingTuplesAtEveryPositionAreNeverCut) {
     for (const char* name : values) row.push_back(v(name));
     dangling.insert(db.AddTuple(rel, row));
   }
-  std::optional<ResilienceResult> flow = SolveLinearFlow(q, db);
+  ResilienceResult flow = SolveLinearFlow(q, db);
   std::optional<ResilienceResult> ref = LegacySolveLinearFlow(q, db);
-  ASSERT_TRUE(flow.has_value() && ref.has_value());
-  ExpectSameAsReference(*flow, *ref, "dangling");
-  EXPECT_EQ(flow->resilience, 1);
-  EXPECT_EQ(flow->resilience, ComputeResilienceExact(q, db).resilience);
-  for (TupleId t : flow->contingency) {
+  ASSERT_TRUE(ref.has_value());
+  ExpectSameAsReference(flow, *ref, "dangling");
+  EXPECT_EQ(flow.resilience, 1);
+  EXPECT_EQ(flow.resilience, ComputeResilienceExact(q, db).resilience);
+  for (TupleId t : flow.contingency) {
     EXPECT_EQ(dangling.count(t), 0u) << db.TupleToString(t);
   }
-  EXPECT_TRUE(VerifyContingency(q, db, flow->contingency));
+  EXPECT_TRUE(VerifyContingency(q, db, flow.contingency));
 
   // Exogenous atoms around an endogenous middle: each witness has one
   // deletable tuple R(x_i,y_i), and the reversed R(y_i,x_i) dangle at
@@ -227,10 +225,10 @@ TEST(LinearFlow, DanglingTuplesAtEveryPositionAreNeverCut) {
   }
   flow = SolveLinearFlow(exo, exo_db);
   ref = LegacySolveLinearFlow(exo, exo_db);
-  ASSERT_TRUE(flow.has_value() && ref.has_value());
-  ExpectSameAsReference(*flow, *ref, "exogenous");
-  EXPECT_FALSE(flow->unbreakable);
-  EXPECT_EQ(flow->resilience, 3);
+  ASSERT_TRUE(ref.has_value());
+  ExpectSameAsReference(flow, *ref, "exogenous");
+  EXPECT_FALSE(flow.unbreakable);
+  EXPECT_EQ(flow.resilience, 3);
 }
 
 TEST(LinearFlow, SelfJoinTupleAtTwoPositionsIsCutOnce) {
@@ -244,13 +242,13 @@ TEST(LinearFlow, SelfJoinTupleAtTwoPositionsIsCutOnce) {
   db.AddTuple("C", {a});
   TupleId ab = db.AddTuple("R", {a, b});
   db.AddTuple("R", {e, b});  // dangling: no A(e), no C(e)
-  std::optional<ResilienceResult> flow = SolveLinearFlow(q, db);
+  ResilienceResult flow = SolveLinearFlow(q, db);
   std::optional<ResilienceResult> ref = LegacySolveLinearFlow(q, db);
-  ASSERT_TRUE(flow.has_value() && ref.has_value());
-  ExpectSameAsReference(*flow, *ref, "self-join");
-  EXPECT_FALSE(flow->unbreakable);
-  EXPECT_EQ(flow->resilience, 1);
-  EXPECT_EQ(flow->contingency, (std::vector<TupleId>{ab}));
+  ASSERT_TRUE(ref.has_value());
+  ExpectSameAsReference(flow, *ref, "self-join");
+  EXPECT_FALSE(flow.unbreakable);
+  EXPECT_EQ(flow.resilience, 1);
+  EXPECT_EQ(flow.contingency, (std::vector<TupleId>{ab}));
 
   // Once C(e) exists, a second witness runs through R(a,b) at the first
   // position and R(e,b) at the second: one deletion of R(a,b) still
@@ -258,10 +256,10 @@ TEST(LinearFlow, SelfJoinTupleAtTwoPositionsIsCutOnce) {
   db.AddTuple("C", {e});
   flow = SolveLinearFlow(q, db);
   ref = LegacySolveLinearFlow(q, db);
-  ASSERT_TRUE(flow.has_value() && ref.has_value());
-  ExpectSameAsReference(*flow, *ref, "self-join, two witnesses");
-  EXPECT_EQ(flow->resilience, ComputeResilienceExact(q, db).resilience);
-  EXPECT_TRUE(VerifyContingency(q, db, flow->contingency));
+  ASSERT_TRUE(ref.has_value());
+  ExpectSameAsReference(flow, *ref, "self-join, two witnesses");
+  EXPECT_EQ(flow.resilience, ComputeResilienceExact(q, db).resilience);
+  EXPECT_TRUE(VerifyContingency(q, db, flow.contingency));
 }
 
 TEST(LinearFlow, DominationHeavyAt400ScalesWithTuples) {
@@ -288,12 +286,11 @@ TEST(LinearFlow, RepOverrideAgreesOnZ3Family) {
     Rng rng(std::hash<std::string>()(text));
     for (int trial = 0; trial < 20; ++trial) {
       Database db = RandomDatabase(q, 4, 9, rng);
-      std::optional<ResilienceResult> rep = SolveRepFlow(q, db);
-      ASSERT_TRUE(rep.has_value()) << text;
+      ResilienceResult rep = SolveRepFlow(q, db);
       ResilienceResult exact = ComputeResilienceExact(q, db);
-      ASSERT_EQ(rep->unbreakable, exact.unbreakable);
+      ASSERT_EQ(rep.unbreakable, exact.unbreakable);
       if (!exact.unbreakable) {
-        EXPECT_EQ(rep->resilience, exact.resilience)
+        EXPECT_EQ(rep.resilience, exact.resilience)
             << text << " trial " << trial;
       }
     }
@@ -305,11 +302,10 @@ TEST(LinearFlow, CutNeverContainsExogenousTuples) {
   Rng rng(9);
   for (int trial = 0; trial < 10; ++trial) {
     Database db = RandomDatabase(q, 4, 8, rng);
-    std::optional<ResilienceResult> r = SolveLinearFlow(q, db);
-    ASSERT_TRUE(r.has_value());
-    if (r->unbreakable) continue;
+    ResilienceResult r = SolveLinearFlow(q, db);
+    if (r.unbreakable) continue;
     int r_rel = db.RelationId("R");
-    for (TupleId t : r->contingency) EXPECT_NE(t.relation, r_rel);
+    for (TupleId t : r.contingency) EXPECT_NE(t.relation, r_rel);
   }
 }
 
@@ -325,10 +321,9 @@ TEST(LinearFlow, SharedMiddleValueForcesBottleneckCut) {
   }
   TupleId mid = db.AddTuple("R", {m, m2});
   Query q = MustParseQuery("A(x), L(x,u), R(u,v), T(v,y), B(y)");
-  std::optional<ResilienceResult> r = SolveLinearFlow(q, db);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->resilience, 1);
-  EXPECT_EQ(r->contingency, (std::vector<TupleId>{mid}));
+  ResilienceResult r = SolveLinearFlow(q, db);
+  EXPECT_EQ(r.resilience, 1);
+  EXPECT_EQ(r.contingency, (std::vector<TupleId>{mid}));
 }
 
 TEST(LinearFlow, DispatchedSolverHandlesLargeInstancesFast) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "complexity/catalog.h"
+#include "complexity/linearity.h"
 #include "cq/parser.h"
 #include "db/database.h"
 #include "db/witness.h"
@@ -8,6 +9,7 @@
 #include "resilience/linear_flow_solver.h"
 #include "resilience/perm3_solver.h"
 #include "resilience/perm_solver.h"
+#include "resilience/plan.h"
 #include "resilience/solver.h"
 #include "util/rng.h"
 
@@ -184,10 +186,9 @@ TEST(LinearFlow, SimpleLinearChainOfRelations) {
   db.AddTuple("B", {b1});
   db.AddTuple("B", {b2});
   Query q = MustParseQuery("A(x), R(x,y), B(y)");
-  std::optional<ResilienceResult> r = SolveLinearFlow(q, db);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->resilience, 1);
-  EXPECT_EQ(r->contingency, (std::vector<TupleId>{ta}));
+  ResilienceResult r = SolveLinearFlow(q, db);
+  EXPECT_EQ(r.resilience, 1);
+  EXPECT_EQ(r.contingency, (std::vector<TupleId>{ta}));
 }
 
 TEST(LinearFlow, ExogenousTuplesNeverChosen) {
@@ -197,25 +198,25 @@ TEST(LinearFlow, ExogenousTuplesNeverChosen) {
   db.AddTuple("R", {a, b});
   db.AddTuple("B", {b});
   Query q = MustParseQuery("A^x(x), R(x,y), B^x(y)");
-  std::optional<ResilienceResult> r = SolveLinearFlow(q, db);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->resilience, 1);
-  EXPECT_EQ(db.TupleToString(r->contingency[0]), "R(a,b)");
+  ResilienceResult r = SolveLinearFlow(q, db);
+  EXPECT_EQ(r.resilience, 1);
+  EXPECT_EQ(db.TupleToString(r.contingency[0]), "R(a,b)");
 }
 
 TEST(LinearFlow, UnbreakableAllExogenous) {
   Database db;
   db.AddTuple("R", {db.Intern("a"), db.Intern("b")});
   Query q = MustParseQuery("R^x(x,y)");
-  std::optional<ResilienceResult> r = SolveLinearFlow(q, db);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_TRUE(r->unbreakable);
+  ResilienceResult r = SolveLinearFlow(q, db);
+  EXPECT_TRUE(r.unbreakable);
 }
 
-TEST(LinearFlow, NotLinearReturnsNullopt) {
-  Database db;
-  Query q = MustParseQuery("R(x,y), S(y,z), T(z,x)");
-  EXPECT_FALSE(SolveLinearFlow(q, db).has_value());
+TEST(LinearFlow, NotLinearIsNeverPlannedForFlow) {
+  // q_rats is PTIME but not linear: no flow runs on it.
+  ResiliencePlan plan = BuildPlan(CatalogQuery("q_rats"));
+  ASSERT_EQ(plan.components.size(), 1u);
+  EXPECT_FALSE(IsLinear(plan.components[0].query));
+  EXPECT_EQ(plan.components[0].solver, SolverKind::kExactFallback);
 }
 
 TEST(LinearFlow, ConfluenceSharedTupleCountedOnce) {
@@ -227,9 +228,8 @@ TEST(LinearFlow, ConfluenceSharedTupleCountedOnce) {
   db.AddTuple("R", {a, b});
   db.AddTuple("C", {a});
   Query q = CatalogQuery("q_ACconf");
-  std::optional<ResilienceResult> r = SolveLinearFlow(q, db);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->resilience, 1);
+  ResilienceResult r = SolveLinearFlow(q, db);
+  EXPECT_EQ(r.resilience, 1);
 }
 
 TEST(PermSolvers, CountOnPairsAndLoops) {
@@ -240,9 +240,8 @@ TEST(PermSolvers, CountOnPairsAndLoops) {
   db.AddTuple("R", {v("c"), v("c")});  // loop: witness by itself
   db.AddTuple("R", {v("d"), v("e")});  // no inverse: no witness
   Query q = CatalogQuery("q_perm");
-  std::optional<ResilienceResult> r = SolvePermutationCount(q, db);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->resilience, 2);
+  ResilienceResult r = SolvePermutationCount(q, db);
+  EXPECT_EQ(r.resilience, 2);
 }
 
 TEST(PermSolvers, ShapePredicatesSplitTheUnboundPermutations) {
@@ -266,10 +265,9 @@ TEST(PermSolvers, BipartiteSharedATuple) {
   db.AddTuple("R", {v("a"), v("c")});
   db.AddTuple("R", {v("c"), v("a")});
   Query q = CatalogQuery("q_Aperm");
-  std::optional<ResilienceResult> r = SolveUnboundPermutationFlow(q, db);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->resilience, 1);
-  EXPECT_EQ(db.TupleToString(r->contingency[0]), "A(a)");
+  ResilienceResult r = SolveUnboundPermutationFlow(q, db);
+  EXPECT_EQ(r.resilience, 1);
+  EXPECT_EQ(db.TupleToString(r.contingency[0]), "A(a)");
 }
 
 TEST(PermSolvers, SharedRPairBeatsTwoATuples) {
@@ -282,10 +280,9 @@ TEST(PermSolvers, SharedRPairBeatsTwoATuples) {
   db.AddTuple("R", {v("a"), v("b")});
   db.AddTuple("R", {v("b"), v("a")});
   Query q = CatalogQuery("q_Aperm");
-  std::optional<ResilienceResult> r = SolveUnboundPermutationFlow(q, db);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->resilience, 1);
-  EXPECT_EQ(db.TupleToString(r->contingency[0]).substr(0, 1), "R");
+  ResilienceResult r = SolveUnboundPermutationFlow(q, db);
+  EXPECT_EQ(r.resilience, 1);
+  EXPECT_EQ(db.TupleToString(r.contingency[0]).substr(0, 1), "R");
 }
 
 TEST(Perm3, OneWayTuplesAreDominatedByUnaryL) {
@@ -297,11 +294,10 @@ TEST(Perm3, OneWayTuplesAreDominatedByUnaryL) {
   db.AddTuple("R", {v("b"), v("c")});
   db.AddTuple("R", {v("c"), v("b")});  // pair {b,c}
   Query q = CatalogQuery("q_A3perm_R");
-  std::optional<ResilienceResult> r = SolvePerm3Flow(q, db);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->resilience, 1);
+  ResilienceResult r = SolvePerm3Flow(q, db);
+  EXPECT_EQ(r.resilience, 1);
   // Either A(a) or one pair tuple; never the 1-way R(a,b).
-  EXPECT_NE(db.TupleToString(r->contingency[0]), "R(a,b)");
+  EXPECT_NE(db.TupleToString(r.contingency[0]), "R(a,b)");
 }
 
 TEST(Perm3, LoopPairs) {
@@ -311,9 +307,29 @@ TEST(Perm3, LoopPairs) {
   db.AddTuple("A", {v("a")});
   db.AddTuple("R", {v("a"), v("a")});
   Query q = CatalogQuery("q_A3perm_R");
-  std::optional<ResilienceResult> r = SolvePerm3Flow(q, db);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->resilience, 1);
+  ResilienceResult r = SolvePerm3Flow(q, db);
+  EXPECT_EQ(r.resilience, 1);
+}
+
+TEST(Perm3, AbsentRelationGivesZero) {
+  // No A tuples, then no R tuples: q is false and rho = 0, with or
+  // without the other relation present.
+  Query q = CatalogQuery("q_A3perm_R");
+  Database no_a;
+  auto v = [&](const char* s) { return no_a.Intern(s); };
+  no_a.AddTuple("R", {v("a"), v("b")});
+  no_a.AddTuple("R", {v("b"), v("a")});
+  ResilienceResult r = SolvePerm3Flow(q, no_a);
+  EXPECT_FALSE(r.unbreakable);
+  EXPECT_EQ(r.resilience, 0);
+  EXPECT_TRUE(r.contingency.empty());
+
+  Database no_r;
+  no_r.AddTuple("A", {no_r.Intern("a")});
+  r = SolvePerm3Flow(q, no_r);
+  EXPECT_FALSE(r.unbreakable);
+  EXPECT_EQ(r.resilience, 0);
+  EXPECT_TRUE(r.contingency.empty());
 }
 
 TEST(Perm3, BinaryLMayPreferOneWayTuple) {
@@ -328,9 +344,8 @@ TEST(Perm3, BinaryLMayPreferOneWayTuple) {
   db.AddTuple("R", {v("b"), v("c")});
   db.AddTuple("R", {v("c"), v("b")});
   Query q = CatalogQuery("q_Swx3perm_R");
-  std::optional<ResilienceResult> r = SolvePerm3Flow(q, db);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->resilience, 1);
+  ResilienceResult r = SolvePerm3Flow(q, db);
+  EXPECT_EQ(r.resilience, 1);
 }
 
 TEST(Dispatcher, DisconnectedQueryTakesMinimumOverComponents) {

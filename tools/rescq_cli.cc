@@ -33,7 +33,6 @@
 #include "db/database.h"
 #include "db/delta.h"
 #include "db/tuple_io.h"
-#include "db/witness.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resilience/engine.h"
@@ -512,24 +511,6 @@ int CmdResilience(const std::vector<std::string>& args) {
               c.reason.c_str());
   std::printf("database:    %d tuples over %d constants\n",
               db.NumActiveTuples(), db.domain_size());
-  // Stream-count witnesses (nothing is materialized); a witness limit
-  // also caps this display pass. "Capped" only when a witness beyond
-  // the limit actually exists — an instance with exactly `witness_limit`
-  // witnesses is complete.
-  size_t witness_count = 0;
-  bool witness_count_capped = false;
-  ForEachWitness(*q, db, [&](const Witness&) {
-    if (options.witness_limit != 0 &&
-        witness_count >= options.witness_limit) {
-      witness_count_capped = true;
-      return false;
-    }
-    ++witness_count;
-    return true;
-  });
-  std::printf("witnesses:   %zu%s\n", witness_count,
-              witness_count_capped ? "+ (capped by --witness-limit)" : "");
-
   sinks.Arm();
   ResilienceEngine engine(options);
   SolveOutcome outcome = engine.Solve(*q, db);
