@@ -1,9 +1,10 @@
 // Dedicated tests for the linear-query flow solver: agreement with the
 // exact oracle across a family of linear queries (sj-free, confluence,
 // REP), exogenous handling, and the Lemma 55 no-duplicate-cut property
-// that makes the confluence case sound. The tuple-built network is held
-// to the witness-built reference (legacy_linear_flow.h): same
-// unbreakable flag, rho and contingency set, dangling tuples included.
+// that makes the confluence case sound, plus the shared cut step's own
+// checks (flow_cut.h). The tuple-built network is held to the
+// witness-built reference (legacy_linear_flow.h): same unbreakable flag,
+// rho and contingency set, dangling tuples included.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "resilience/conf3_solver.h"
 #include "resilience/engine.h"
 #include "resilience/exact_solver.h"
+#include "resilience/flow_cut.h"
 #include "resilience/linear_flow_solver.h"
 #include "resilience/rep_solver.h"
 #include "resilience/solver.h"
@@ -277,6 +279,37 @@ TEST(LinearFlow, DominationHeavyAt400ScalesWithTuples) {
   EXPECT_EQ(r.solver, SolverKind::kLinearFlow);
   EXPECT_EQ(r.resilience, 400);
   EXPECT_TRUE(VerifyContingency(q, db, r.contingency));
+}
+
+// The cut step's own checks, on hand-built networks no construction
+// builds. Lemma 55 keeps two copies of one tuple out of every minimal
+// cut, so SelfJoinTupleAtTwoPositionsIsCutOnce cuts one copy and never
+// reaches them.
+TEST(FlowCutDeathTest, TwoCutCopiesOfOneTupleFailTheLemma55Check) {
+  // Two parallel capacity-1 edges name one tuple: the flow is 2 but the
+  // cut deletes one tuple.
+  MaxFlow flow(2);
+  const int u = flow.AddNode();
+  AddTupleEdge(flow, 0, u, TupleId{0, 7});
+  AddTupleEdge(flow, 0, u, TupleId{0, 7});
+  flow.AddEdge(u, 1, kInfCapacity);
+  EXPECT_DEATH(SolveMinCut(flow, SolverKind::kLinearFlow),
+               "RESCQ_CHECK failed");
+}
+
+TEST(FlowCutDeathTest, CutUntaggedEdgeFails) {
+  MaxFlow flow(2);
+  flow.AddEdge(0, 1, 1);  // finite but names no tuple
+  EXPECT_DEATH(SolveMinCut(flow, SolverKind::kLinearFlow),
+               "undeletable edge");
+}
+
+TEST(FlowCut, InfiniteFlowIsUnbreakable) {
+  MaxFlow flow(2);
+  AddTupleEdge(flow, 0, 1, TupleId{0, 0}, /*deletable=*/false);
+  ResilienceResult r = SolveMinCut(flow, SolverKind::kLinearFlow);
+  EXPECT_TRUE(r.unbreakable);
+  EXPECT_TRUE(r.contingency.empty());
 }
 
 TEST(LinearFlow, RepOverrideAgreesOnZ3Family) {

@@ -332,6 +332,30 @@ TEST(Perm3, AbsentRelationGivesZero) {
   EXPECT_TRUE(r.contingency.empty());
 }
 
+TEST(Perm3, SideRuleDeletesTheAliveSidesTuple) {
+  // Prop 44 with two S tuples behind one value: the min cut takes the
+  // pair edge and leaves that value's v node on the source side. The
+  // pair is tagged R(lo,hi); the side rule must delete the tuple leaving
+  // the alive value, since the loop on the other value keeps a witness
+  // through the other tuple.
+  Query q = CatalogQuery("q_Swx3perm_R");
+  for (bool alive_is_hi : {true, false}) {
+    Database db;
+    const Value lo = db.Intern("lo"), hi = db.Intern("hi");
+    const Value alive = alive_is_hi ? hi : lo;
+    const Value dead = alive_is_hi ? lo : hi;
+    db.AddTuple("S", {db.Intern("e1"), alive});
+    db.AddTuple("S", {db.Intern("e2"), alive});
+    TupleId leave = db.AddTuple("R", {alive, dead});
+    db.AddTuple("R", {dead, alive});
+    db.AddTuple("R", {dead, dead});
+    ResilienceResult r = SolvePerm3Flow(q, db);
+    EXPECT_EQ(r.resilience, 1) << alive_is_hi;
+    EXPECT_EQ(r.contingency, (std::vector<TupleId>{leave})) << alive_is_hi;
+    EXPECT_TRUE(VerifyContingency(q, db, r.contingency)) << alive_is_hi;
+  }
+}
+
 TEST(Perm3, BinaryLMayPreferOneWayTuple) {
   // Prop 44: with many S(e,a) behind one 1-way R(a,b), deleting R(a,b)
   // (1 tuple) beats deleting all S tuples.
