@@ -6,15 +6,17 @@
 
 namespace rescq {
 
-int AddTupleEdge(MaxFlow& flow, int from, int to, TupleId tuple,
-                 bool deletable) {
-  return deletable ? flow.AddEdge(from, to, 1,
-                                  static_cast<int64_t>(PackTupleId(tuple)))
-                   : flow.AddEdge(from, to, kInfCapacity);
+void AddTupleEdge(MaxFlow& flow, int from, int to, TupleId tuple,
+                  bool deletable) {
+  if (deletable) {
+    flow.AddEdge(from, to, 1, static_cast<int64_t>(PackTupleId(tuple)));
+  } else {
+    flow.AddEdge(from, to, kInfCapacity);
+  }
 }
 
 ResilienceResult SolveMinCut(MaxFlow& flow, SolverKind solver,
-                          FunctionRef<TupleId(TupleId)> pick) {
+                             FunctionRef<TupleId(TupleId)> pick) {
   ResilienceResult result;
   result.solver = solver;
   const int64_t value = flow.Compute(0, 1);

@@ -10,8 +10,8 @@ namespace rescq {
 
 /// Adds the edge of `tuple`: capacity 1 tagged with PackTupleId(tuple)
 /// when cutting it may delete the tuple, ∞ and untagged otherwise.
-int AddTupleEdge(MaxFlow& flow, int from, int to, TupleId tuple,
-                 bool deletable = true);
+void AddTupleEdge(MaxFlow& flow, int from, int to, TupleId tuple,
+                  bool deletable = true);
 
 /// The one step that turns a flow construction's network into its
 /// answer. `flow` runs from node 0 (source) to node 1 (sink); each finite
@@ -24,7 +24,7 @@ int AddTupleEdge(MaxFlow& flow, int from, int to, TupleId tuple,
 /// cut and, by Lemma 55, that the number of distinct tuples equals the
 /// flow value.
 ResilienceResult SolveMinCut(MaxFlow& flow, SolverKind solver,
-                          FunctionRef<TupleId(TupleId)> pick = {});
+                             FunctionRef<TupleId(TupleId)> pick = {});
 
 }  // namespace rescq
 
