@@ -304,14 +304,6 @@ TEST(FlowCutDeathTest, CutUntaggedEdgeFails) {
                "undeletable edge");
 }
 
-TEST(FlowCut, InfiniteFlowIsUnbreakable) {
-  MaxFlow flow(2);
-  AddTupleEdge(flow, 0, 1, TupleId{0, 0}, /*deletable=*/false);
-  ResilienceResult r = SolveMinCut(flow, SolverKind::kLinearFlow);
-  EXPECT_TRUE(r.unbreakable);
-  EXPECT_TRUE(r.contingency.empty());
-}
-
 TEST(LinearFlow, RepOverrideAgreesOnZ3Family) {
   for (const char* text :
        {"R(x,x), R(x,y), A(y)", "B(x), R(x,x), R(x,y), A(y)"}) {
