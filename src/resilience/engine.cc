@@ -1,6 +1,5 @@
 #include "resilience/engine.h"
 
-#include <chrono>
 
 #include "db/witness.h"
 #include "obs/metrics.h"
@@ -8,17 +7,11 @@
 #include "resilience/exact_solver.h"
 #include "resilience/registry.h"
 #include "util/check.h"
+#include "util/clock.h"
 
 namespace rescq {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 ExactOptions MakeExactOptions(const EngineOptions& options) {
   ExactOptions exact;

@@ -8,36 +8,16 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
+#include "server/line_server.h"
 #include "server/protocol.h"
+#include "util/clock.h"
 #include "util/string_util.h"
 
 namespace rescq {
 
 namespace {
-
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-bool SendAll(int fd, const std::string& data, std::string* error) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = std::string("send: ") + std::strerror(errno);
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
 
 /// "ok explain 3" / "ok sessions 2" → 3 / 2; -1 for single-line replies.
 int PayloadLines(const std::string& header) {
@@ -84,9 +64,9 @@ bool ConnectWithDeadline(int fd, const sockaddr* addr, socklen_t addrlen,
     pollfd pfd;
     pfd.fd = fd;
     pfd.events = POLLOUT;
-    int64_t deadline = NowMs() + timeout_ms;
+    int64_t deadline = SteadyNowMs() + timeout_ms;
     for (;;) {
-      int64_t remaining = deadline - NowMs();
+      int64_t remaining = deadline - SteadyNowMs();
       if (remaining <= 0) {
         *error = "timeout: connect took longer than " +
                  std::to_string(timeout_ms) + "ms";
@@ -171,7 +151,7 @@ bool LineClient::ReadLine(std::string* line, std::string* error) {
   char chunk[4096];
   size_t newline;
   const int64_t deadline =
-      io_timeout_ms_ > 0 ? NowMs() + io_timeout_ms_ : 0;
+      io_timeout_ms_ > 0 ? SteadyNowMs() + io_timeout_ms_ : 0;
   while ((newline = buffer_.find('\n')) == std::string::npos) {
     if (buffer_.size() > kMaxReplyLineBytes) {
       *error = "reply line over " + std::to_string(kMaxReplyLineBytes) +
@@ -182,7 +162,7 @@ bool LineClient::ReadLine(std::string* line, std::string* error) {
       pollfd pfd;
       pfd.fd = fd_;
       pfd.events = POLLIN;
-      int64_t remaining = deadline - NowMs();
+      int64_t remaining = deadline - SteadyNowMs();
       int r = remaining <= 0
                   ? 0
                   : ::poll(&pfd, 1, static_cast<int>(remaining));

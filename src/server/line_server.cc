@@ -24,24 +24,24 @@ constexpr size_t kMaxLineBytes = 64 * 1024;
 // not grow the output buffer without bound.
 constexpr size_t kMaxPendingReplyBytes = 64 * 1024;
 
-/// send() the whole buffer, riding out EINTR and partial writes.
-/// MSG_NOSIGNAL: a client that hung up mid-reply costs us an EPIPE
-/// errno, never a SIGPIPE.
-bool SendAll(int fd, const std::string& data) {
+}  // namespace
+
+bool SendAll(int fd, const std::string& data, std::string* error) {
   size_t sent = 0;
   while (sent < data.size()) {
     ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
                        MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (error != nullptr) {
+        *error = std::string("send: ") + std::strerror(errno);
+      }
       return false;
     }
     sent += static_cast<size_t>(n);
   }
   return true;
 }
-
-}  // namespace
 
 LineServer::LineServer(const LineServerOptions& options,
                        HandlerFactory factory)

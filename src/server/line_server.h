@@ -16,6 +16,13 @@
 
 namespace rescq {
 
+/// send() the whole buffer, riding out EINTR and partial writes.
+/// MSG_NOSIGNAL: a peer that hung up mid-write costs an EPIPE errno,
+/// never a SIGPIPE. On failure, `error` (when given) gets "send: ..."
+/// with the errno text. Shared by the server's reply path and
+/// LineClient's request path.
+bool SendAll(int fd, const std::string& data, std::string* error = nullptr);
+
 /// What a connection handler wants done with one request line's reply.
 /// `response` is sent verbatim (empty = no reply, the blank/comment
 /// case); `close_connection` drops the connection after the reply;

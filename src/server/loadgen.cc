@@ -1,7 +1,6 @@
 #include "server/loadgen.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "db/tuple_io.h"
 #include "resilience/exact_solver.h"
 #include "server/client.h"
+#include "util/clock.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
 #include "workload/churn.h"
@@ -20,13 +20,6 @@
 namespace rescq {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 /// What one connection's worker measured and concluded.
 struct ConnResult {

@@ -1,24 +1,17 @@
 #include "server/protocol.h"
 
-#include <chrono>
 #include <utility>
 
 #include "complexity/classifier.h"
 #include "cq/parser.h"
 #include "db/tuple_io.h"
 #include "obs/metrics.h"
+#include "util/clock.h"
 #include "util/string_util.h"
 
 namespace rescq {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 std::string Err(const char* code, const std::string& message) {
   obs::Count("server.errors");

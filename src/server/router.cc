@@ -7,18 +7,12 @@
 #include "obs/metrics.h"
 #include "server/protocol.h"
 #include "server/session_registry.h"
+#include "util/clock.h"
 #include "util/string_util.h"
 
 namespace rescq {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 std::string RouterErr(const char* code, const std::string& message) {
   obs::Count("shard.errors");

@@ -1,16 +1,17 @@
 #include "workload/batch.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "complexity/catalog.h"
 #include "cq/parser.h"
 #include "resilience/engine.h"
 #include "resilience/solver.h"
+#include "util/clock.h"
 #include "util/fnv.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
@@ -33,6 +34,7 @@ void CopyOutcome(const BatchCell& from, BatchCell* to) {
   to->resilience = from.resilience;
   to->solver = from.solver;
   to->verified = from.verified;
+  to->contingency = from.contingency;
   to->oracle_checked = from.oracle_checked;
   to->oracle_match = from.oracle_match;
   to->oracle_resilience = from.oracle_resilience;
@@ -67,11 +69,9 @@ BatchCell RunCell(const BatchJob& job, const BatchOptions& opts,
   }
 
   Query q = MustParseQuery(job.query_text);
-  auto start = std::chrono::steady_clock::now();
+  auto start = Clock::now();
   SolveOutcome outcome = engine->Solve(q, db);
-  cell.wall_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
+  cell.wall_ms = MsSince(start);
   const ResilienceResult& r = outcome.result;
   cell.plan_cache_hit = outcome.plan_cache_hit;
   if (!outcome.error.empty()) {
@@ -91,6 +91,7 @@ BatchCell RunCell(const BatchJob& job, const BatchOptions& opts,
   cell.resilience = r.resilience;
   cell.solver = r.solver;
   cell.verified = r.unbreakable || VerifyContingency(q, db, r.contingency);
+  cell.contingency = std::move(outcome.result.contingency);
   if (outcome.exact.node_budget_exceeded) {
     // The incumbent is a verified contingency set but only an upper
     // bound on the resilience: mark the cell and skip the oracle — an
@@ -284,13 +285,11 @@ BatchReport RunBatch(const std::vector<BatchJob>& jobs,
   engine_options.solver_threads = options.solver_threads;
   ResilienceEngine engine(engine_options);
 
-  auto start = std::chrono::steady_clock::now();
+  auto start = Clock::now();
   ParallelFor(std::max(1, options.threads), jobs.size(), [&](size_t i) {
     report.cells[i] = RunCell(jobs[i], options, &engine, &memo);
   });
-  report.elapsed_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
+  report.elapsed_ms = MsSince(start);
 
   for (const BatchCell& cell : report.cells) {
     if (cell.budget_exceeded) {

@@ -89,6 +89,9 @@ struct BatchCell {
   int resilience = 0;
   SolverKind solver = SolverKind::kExact;
   bool verified = false;  // the contingency set falsified the query
+  /// The engine's contingency set, in its own (sorted) order; empty
+  /// when unbreakable or stopped by a witness budget.
+  std::vector<TupleId> contingency;
   bool oracle_checked = false;
   bool oracle_match = true;
   int oracle_resilience = -1;

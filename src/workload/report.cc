@@ -52,7 +52,7 @@ void WriteReportCsv(const BatchReport& report, std::ostream& out) {
 }
 
 void WriteReportJson(const BatchReport& report, std::ostream& out) {
-  out << "{\n  \"schema\": \"rescq-batch-report/v5\",\n";
+  out << "{\n  \"schema\": \"rescq-batch-report/v6\",\n";
   out << "  \"options\": {\"threads\": " << report.options.threads
       << ", \"check_oracle\": " << BoolName(report.options.check_oracle)
       << ", \"oracle_cutoff\": " << report.options.oracle_cutoff
@@ -89,8 +89,13 @@ void WriteReportJson(const BatchReport& report, std::ostream& out) {
         << c.fingerprint << "\", \"unbreakable\": " << BoolName(c.unbreakable)
         << ", \"resilience\": " << c.resilience << ", \"solver\": \""
         << SolverKindName(c.solver) << "\", \"verified\": "
-        << BoolName(c.verified)
-        << ", \"oracle_checked\": " << BoolName(c.oracle_checked)
+        << BoolName(c.verified) << ", \"contingency\": [";
+    // v6: the contingency set as [relation, row] tuple ids.
+    for (size_t t = 0; t < c.contingency.size(); ++t) {
+      out << (t > 0 ? ", [" : "[") << c.contingency[t].relation << ", "
+          << c.contingency[t].row << "]";
+    }
+    out << "], \"oracle_checked\": " << BoolName(c.oracle_checked)
         << ", \"oracle_match\": " << BoolName(c.oracle_match)
         << ", \"oracle_resilience\": " << c.oracle_resilience
         << ", \"memo_hit\": " << BoolName(c.memo_hit)

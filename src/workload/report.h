@@ -23,10 +23,11 @@ const char* BoolName(bool b);
 /// legitimately vary between runs.
 void WriteReportCsv(const BatchReport& report, std::ostream& out);
 
-/// JSON document (`rescq-batch-report/v5` — v4 added
+/// JSON document (`rescq-batch-report/v6` — v4 added
 /// `options.solver_threads`, v5 a `metrics` block holding the global
 /// registry's rescq-metrics/v1 snapshot fields, empty objects unless
-/// metrics collection was on):
+/// metrics collection was on, v6 each cell's `contingency` as
+/// `[relation, row]` tuple ids):
 /// {"schema", "options", "summary" (incl. plan_cache), "metrics",
 /// "cells": [...]}.
 void WriteReportJson(const BatchReport& report, std::ostream& out);

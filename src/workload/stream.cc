@@ -1,23 +1,16 @@
 #include "workload/stream.h"
 
-#include <chrono>
 #include <ostream>
 
 #include "obs/metrics.h"
 #include "resilience/exact_solver.h"
+#include "util/clock.h"
 #include "util/string_util.h"
 #include "workload/report.h"
 
 namespace rescq {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 StreamRow RowFromOutcome(const EpochOutcome& o, const IncrementalSession& s) {
   StreamRow row;

@@ -285,17 +285,18 @@ else
   echo "FAIL: batch_report.json missing or reports mismatches"
   failures=$((failures + 1))
 fi
-# schema v5: the report must carry the plan-cache counters, the
-# budget-exceeded accounting, the solver_threads option, and the
-# metrics block.
-if grep -q '"schema": "rescq-batch-report/v5"' batch_report.json \
+# schema v6: the report must carry the plan-cache counters, the
+# budget-exceeded accounting, the solver_threads option, the metrics
+# block, and each cell's contingency set.
+if grep -q '"schema": "rescq-batch-report/v6"' batch_report.json \
     && grep -q '"plan_cache"' batch_report.json \
     && grep -q '"budget_exceeded"' batch_report.json \
     && grep -q '"solver_threads"' batch_report.json \
-    && grep -q '"metrics"' batch_report.json; then
-  echo "ok: batch JSON report is v5 with plan-cache, budget, solver, metrics"
+    && grep -q '"metrics"' batch_report.json \
+    && grep -q '"contingency": \[\[' batch_report.json; then
+  echo "ok: batch JSON report is v6 with plan-cache, budget, solver, metrics, contingency"
 else
-  echo "FAIL: batch_report.json lacks the v5 plan-cache/budget/solver/metrics fields"
+  echo "FAIL: batch_report.json lacks the v6 plan-cache/budget/solver/metrics/contingency fields"
   failures=$((failures + 1))
 fi
 

@@ -95,6 +95,9 @@ TEST(Batch, SmallSizesMatchReferenceForAllScenarios) {
         << cell.scenario << " size " << cell.size << " seed " << cell.seed;
     EXPECT_TRUE(cell.oracle_match) << cell.scenario << " size " << cell.size;
     EXPECT_TRUE(cell.verified) << cell.scenario << " size " << cell.size;
+    EXPECT_EQ(static_cast<int>(cell.contingency.size()),
+              cell.unbreakable ? 0 : cell.resilience)
+        << cell.scenario << " size " << cell.size;
   }
 }
 
@@ -177,6 +180,7 @@ TEST(Batch, MemoizationReusesRepeatedCells) {
   EXPECT_EQ(report.memo_hits, 1);
   EXPECT_TRUE(report.cells[1].memo_hit);
   EXPECT_EQ(report.cells[0].resilience, report.cells[1].resilience);
+  EXPECT_EQ(report.cells[0].contingency, report.cells[1].contingency);
 
   options.memoize = false;
   BatchReport uncached = RunBatch(jobs, options);
@@ -339,8 +343,9 @@ TEST(Report, CsvAndJsonCarryEveryCell) {
   std::stringstream json;
   WriteReportJson(report, json);
   std::string json_text = json.str();
-  EXPECT_NE(json_text.find("\"schema\": \"rescq-batch-report/v5\""),
+  EXPECT_NE(json_text.find("\"schema\": \"rescq-batch-report/v6\""),
             std::string::npos);
+  EXPECT_NE(json_text.find("\"contingency\": [["), std::string::npos);
   EXPECT_NE(json_text.find("\"scenario\": \"vc_path\""), std::string::npos);
   EXPECT_NE(json_text.find("\"mismatches\": 0"), std::string::npos);
   EXPECT_NE(json_text.find("\"plan_cache\""), std::string::npos);
