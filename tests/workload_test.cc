@@ -12,8 +12,10 @@
 #include "db/tuple_io.h"
 #include "resilience/solver.h"
 #include "workload/batch.h"
+#include "workload/churn.h"
 #include "workload/generators.h"
 #include "workload/report.h"
+#include "workload/stream.h"
 
 namespace rescq {
 namespace {
@@ -352,6 +354,62 @@ TEST(Report, CsvAndJsonCarryEveryCell) {
   EXPECT_NE(json_text.find("\"plan_cache_hit\""), std::string::npos);
   EXPECT_NE(json_text.find("\"budget_exceeded\": 0"), std::string::npos);
   EXPECT_NE(csv_text.find("budget_exceeded"), std::string::npos);
+}
+
+/// The `"options": {...}` line of a JSON report, verbatim.
+std::string OptionsLine(const std::string& json) {
+  size_t begin = json.find("  \"options\": {");
+  if (begin == std::string::npos) return "";
+  return json.substr(begin, json.find('\n', begin) - begin);
+}
+
+TEST(Report, OptionBlocksPrintTheBudgetsAsGiven) {
+  BatchPlan plan;
+  plan.scenarios = {"vc_path"};
+  plan.sizes = {4};
+  plan.seeds = {1};
+  std::vector<BatchJob> jobs;
+  std::string error;
+  ASSERT_TRUE(ExpandPlan(plan, &jobs, &error)) << error;
+  Query q = MustParseQuery("R(x), S(x,y), R(y)");
+  Database base = GenerateErdosRenyiVC({8, 0.3, 5});
+  ChurnParams churn;
+  churn.epochs = 2;
+  UpdateLog log = GenerateChurn(base, "mixed", churn);
+
+  BatchOptions batch;
+  batch.witness_limit = 7;
+  batch.exact_node_budget = 9;
+  batch.solver_threads = 2;
+  std::ostringstream batch_json;
+  WriteReportJson(RunBatch(jobs, batch), batch_json);
+  EXPECT_EQ(OptionsLine(batch_json.str()),
+            "  \"options\": {\"threads\": 1, \"check_oracle\": false, "
+            "\"oracle_cutoff\": 80, \"memoize\": true, \"witness_limit\": 7, "
+            "\"exact_node_budget\": 9, \"solver_threads\": 2},");
+  StreamOptions stream;
+  stream.witness_limit = 7;
+  stream.exact_node_budget = 9;
+  stream.solver_threads = 2;
+  std::ostringstream stream_json;
+  WriteStreamJson(RunStream(q, "q_vc", base, log, stream), stream_json);
+  EXPECT_EQ(OptionsLine(stream_json.str()),
+            "  \"options\": {\"check_oracle\": false, \"witness_limit\": 7, "
+            "\"exact_node_budget\": 9, \"solver_threads\": 2},");
+
+  // Defaults: unlimited budgets print as 0, one solver thread.
+  batch_json.str("");
+  WriteReportJson(RunBatch(jobs, BatchOptions{}), batch_json);
+  EXPECT_EQ(OptionsLine(batch_json.str()),
+            "  \"options\": {\"threads\": 1, \"check_oracle\": false, "
+            "\"oracle_cutoff\": 80, \"memoize\": true, \"witness_limit\": 0, "
+            "\"exact_node_budget\": 0, \"solver_threads\": 1},");
+  stream_json.str("");
+  WriteStreamJson(RunStream(q, "q_vc", base, log, StreamOptions{}),
+                  stream_json);
+  EXPECT_EQ(OptionsLine(stream_json.str()),
+            "  \"options\": {\"check_oracle\": false, \"witness_limit\": 0, "
+            "\"exact_node_budget\": 0, \"solver_threads\": 1},");
 }
 
 TEST(Fingerprint, SensitiveToContentNotJustSize) {
