@@ -180,7 +180,7 @@ void ProbeIncrementalEpochs() {
   churn.seed = 5;
   UpdateLog log = GenerateChurn(base, "hub", churn);
   Measure("hub-churn-epochs", /*enforced=*/true, [&] {
-    IncrementalSession session(q, base, EngineOptions{});
+    IncrementalSession session(q, base, ExactOptions{});
     for (const Epoch& e : log.epochs) g_sink = session.Apply(e).resilience;
   });
 }

@@ -1,7 +1,5 @@
 #include "resilience/engine.h"
 
-
-#include "db/witness.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resilience/exact_solver.h"
@@ -10,19 +8,6 @@
 #include "util/clock.h"
 
 namespace rescq {
-
-namespace {
-
-ExactOptions MakeExactOptions(const EngineOptions& options) {
-  ExactOptions exact;
-  exact.witness_limit =
-      options.witness_limit == 0 ? kNoWitnessLimit : options.witness_limit;
-  exact.node_budget = options.exact_node_budget;
-  exact.solver_threads = options.solver_threads;
-  return exact;
-}
-
-}  // namespace
 
 ResilienceEngine::ResilienceEngine(EngineOptions options)
     : options_(options) {}
@@ -78,11 +63,11 @@ ResilienceResult ResilienceEngine::RunExact(const Query& q, const Database& db,
                                             SolverKind kind,
                                             SolveOutcome* out) const {
   ResilienceResult result =
-      ComputeResilienceExact(q, db, MakeExactOptions(options_), &out->exact);
+      ComputeResilienceExact(q, db, options_.exact, &out->exact);
   result.solver = kind;
   if (out->exact.witness_budget_exceeded && out->error.empty()) {
     out->error = "witness budget exceeded (witness_limit=" +
-                 std::to_string(options_.witness_limit) +
+                 std::to_string(options_.exact.witness_limit) +
                  "): the witness family is incomplete and no exact answer "
                  "can be given";
   }

@@ -26,24 +26,17 @@ struct EngineOptions {
   /// LRU capacity of the plan cache, in plans. 0 disables caching
   /// (every Solve re-runs the query analysis — the legacy behavior).
   size_t plan_cache_capacity = 256;
-  /// Witness budget per exact component solve (0 = unlimited): the
-  /// streaming enumerator stops after this many raw witnesses and the
-  /// Solve reports a structured "witness budget exceeded" error instead
-  /// of a silently truncated answer. PTIME constructions are unaffected.
-  size_t witness_limit = 0;
-  /// Branch-and-bound node budget per exact component solve (0 =
-  /// unlimited). Exhausting it returns the incumbent — a verified
+  /// Budgets and workers for every exact component solve (defaults:
+  /// unlimited, serial). A witness budget exceeded is a structured
+  /// SolveOutcome::error, never a silently truncated answer; an
+  /// exhausted node budget returns the incumbent — a verified
   /// contingency set that may not be minimum — with
-  /// SolveOutcome::exact.node_budget_exceeded set.
-  uint64_t exact_node_budget = 0;
-  /// Workers for the exact solver's per-component fan-out (<= 1 =
-  /// serial). Every Solve output — the resilience value, the reported
-  /// contingency set, and the search counters in SolveOutcome::exact —
-  /// is byte-identical across any thread count (un-budgeted; see
-  /// ExactOptions::solver_threads for the node-budget exception). Each
-  /// Solve spins its workers up and down on its own, so concurrent
+  /// SolveOutcome::exact.node_budget_exceeded set. PTIME constructions
+  /// are unaffected. Every Solve output is byte-identical across any
+  /// solver thread count (un-budgeted; see ExactOptions::solver_threads).
+  /// Each Solve spins its workers up and down on its own, so concurrent
   /// Solve calls on one engine stay independent.
-  int solver_threads = 1;
+  ExactOptions exact;
 };
 
 /// Counters for the plan cache, monotone over the engine's lifetime.
@@ -88,7 +81,7 @@ struct SolveOutcome {
 /// outside it (a racing duplicate build is benign; first insert wins).
 /// All per-call state (SolveOutcome, ExactStats, timings) lives on the
 /// caller's stack, so Solve calls never share accumulators. With
-/// options.solver_threads > 1 each Solve additionally runs its own
+/// options.exact.solver_threads > 1 each Solve additionally runs its own
 /// private worker fan-out; concurrent Solves just nest independent
 /// pools. tests/engine_test.cc stress-tests this under TSan.
 class ResilienceEngine {

@@ -979,7 +979,7 @@ ResilienceResult ComputeResilienceExact(const Query& q, const Database& db,
                                         ExactStats* stats) {
   ResilienceResult result;
   result.solver = SolverKind::kExact;
-  WitnessFamily family = CollectWitnessFamily(q, db, options.witness_limit);
+  WitnessFamily family = CollectWitnessFamily(q, db, options.witness_cap());
 
   ExactStats local;
   local.witnesses = family.witnesses;

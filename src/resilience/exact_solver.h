@@ -50,15 +50,19 @@ struct HittingSetFamily {
                                std::vector<TupleId>* element_tuples);
 };
 
-/// Budgets for the exact resilience path. The defaults are unbounded —
-/// the solver is then the reference oracle. With a budget set the solve
-/// stays safe but may stop early; see ExactStats for how that surfaces.
+/// Budgets for the exact resilience path: the one declaration of the
+/// witness limit, the node budget and the solver thread count, held as
+/// is by the engine, the incremental session and the batch and stream
+/// runners. 0 means unlimited for both budgets, as in every flag, plan
+/// key and wire argument. The defaults are unbounded — the solver is
+/// then the reference oracle. With a budget set the solve stays safe
+/// but may stop early; see ExactStats for how that surfaces.
 struct ExactOptions {
-  /// Maximum raw witnesses enumerated (kNoWitnessLimit = all). When
-  /// exceeded the witness family is incomplete, the returned result is
-  /// the default (resilience 0) and ExactStats::witness_budget_exceeded
-  /// is set — never a silently truncated answer.
-  size_t witness_limit = kNoWitnessLimit;
+  /// Maximum raw witnesses enumerated (0 = all). When exceeded the
+  /// witness family is incomplete, the returned result is the default
+  /// (resilience 0) and ExactStats::witness_budget_exceeded is set —
+  /// never a silently truncated answer.
+  size_t witness_limit = 0;
   /// Maximum branch-and-bound nodes across all components (0 =
   /// unlimited). When exhausted, the incumbent is returned: a valid
   /// hitting set / contingency set that may not be minimum
@@ -79,6 +83,11 @@ struct ExactOptions {
   /// byte-identical across any thread count and identical to the
   /// serial path (un-budgeted; see node_budget for the exception).
   int solver_threads = 1;
+
+  /// witness_limit as the enumerator's cap (kNoWitnessLimit for 0).
+  size_t witness_cap() const {
+    return witness_limit == 0 ? kNoWitnessLimit : witness_limit;
+  }
 };
 
 /// Search counters reported by the exact path. Monotone within one

@@ -82,8 +82,7 @@ void IncrementalSession::TouchSet(const std::vector<TupleId>& endo_tuples,
 
 bool IncrementalSession::ShiftSupport(const std::vector<TupleId>& changed,
                                       int64_t sign, EpochOutcome* out) {
-  const size_t limit =
-      options_.witness_limit == 0 ? kNoWitnessLimit : options_.witness_limit;
+  const size_t limit = options_.witness_cap();
   bool ok = true;
   index_->ForEachDelta(changed, [&](const Witness& w) {
     if (out->delta_witnesses >= limit) {
@@ -108,13 +107,12 @@ void IncrementalSession::AdoptComponent(int label, Component component) {
 }
 
 IncrementalSession::IncrementalSession(const Query& q, Database base,
-                                       EngineOptions options)
+                                       ExactOptions options)
     : q_(q), db_(std::move(base)), options_(options) {
   Clock::time_point start = Clock::now();
   index_.reset(new WitnessIndex(q_, db_));
   last_.epoch = 0;
-  const size_t limit =
-      options_.witness_limit == 0 ? kNoWitnessLimit : options_.witness_limit;
+  const size_t limit = options_.witness_cap();
   // Full build: count the support of every endogenous set. Unlike
   // CollectWitnessFamily this cannot short-circuit on an unbreakable
   // witness — deletions may later revive the query's breakability, and
@@ -384,11 +382,8 @@ void IncrementalSession::Refresh(EpochOutcome* out) {
     // element belongs to exactly one new component, and a minimum
     // hitting set of the region restricts to a minimum one of each
     // component.
-    ExactOptions exact;
-    exact.node_budget = options_.exact_node_budget;
-    exact.solver_threads = options_.solver_threads;
     ExactStats stats;
-    HittingSetResult hs = SolveMinHittingSet(region_local, exact, &stats);
+    HittingSetResult hs = SolveMinHittingSet(region_local, options_, &stats);
     // Every component takes its root node; more means some search
     // branched.
     out->resolved = stats.nodes > static_cast<uint64_t>(stats.components);

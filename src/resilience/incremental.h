@@ -12,7 +12,7 @@
 #include "db/delta.h"
 #include "db/witness.h"
 #include "obs/memstats.h"
-#include "resilience/engine.h"
+#include "resilience/exact_solver.h"
 #include "util/span_arena.h"
 
 namespace rescq {
@@ -31,7 +31,7 @@ struct EpochOutcome {
   /// `lower_bound` the sum over components of their proven optima or,
   /// for a component left unproven, of HittingSetLowerBound on its sets.
   /// They are equal whenever every component's proof is complete; they
-  /// separate only when an exact_node_budget stopped the search of an
+  /// separate only when a node budget stopped the search of an
   /// epoch's re-solve.
   int lower_bound = 0;
   int upper_bound = 0;
@@ -82,11 +82,11 @@ struct EpochOutcome {
 /// in partition order. Untouched components cost nothing, so epoch work
 /// scales with the churn's footprint, not the database.
 ///
-/// EngineOptions thread straight into ExactOptions: `witness_limit`
-/// caps the witness stream per epoch (exceeding it is a structured
-/// error, never a silently wrong answer), `exact_node_budget` caps the
-/// node count of each epoch's whole re-solve, and `solver_threads` fans
-/// the re-solve's components out to workers. Epochs therefore carry the
+/// The session holds one ExactOptions and hands it to every re-solve:
+/// `witness_limit` caps the witness stream per epoch (exceeding it is a
+/// structured error, never a silently wrong answer), `node_budget` caps
+/// the node count of each epoch's whole re-solve, and `solver_threads`
+/// fans the re-solve's components out to workers. Epochs therefore carry the
 /// exact solver's determinism contract: every outcome — contingency set
 /// included — is byte-identical at any thread count, except that an
 /// epoch which exhausts its node budget under `solver_threads > 1` may
@@ -99,8 +99,8 @@ struct EpochOutcome {
 /// answers: Apply and EvictColdState are the only mutators and must be
 /// externally serialized (one at a time, never concurrent with any
 /// other member). The read-only accessors — Peek/current, poisoned,
-/// db, query, options, epochs_applied, index_resident, evictions,
-/// rebuilds, ApproxMemory — may be called from any number of threads
+/// db, query, epochs_applied, index_resident, evictions, rebuilds,
+/// ApproxMemory — may be called from any number of threads
 /// concurrently with each other, provided the caller establishes a
 /// happens-before edge from the last mutation (the server's session
 /// registry does this with a per-session shared mutex: mutators under
@@ -111,7 +111,7 @@ class IncrementalSession {
  public:
   /// Builds the family for `q` over `base` (the epoch-0 full build) and
   /// solves it once. The session owns its copy of the database.
-  IncrementalSession(const Query& q, Database base, EngineOptions options = {});
+  IncrementalSession(const Query& q, Database base, ExactOptions options = {});
 
   // The witness index and component records hold indices into the
   // session's own structures.
@@ -120,7 +120,6 @@ class IncrementalSession {
 
   const Query& query() const { return q_; }
   const Database& db() const { return db_; }
-  const EngineOptions& options() const { return options_; }
   int epochs_applied() const { return epoch_count_; }
 
   /// The latest outcome (epoch 0's right after construction): a cheap
@@ -231,7 +230,7 @@ class IncrementalSession {
 
   Query q_;
   Database db_;
-  EngineOptions options_;
+  ExactOptions options_;
   /// Null while evicted; rebuilt lazily at the top of Apply.
   std::unique_ptr<WitnessIndex> index_;
 

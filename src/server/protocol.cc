@@ -353,9 +353,9 @@ std::string ProtocolHandler::DoBegin(std::string_view args) {
     return Err("budget", error);
   }
 
-  EngineOptions options;
+  ExactOptions options;
   options.witness_limit = static_cast<size_t>(witness_limit);
-  options.exact_node_budget = node_budget;
+  options.node_budget = node_budget;
   options.solver_threads = limits_->solver_threads;
 
   std::unique_lock<std::shared_mutex> lock(entry->mu);

@@ -107,7 +107,7 @@ struct ServerLimits {
   /// Same scheme for the branch-and-bound node budget.
   uint64_t default_node_budget = 0;
   uint64_t max_node_budget = 0;
-  /// EngineOptions::solver_threads for every session's epoch fan-out.
+  /// ExactOptions::solver_threads for every session's epoch fan-out.
   int solver_threads = 1;
   /// Cold-state eviction (0 = disabled): when the estimated resident
   /// bytes across all live sessions exceed `max_resident_bytes`, the

@@ -356,9 +356,7 @@ bool InProcessShards::Start(size_t count, const ServerOptions& base,
                             std::string* error) {
   Stop();
   for (size_t i = 0; i < count; ++i) {
-    EngineOptions engine_options;
-    engine_options.solver_threads = base.limits.solver_threads;
-    engines_.push_back(std::make_unique<ResilienceEngine>(engine_options));
+    engines_.push_back(std::make_unique<ResilienceEngine>());
     ServerOptions options = base;
     options.port = 0;  // every in-process shard gets its own ephemeral port
     servers_.push_back(

@@ -16,9 +16,9 @@ namespace rescq {
 /// the parallel exact solver and the incremental session share one
 /// implementation. The pool spawns `threads - 1` std::threads up front
 /// (the caller of Run is always the last worker), parks them on a
-/// condition variable between jobs, and reuses them across Run calls —
-/// an IncrementalSession solving touched components every epoch must
-/// not pay a thread spawn per epoch.
+/// condition variable between jobs, and reuses them across Run calls on
+/// the same pool. SolveMinHittingSet builds a new pool on every call, so
+/// an IncrementalSession's per-epoch re-solve spawns its workers afresh.
 ///
 /// Concurrency contract:
 ///  - Run(count, fn) calls fn(i) exactly once for every i in

@@ -250,11 +250,11 @@ bool ParsePlanFile(const std::string& path, BatchPlan* plan,
     } else if (key == "witness_limit") {
       uint64_t limit = 0;
       ok = ParseUint64(value, &limit);
-      options->witness_limit = static_cast<size_t>(limit);
+      options->exact.witness_limit = static_cast<size_t>(limit);
     } else if (key == "exact_node_budget") {
-      ok = ParseUint64(value, &options->exact_node_budget);
+      ok = ParseUint64(value, &options->exact.node_budget);
     } else if (key == "solver_threads") {
-      ok = ParsePositiveInt(value, &options->solver_threads);
+      ok = ParsePositiveInt(value, &options->exact.solver_threads);
     } else {
       *error = StrFormat("%s:%d: unknown plan key '%s'", path.c_str(), lineno,
                          key.c_str());
@@ -280,9 +280,7 @@ BatchReport RunBatch(const std::vector<BatchJob>& jobs,
   // shared read-only by every worker thread. The run's budgets ride on
   // the engine so every exact solve honors them.
   EngineOptions engine_options;
-  engine_options.witness_limit = options.witness_limit;
-  engine_options.exact_node_budget = options.exact_node_budget;
-  engine_options.solver_threads = options.solver_threads;
+  engine_options.exact = options.exact;
   ResilienceEngine engine(engine_options);
 
   auto start = Clock::now();

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "db/database.h"
+#include "resilience/exact_solver.h"
 #include "resilience/result.h"
 #include "workload/scenario.h"
 
@@ -41,16 +42,13 @@ struct BatchOptions {
   bool check_oracle = false;  // cross-check ComputeResilienceReference
   int oracle_cutoff = 80;     // skip the oracle above this many tuples
   bool memoize = true;        // reuse (query, db-fingerprint) results
-  /// Witness budget per exact component solve (0 = unlimited); exceeding
-  /// it marks the cell budget_exceeded instead of mis-reporting a value.
-  size_t witness_limit = 0;
-  /// Branch-and-bound node budget per exact component solve (0 =
-  /// unlimited); exhausted budgets return the verified incumbent.
-  uint64_t exact_node_budget = 0;
-  /// Workers *inside* each exact solve (EngineOptions::solver_threads);
-  /// independent of `threads`, which fans out across cells. Resilience
+  /// Budgets and workers for every exact component solve. Exceeding
+  /// the witness budget marks the cell budget_exceeded instead of
+  /// mis-reporting a value; an exhausted node budget returns the verified
+  /// incumbent. `exact.solver_threads` works *inside* each exact solve,
+  /// independent of `threads`, which fans out across cells; resilience
   /// values stay identical for any setting.
-  int solver_threads = 1;
+  ExactOptions exact;
 };
 
 /// Expands the plan into the job matrix. Returns false and fills *error

@@ -57,9 +57,9 @@ void WriteReportJson(const BatchReport& report, std::ostream& out) {
       << ", \"check_oracle\": " << BoolName(report.options.check_oracle)
       << ", \"oracle_cutoff\": " << report.options.oracle_cutoff
       << ", \"memoize\": " << BoolName(report.options.memoize)
-      << ", \"witness_limit\": " << report.options.witness_limit
-      << ", \"exact_node_budget\": " << report.options.exact_node_budget
-      << ", \"solver_threads\": " << report.options.solver_threads
+      << ", \"witness_limit\": " << report.options.exact.witness_limit
+      << ", \"exact_node_budget\": " << report.options.exact.node_budget
+      << ", \"solver_threads\": " << report.options.exact.solver_threads
       << "},\n";
   out << "  \"summary\": {\"cells\": " << report.cells.size()
       << ", \"mismatches\": " << report.mismatches

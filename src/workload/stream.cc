@@ -57,11 +57,7 @@ StreamReport RunStream(const Query& q, const std::string& query_name,
   report.query_text = q.ToString();
   report.options = options;
 
-  EngineOptions engine_options;
-  engine_options.witness_limit = options.witness_limit;
-  engine_options.exact_node_budget = options.exact_node_budget;
-  engine_options.solver_threads = options.solver_threads;
-  IncrementalSession session(q, base, engine_options);
+  IncrementalSession session(q, base, options.exact);
 
   StreamRow row = RowFromOutcome(session.Peek(), session);
   MaybeCheckOracle(q, session, options, &row);
@@ -106,9 +102,9 @@ void WriteStreamJson(const StreamReport& report, std::ostream& out) {
       << "\", \"query_text\": \"" << JsonEscape(report.query_text) << "\",\n";
   out << "  \"options\": {\"check_oracle\": "
       << BoolName(report.options.check_oracle)
-      << ", \"witness_limit\": " << report.options.witness_limit
-      << ", \"exact_node_budget\": " << report.options.exact_node_budget
-      << ", \"solver_threads\": " << report.options.solver_threads
+      << ", \"witness_limit\": " << report.options.exact.witness_limit
+      << ", \"exact_node_budget\": " << report.options.exact.node_budget
+      << ", \"solver_threads\": " << report.options.exact.solver_threads
       << "},\n";
   out << "  \"summary\": {\"epochs\": " << report.rows.size()
       << ", \"mismatches\": " << report.mismatches

@@ -19,15 +19,10 @@ struct StreamOptions {
   /// Cross-check every epoch against ComputeResilienceExact from
   /// scratch over the session's database (the differential oracle).
   bool check_oracle = false;
-  /// Budgets threaded into the IncrementalSession (0 = unlimited), with
-  /// the same semantics as EngineOptions.
-  size_t witness_limit = 0;
-  uint64_t exact_node_budget = 0;
-  /// Workers for the session's per-epoch hard-component fan-out
-  /// (EngineOptions::solver_threads). Every report row is byte-identical
-  /// for any setting — the incremental parallel path is fully
-  /// deterministic.
-  int solver_threads = 1;
+  /// Budgets and workers for the session's per-epoch re-solve. Every
+  /// report row is byte-identical for any `exact.solver_threads` — the
+  /// incremental parallel path is fully deterministic.
+  ExactOptions exact;
 };
 
 /// One report row: epoch 0 is the initial full build, later rows one

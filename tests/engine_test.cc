@@ -300,7 +300,7 @@ TEST(Engine, WitnessBudgetSurfacesAsStructuredError) {
   // one-witness budget the Solve must report the budget error and the
   // default result, never a truncated answer.
   EngineOptions options;
-  options.witness_limit = 1;
+  options.exact.witness_limit = 1;
   ResilienceEngine engine(options);
   Query q = MustParseQuery("R(x,y), R(y,z)");
   Database db;
@@ -315,7 +315,7 @@ TEST(Engine, WitnessBudgetSurfacesAsStructuredError) {
 
   // A roomy budget behaves exactly like no budget.
   EngineOptions roomy;
-  roomy.witness_limit = 1000;
+  roomy.exact.witness_limit = 1000;
   ResilienceEngine roomy_engine(roomy);
   SolveOutcome ok = roomy_engine.Solve(q, db);
   EXPECT_TRUE(ok.error.empty());
@@ -349,7 +349,7 @@ TEST(Engine, SolveOutcomeCarriesExactSearchStats) {
 
 TEST(Engine, NodeBudgetReturnsVerifiedUpperBound) {
   EngineOptions options;
-  options.exact_node_budget = 1;
+  options.exact.node_budget = 1;
   ResilienceEngine engine(options);
   Query q = MustParseQuery("R(x,y), R(y,z)");
   Database db = GenerateChain({8, 0.5, 3});
@@ -456,7 +456,7 @@ TEST(Engine, ConcurrentSolvesComposeWithSolverWorkers) {
   // Each Solve additionally spins up its own private solver fan-out:
   // concurrent Solves nest independent pools without interference.
   EngineOptions options;
-  options.solver_threads = 2;
+  options.exact.solver_threads = 2;
   StressConcurrentSolves(options);
 }
 

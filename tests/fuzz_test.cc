@@ -478,7 +478,7 @@ TEST(Fuzz, ParallelIncrementalChurnSweep) {
   // incremental contract keeps even the contingency deterministic) and
   // both must agree with the from-scratch exact oracle.
   Rng rng(0xC0FFEE);
-  EngineOptions parallel_options;
+  ExactOptions parallel_options;
   parallel_options.solver_threads = 3;
   for (int round = 0; round < 25; ++round) {
     Query q = RandomQuery(rng);
@@ -491,7 +491,7 @@ TEST(Fuzz, ParallelIncrementalChurnSweep) {
     churn.seed = 0x5EED + static_cast<uint64_t>(round);
     UpdateLog log = GenerateChurn(base, kind.name, churn);
 
-    IncrementalSession serial(q, base, EngineOptions{});
+    IncrementalSession serial(q, base, ExactOptions{});
     IncrementalSession parallel(q, base, parallel_options);
     int epoch = 0;
     auto check = [&](const EpochOutcome& a, const EpochOutcome& b) {
@@ -529,7 +529,7 @@ TEST(Fuzz, BudgetedEngineNeverMisreports) {
   // structured budget error — never a silently wrong value.
   Rng rng(0xB1D6E7);
   EngineOptions options;
-  options.witness_limit = 5;
+  options.exact.witness_limit = 5;
   ResilienceEngine engine(options);
   int errors_seen = 0, answers_seen = 0;
   for (int round = 0; round < 60; ++round) {
@@ -578,7 +578,7 @@ TEST(Fuzz, IncrementalSessionDifferentialSweep) {
         churn.seed = seed_base ^ (seed * 0x9e3779b9u);
         UpdateLog log = GenerateChurn(base, kind.name, churn);
 
-        IncrementalSession session(q, base, EngineOptions{});
+        IncrementalSession session(q, base, ExactOptions{});
         int epoch = 0;
         auto check = [&](const EpochOutcome& out) {
           ResilienceResult exact =

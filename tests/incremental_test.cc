@@ -354,7 +354,7 @@ TEST(IncrementalSession, InitialBuildMatchesExact) {
   params.seed = 3;
   Database db = GenerateErdosRenyiVC(params);
   Query q = MustParseQuery("R(x), S(x,y), R(y)");
-  IncrementalSession session(q, db, EngineOptions{});
+  IncrementalSession session(q, db, ExactOptions{});
   EXPECT_EQ(session.Peek().epoch, 0);
   EXPECT_GT(session.Peek().family_sets, 0u);
   ExpectMatchesScratch(session, session.Peek(), "initial");
@@ -366,7 +366,7 @@ TEST(IncrementalSession, MonotoneNonIncreasingUnderEndogenousDeletion) {
   params.seed = 7;
   Database db = GenerateErdosRenyiVC(params);
   Query q = MustParseQuery("R(x), S(x,y), R(y)");
-  IncrementalSession session(q, db, EngineOptions{});
+  IncrementalSession session(q, db, ExactOptions{});
   ChurnParams churn;
   churn.epochs = 8;
   churn.rate = 0.1;
@@ -388,7 +388,7 @@ TEST(IncrementalSession, MonotoneNonDecreasingUnderInsertion) {
   params.seed = 11;
   Database db = GenerateErdosRenyiVC(params);
   Query q = MustParseQuery("R(x), S(x,y), R(y)");
-  IncrementalSession session(q, db, EngineOptions{});
+  IncrementalSession session(q, db, ExactOptions{});
   ChurnParams churn;
   churn.epochs = 6;
   churn.rate = 0.1;
@@ -414,7 +414,7 @@ TEST(IncrementalSession, InsertThenDeleteOfOneFactIsInvariant) {
   ASSERT_TRUE(LoadTupleFile("data/section2_chain.tuples", &db, &error) ||
               LoadTupleFile("../data/section2_chain.tuples", &db, &error))
       << error;
-  IncrementalSession session(q, db, EngineOptions{});
+  IncrementalSession session(q, db, ExactOptions{});
   const EpochOutcome before = session.Peek();
 
   // Same epoch: nets to nothing.
@@ -444,7 +444,7 @@ TEST(IncrementalSession, DeletingAbsentFactsKeepsTheDomainAndTheAnswer) {
   ASSERT_TRUE(LoadTupleFile("data/section2_chain.tuples", &db, &error) ||
               LoadTupleFile("../data/section2_chain.tuples", &db, &error))
       << error;
-  IncrementalSession session(q, db, EngineOptions{});
+  IncrementalSession session(q, db, ExactOptions{});
   const EpochOutcome before = session.Peek();
   const int domain = session.db().domain_size();
   for (int i = 0; i < 50; ++i) {
@@ -475,7 +475,7 @@ TEST(IncrementalSession, ExogenousChurnRespectsTheLowerBound) {
   for (int t = 0; t < 12; ++t) {
     db.AddTuple("S", {dom[rng.Below(8)], dom[rng.Below(8)]});
   }
-  IncrementalSession session(q, db, EngineOptions{});
+  IncrementalSession session(q, db, ExactOptions{});
   Rng churn_rng(0xABCD);
   for (int epoch = 0; epoch < 10; ++epoch) {
     Epoch e;
@@ -499,7 +499,7 @@ TEST(IncrementalSession, UnbreakableAppearsAndResolves) {
   Query q = MustParseQuery("S^x(x,y)");
   Database db;
   db.AddRelation("S", 2);
-  IncrementalSession session(q, db, EngineOptions{});
+  IncrementalSession session(q, db, ExactOptions{});
   EXPECT_FALSE(session.Peek().unbreakable);
   EXPECT_EQ(session.Peek().resilience, 0);
 
@@ -518,7 +518,7 @@ TEST(IncrementalSession, WitnessBudgetPoisonsTheSessionStructurally) {
   params.seed = 2;
   Database db = GenerateErdosRenyiVC(params);
   Query q = MustParseQuery("R(x), S(x,y), R(y)");
-  EngineOptions options;
+  ExactOptions options;
   options.witness_limit = 3;  // far below the instance's witness count
   IncrementalSession session(q, db, options);
   EXPECT_TRUE(session.Peek().budget_exceeded);
@@ -537,8 +537,8 @@ TEST(IncrementalSession, NodeBudgetYieldsAVerifiedUpperBound) {
   params.seed = 4;
   Database db = GenerateErdosRenyiVC(params);
   Query q = MustParseQuery("R(x), S(x,y), R(y)");
-  EngineOptions options;
-  options.exact_node_budget = 1;
+  ExactOptions options;
+  options.node_budget = 1;
   IncrementalSession session(q, db, options);
   const EpochOutcome& out = session.Peek();
   ResilienceResult exact = ComputeResilienceExact(q, session.db());
@@ -580,8 +580,8 @@ TEST(IncrementalSession, EvictThenTouchMatchesANeverEvictedTwin) {
     ASSERT_NE(scenario, nullptr) << input.scenario;
     Database db = scenario->generate(input.params);
     Query q = MustParseQuery(scenario->query);
-    IncrementalSession evicted(q, db, EngineOptions{});
-    IncrementalSession twin(q, db, EngineOptions{});
+    IncrementalSession evicted(q, db, ExactOptions{});
+    IncrementalSession twin(q, db, ExactOptions{});
     UpdateLog log = GenerateChurn(db, "mixed", input.churn);
 
     EXPECT_TRUE(evicted.index_resident());
@@ -625,7 +625,7 @@ TEST(IncrementalSession, EvictionOnAPoisonedSessionStaysPoisoned) {
   params.seed = 2;
   Database db = GenerateErdosRenyiVC(params);
   Query q = MustParseQuery("R(x), S(x,y), R(y)");
-  EngineOptions options;
+  ExactOptions options;
   options.witness_limit = 3;
   IncrementalSession session(q, db, options);
   ASSERT_TRUE(session.poisoned());

@@ -332,7 +332,7 @@ TEST(MemStats, SessionFootprintGrowsMonotonicallyUnderInserts) {
   Database base;
   base.AddTuple("R", {base.Intern("a0"), base.Intern("a1")});
 
-  IncrementalSession session(q, std::move(base), EngineOptions{});
+  IncrementalSession session(q, std::move(base), ExactOptions{});
   obs::MemBreakdown prev = session.ApproxMemory();
   EXPECT_GT(prev.TotalBytes(), 0u);
   EXPECT_EQ(prev.tuples, 1u);

@@ -270,7 +270,7 @@ void ExpectEngineInvariance(ResilienceEngine& serial, ResilienceEngine& two,
   ASSERT_TRUE(ref.error.empty()) << label << ": " << ref.error;
   ResilienceEngine* engines[] = {&two, &four};
   for (ResilienceEngine* engine : engines) {
-    int threads = engine->options().solver_threads;
+    int threads = engine->options().exact.solver_threads;
     SolveOutcome out = engine->Solve(q, db);
     ASSERT_TRUE(out.error.empty())
         << label << " threads " << threads << ": " << out.error;
@@ -304,7 +304,7 @@ struct EngineTriple {
   EngineTriple() : serial(Options(1)), two(Options(2)), four(Options(4)) {}
   static EngineOptions Options(int threads) {
     EngineOptions options;
-    options.solver_threads = threads;
+    options.exact.solver_threads = threads;
     return options;
   }
   ResilienceEngine serial;
@@ -392,9 +392,9 @@ TEST(ParallelInvariance, IncrementalEpochsAreByteIdentical) {
       churn.seed = 11;
       UpdateLog log = GenerateChurn(input.base, kind.name, churn);
 
-      EngineOptions parallel_options;
+      ExactOptions parallel_options;
       parallel_options.solver_threads = 4;
-      IncrementalSession serial(q, input.base, EngineOptions{});
+      IncrementalSession serial(q, input.base, ExactOptions{});
       IncrementalSession parallel(q, input.base, parallel_options);
       int epoch = 0;
       auto check = [&](const EpochOutcome& a, const EpochOutcome& b) {

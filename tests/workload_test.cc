@@ -159,7 +159,7 @@ TEST(Batch, CsvRowsStayInvariantAcrossCellAndSolverThreads) {
   for (Combo combo : {Combo{4, 1}, Combo{1, 4}, Combo{4, 2}}) {
     BatchOptions options;
     options.threads = combo.threads;
-    options.solver_threads = combo.solver_threads;
+    options.exact.solver_threads = combo.solver_threads;
     EXPECT_EQ(deterministic_prefix(RunBatch(jobs, options)), expected)
         << "threads " << combo.threads << " solver_threads "
         << combo.solver_threads;
@@ -248,8 +248,8 @@ TEST(Batch, PlanFileParses) {
   EXPECT_EQ(options.threads, 2);
   EXPECT_TRUE(options.check_oracle);
   EXPECT_EQ(options.oracle_cutoff, 50);
-  EXPECT_EQ(options.witness_limit, 5000u);
-  EXPECT_EQ(options.exact_node_budget, 250000u);
+  EXPECT_EQ(options.exact.witness_limit, 5000u);
+  EXPECT_EQ(options.exact.node_budget, 250000u);
   std::remove(path.c_str());
 }
 
@@ -265,7 +265,7 @@ TEST(Batch, WitnessBudgetCellsAreStructuredNotMismatches) {
   std::string error;
   ASSERT_TRUE(ExpandPlan(plan, &jobs, &error)) << error;
   BatchOptions options;
-  options.witness_limit = 1;
+  options.exact.witness_limit = 1;
   options.check_oracle = true;
   BatchReport report = RunBatch(jobs, options);
   ASSERT_EQ(report.cells.size(), 1u);
@@ -276,7 +276,7 @@ TEST(Batch, WitnessBudgetCellsAreStructuredNotMismatches) {
   EXPECT_EQ(report.mismatches, 0);
 
   // The same sweep with a roomy budget solves and verifies normally.
-  options.witness_limit = 1000000;
+  options.exact.witness_limit = 1000000;
   BatchReport roomy = RunBatch(jobs, options);
   EXPECT_EQ(roomy.budget_exceeded, 0);
   EXPECT_EQ(roomy.mismatches, 0);
@@ -296,7 +296,7 @@ TEST(Batch, NodeBudgetCellsKeepVerifiedUpperBound) {
   std::string error;
   ASSERT_TRUE(ExpandPlan(plan, &jobs, &error)) << error;
   BatchOptions options;
-  options.exact_node_budget = 1;
+  options.exact.node_budget = 1;
   options.check_oracle = true;
   BatchReport report = RunBatch(jobs, options);
   ASSERT_EQ(report.cells.size(), 1u);
@@ -378,9 +378,9 @@ TEST(Report, OptionBlocksPrintTheBudgetsAsGiven) {
   UpdateLog log = GenerateChurn(base, "mixed", churn);
 
   BatchOptions batch;
-  batch.witness_limit = 7;
-  batch.exact_node_budget = 9;
-  batch.solver_threads = 2;
+  batch.exact.witness_limit = 7;
+  batch.exact.node_budget = 9;
+  batch.exact.solver_threads = 2;
   std::ostringstream batch_json;
   WriteReportJson(RunBatch(jobs, batch), batch_json);
   EXPECT_EQ(OptionsLine(batch_json.str()),
@@ -388,9 +388,9 @@ TEST(Report, OptionBlocksPrintTheBudgetsAsGiven) {
             "\"oracle_cutoff\": 80, \"memoize\": true, \"witness_limit\": 7, "
             "\"exact_node_budget\": 9, \"solver_threads\": 2},");
   StreamOptions stream;
-  stream.witness_limit = 7;
-  stream.exact_node_budget = 9;
-  stream.solver_threads = 2;
+  stream.exact.witness_limit = 7;
+  stream.exact.node_budget = 9;
+  stream.exact.solver_threads = 2;
   std::ostringstream stream_json;
   WriteStreamJson(RunStream(q, "q_vc", base, log, stream), stream_json);
   EXPECT_EQ(OptionsLine(stream_json.str()),

@@ -335,13 +335,14 @@ Flag Custom(const char* name, std::function<bool(const std::string&)> apply) {
 
 // The flags several subcommands share, declared once.
 
-FlagTable BudgetFlags(size_t* witness_limit, uint64_t* node_budget) {
-  return {Unsigned("--witness-limit", witness_limit),
-          Unsigned("--exact-node-budget", node_budget)};
-}
-
 Flag SolverThreadsFlag(int* dst) {
   return PositiveInt("--solver-threads", dst);
+}
+
+FlagTable BudgetFlags(ExactOptions* exact) {
+  return {Unsigned("--witness-limit", &exact->witness_limit),
+          Unsigned("--exact-node-budget", &exact->node_budget),
+          SolverThreadsFlag(&exact->solver_threads)};
 }
 
 FlagTable OutputFlags(ReportFiles* files) {
@@ -477,10 +478,8 @@ int CmdResilience(const std::vector<std::string>& args) {
   ObsSinks sinks;
   FlagTable flags =
       Flags({{Switch("--exact", &options.force_exact),
-              Switch("--stats", &stats),
-              SolverThreadsFlag(&options.solver_threads)},
-             BudgetFlags(&options.witness_limit, &options.exact_node_budget),
-             SinkFlags(&sinks)});
+              Switch("--stats", &stats)},
+             BudgetFlags(&options.exact), SinkFlags(&sinks)});
   if (!ParseFlags("resilience", args, flags, &positional)) return 2;
   size_t consumed = 0;
   std::optional<Query> q = ResolveQuery(positional, &consumed);
@@ -731,12 +730,10 @@ int CmdBatch(const std::vector<std::string>& args) {
                }),
         Probability("--density", &plan.density),
         PositiveInt("--threads", &options.threads),
-        SolverThreadsFlag(&options.solver_threads),
         Switch("--check-oracle", &options.check_oracle),
         PositiveInt("--oracle-cutoff", &options.oracle_cutoff),
         Switch("--no-memoize", &options.memoize, false)},
-       BudgetFlags(&options.witness_limit, &options.exact_node_budget),
-       OutputFlags(&files), SinkFlags(&sinks)});
+       BudgetFlags(&options.exact), OutputFlags(&files), SinkFlags(&sinks)});
   if (!ParseFlags("batch", args, flags, nullptr)) return 2;
   if (max_size > 0) {
     if (sizes_set) {
@@ -778,10 +775,9 @@ int CmdStream(const std::vector<std::string>& args) {
               Probability("--rate", &churn.rate),
               Unsigned("--seed", &churn.seed),
               Text("--emit-updates", &emit_path),
-              Switch("--check-oracle", &options.check_oracle),
-              SolverThreadsFlag(&options.solver_threads)},
-             BudgetFlags(&options.witness_limit, &options.exact_node_budget),
-             OutputFlags(&files), SinkFlags(&sinks)});
+              Switch("--check-oracle", &options.check_oracle)},
+             BudgetFlags(&options.exact), OutputFlags(&files),
+             SinkFlags(&sinks)});
   if (!ParseFlags("stream", args, flags, &positional)) return 2;
   size_t consumed = 0;
   std::optional<Query> q = ResolveQuery(positional, &consumed);
@@ -900,10 +896,9 @@ int CmdServe(const std::vector<std::string>& args) {
   if (!ParseFlags("serve", args, flags, nullptr)) return 2;
   limits.max_resident_bytes = resident_mb * 1024 * 1024;
 
-  EngineOptions engine_options;
-  engine_options.witness_limit = limits.max_witness_limit;
-  engine_options.exact_node_budget = limits.max_node_budget;
-  ResilienceEngine engine(engine_options);
+  // The server's engine only plans; each session solves with the budgets
+  // its `begin` was admitted with.
+  ResilienceEngine engine;
   return RunDaemon<ResilienceServer>(
       sinks,
       [&](int port) {
