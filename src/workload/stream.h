@@ -10,6 +10,7 @@
 #include "cq/query.h"
 #include "db/database.h"
 #include "db/delta.h"
+#include "resilience/exact_solver.h"
 #include "resilience/incremental.h"
 
 namespace rescq {
