@@ -223,6 +223,129 @@ TEST(Engine, FalseConstructionComponentSkipsTheExactSearch) {
   EXPECT_TRUE(VerifyContingency(q, db, out.result.contingency));
 }
 
+TEST(Engine, FalseLastExactComponentIsAPlainFalseQuery) {
+  // q_perm (perm-count) then an S-chain (exact, last in the plan). The
+  // permutation component holds, the chain has no witness: the outcome
+  // is the default false-query one, with no error and no exact counters.
+  Query q = MustParseQuery("R(x,y), R(y,x), S(u,v), S(v,w)");
+  Database db;
+  Value a = db.Intern("a"), b = db.Intern("b");
+  db.AddTuple("R", {a, b});
+  db.AddTuple("R", {b, a});
+  db.AddTuple("S", {a, b});
+  ResilienceEngine engine;
+  SolveOutcome out = engine.Solve(q, db);
+  ASSERT_EQ(out.plan->components.size(), 2u);
+  EXPECT_EQ(out.plan->components[0].solver, SolverKind::kPermCount);
+  EXPECT_EQ(out.plan->components[1].solver, SolverKind::kExact);
+  EXPECT_TRUE(out.error.empty());
+  EXPECT_FALSE(out.result.unbreakable);
+  EXPECT_EQ(out.result.resilience, 0);
+  EXPECT_TRUE(out.result.contingency.empty());
+  EXPECT_EQ(out.exact.witnesses, 0u);
+  EXPECT_EQ(out.exact.witness_sets, 0u);
+  EXPECT_FALSE(out.exact.witness_budget_exceeded);
+}
+
+TEST(Engine, LastExactComponentOverWitnessBudgetKeepsItsErrorText) {
+  // The plan above with the chain holding twice over and a one-witness
+  // budget: the error names the budget exactly as before.
+  Query q = MustParseQuery("R(x,y), R(y,x), S(u,v), S(v,w)");
+  Database db;
+  Value a = db.Intern("a"), b = db.Intern("b"), c = db.Intern("c"),
+        d = db.Intern("d");
+  db.AddTuple("R", {a, b});
+  db.AddTuple("R", {b, a});
+  db.AddTuple("S", {a, b});
+  db.AddTuple("S", {b, c});
+  db.AddTuple("S", {c, d});
+  EngineOptions options;
+  options.exact.witness_limit = 1;
+  ResilienceEngine engine(options);
+  SolveOutcome out = engine.Solve(q, db);
+  EXPECT_EQ(out.error,
+            "witness budget exceeded (witness_limit=1): the witness family "
+            "is incomplete and no exact answer can be given");
+  EXPECT_TRUE(out.exact.witness_budget_exceeded);
+  EXPECT_EQ(out.exact.witnesses, 1u);
+  EXPECT_FALSE(out.result.unbreakable);
+  EXPECT_EQ(out.result.resilience, 0);
+  EXPECT_TRUE(out.result.contingency.empty());
+
+  // Without the budget the same plan solves: one S tuple breaks the chain.
+  ResilienceEngine unbudgeted;
+  SolveOutcome ok = unbudgeted.Solve(q, db);
+  EXPECT_TRUE(ok.error.empty());
+  EXPECT_EQ(ok.result.resilience, 1);
+  EXPECT_EQ(ok.exact.witnesses, 2u);
+  EXPECT_TRUE(VerifyContingency(q, db, ok.result.contingency));
+}
+
+TEST(Engine, OnlyTheFirstOfTwoExactComponentsHolding) {
+  // Two exact chains; the R-chain (first) holds, the S-chain (last)
+  // does not, so q is false: rho = 0 and no exact search runs. The
+  // mirrored instance, where only the last holds, is false too.
+  Query q = MustParseQuery("R(x,y), R(y,z), S(u,v), S(v,w)");
+  Database db;
+  Value a = db.Intern("a"), b = db.Intern("b"), c = db.Intern("c");
+  db.AddTuple("R", {a, b});
+  db.AddTuple("R", {b, c});
+  db.AddTuple("S", {a, b});
+  ResilienceEngine engine;
+  SolveOutcome out = engine.Solve(q, db);
+  ASSERT_EQ(out.plan->components.size(), 2u);
+  EXPECT_EQ(out.plan->components[0].solver, SolverKind::kExact);
+  EXPECT_EQ(out.plan->components[1].solver, SolverKind::kExact);
+  EXPECT_TRUE(out.error.empty());
+  EXPECT_FALSE(out.result.unbreakable);
+  EXPECT_EQ(out.result.resilience, 0);
+  EXPECT_TRUE(out.result.contingency.empty());
+  EXPECT_EQ(out.exact.witnesses, 0u);
+
+  Database mirrored;
+  Value m = mirrored.Intern("a"), n = mirrored.Intern("b"),
+        o = mirrored.Intern("c");
+  mirrored.AddTuple("R", {m, n});
+  mirrored.AddTuple("S", {m, n});
+  mirrored.AddTuple("S", {n, o});
+  out = engine.Solve(q, mirrored);
+  EXPECT_TRUE(out.error.empty());
+  EXPECT_EQ(out.result.resilience, 0);
+  EXPECT_EQ(out.exact.witnesses, 0u);
+}
+
+TEST(Engine, UnbreakableExactComponent) {
+  // An all-exogenous query holds and cannot be broken. The exact path
+  // (force_exact) reports it unbreakable after its first witness; the
+  // planned path settles it as a no-endogenous component.
+  Query q = MustParseQuery("R^x(x,y), R^x(y,z)");
+  Database db;
+  Value a = db.Intern("a"), b = db.Intern("b"), c = db.Intern("c");
+  db.AddTuple("R", {a, b});
+  db.AddTuple("R", {b, c});
+  db.AddTuple("R", {c, c});
+
+  EngineOptions options;
+  options.force_exact = true;
+  ResilienceEngine exact(options);
+  SolveOutcome out = exact.Solve(q, db);
+  EXPECT_TRUE(out.error.empty());
+  EXPECT_TRUE(out.result.unbreakable);
+  EXPECT_EQ(out.result.solver, SolverKind::kExact);
+  EXPECT_TRUE(out.result.contingency.empty());
+  EXPECT_EQ(out.exact.witnesses, 1u);
+  EXPECT_EQ(out.exact.witness_sets, 0u);
+  EXPECT_EQ(out.exact.nodes, 0u);
+
+  ResilienceEngine planned;
+  out = planned.Solve(q, db);
+  ASSERT_EQ(out.plan->components.size(), 1u);
+  EXPECT_TRUE(out.plan->components[0].no_endogenous);
+  EXPECT_TRUE(out.error.empty());
+  EXPECT_TRUE(out.result.unbreakable);
+  EXPECT_EQ(out.exact.witnesses, 0u);
+}
+
 // --- Plan cache --------------------------------------------------------------
 
 TEST(Engine, PlanIsMemoizedOnTheQueryFingerprint) {

@@ -57,6 +57,27 @@ TEST(HittingSet, C5VertexCover) {
   EXPECT_EQ(r.size, 3);
 }
 
+TEST(HittingSet, WitnessFamilyElementsAreNumberedByFirstAppearance) {
+  // Sorted sets over two relations whose later rows come in descending
+  // order: element ids follow first appearance in the pool, not TupleId
+  // order, and a repeated tuple keeps its first id.
+  const std::vector<std::vector<TupleId>> sets = {
+      {{0, 0}, {1, 5}}, {{0, 1}, {1, 2}}, {{0, 1}, {1, 5}}, {{0, 2}, {1, 0}}};
+  WitnessFamily family;
+  for (const std::vector<TupleId>& s : sets) {
+    family.sets.push_back(family.arena.span(
+        family.arena.Intern(s.data(), s.size())));
+  }
+  std::vector<TupleId> tuples = {{7, 7}};  // cleared by From
+  const HittingSetFamily hs = HittingSetFamily::From(family, &tuples);
+  EXPECT_EQ(hs.pool, (std::vector<int>{0, 1, 2, 3, 2, 1, 4, 5}));
+  ASSERT_EQ(hs.size(), 4u);
+  for (size_t i = 0; i < hs.size(); ++i) EXPECT_EQ(hs.len(i), 2u);
+  const std::vector<TupleId> expected = {{0, 0}, {1, 5}, {0, 1},
+                                         {1, 2}, {0, 2}, {1, 0}};
+  EXPECT_EQ(tuples, expected);
+}
+
 TEST(HittingSet, PetersenGraphVertexCover) {
   // The Petersen graph has vertex cover number 6.
   std::vector<std::vector<int>> edges = {
