@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.h"
-#include "util/string_util.h"
 
 namespace rescq {
 
@@ -22,16 +21,14 @@ void Database::RelationData::GrowIndex() {
 }
 
 Value Database::Intern(const std::string& name) {
-  auto it = value_ids_.find(name);
-  if (it != value_ids_.end()) return it->second;
-  Value v = static_cast<Value>(value_names_.size());
-  value_names_.push_back(name);
-  value_ids_[name] = v;
-  return v;
+  auto [it, inserted] =
+      value_ids_.try_emplace(name, static_cast<Value>(value_names_.size()));
+  if (inserted) value_names_.push_back(name);
+  return it->second;
 }
 
 Value Database::InternIndexed(const std::string& prefix, int i) {
-  return Intern(StrFormat("%s_%d", prefix.c_str(), i));
+  return Intern(prefix + '_' + std::to_string(i));
 }
 
 const std::string& Database::ValueName(Value v) const {
@@ -39,23 +36,25 @@ const std::string& Database::ValueName(Value v) const {
 }
 
 int Database::AddRelation(const std::string& name, int arity) {
-  auto it = relation_ids_.find(name);
-  if (it != relation_ids_.end()) {
-    RESCQ_CHECK_EQ(relations_[static_cast<size_t>(it->second)].arity, arity);
-    return it->second;
+  const int existing = RelationId(name);
+  if (existing >= 0) {
+    RESCQ_CHECK_EQ(relations_[static_cast<size_t>(existing)].arity, arity);
+    return existing;
   }
-  int id = static_cast<int>(relations_.size());
   RelationData data;
   data.name = name;
   data.arity = arity;
   relations_.push_back(std::move(data));
-  relation_ids_[name] = id;
-  return id;
+  return static_cast<int>(relations_.size()) - 1;
 }
 
 int Database::RelationId(const std::string& name) const {
-  auto it = relation_ids_.find(name);
-  return it == relation_ids_.end() ? -1 : it->second;
+  // A scan: a database holds a handful of relations, and comparing a few
+  // short names costs less than hashing one on every AddTuple.
+  for (size_t rel = 0; rel < relations_.size(); ++rel) {
+    if (relations_[rel].name == name) return static_cast<int>(rel);
+  }
+  return -1;
 }
 
 const std::string& Database::relation_name(int rel) const {

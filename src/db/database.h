@@ -124,7 +124,6 @@ class Database {
   std::vector<std::string> value_names_;
   std::unordered_map<std::string, Value> value_ids_;
   std::vector<RelationData> relations_;
-  std::unordered_map<std::string, int> relation_ids_;
   int num_active_ = 0;
 };
 

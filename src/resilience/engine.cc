@@ -59,11 +59,28 @@ std::shared_ptr<const ResiliencePlan> ResilienceEngine::PlanInternal(
   return plan;
 }
 
-ResilienceResult ResilienceEngine::RunExact(const Query& q, const Database& db,
+namespace {
+
+/// Lemma 14's holds check read off a collected family: every witness
+/// adds a set, proves q unbreakable or trips the budget, so D |= q iff
+/// one of the three happened.
+bool Holds(const WitnessFamily& family) {
+  return !family.sets.empty() || family.unbreakable ||
+         family.budget_exceeded;
+}
+
+}  // namespace
+
+WitnessFamily ResilienceEngine::Collect(const Query& q,
+                                        const Database& db) const {
+  return CollectWitnessFamily(q, db, options_.exact.witness_cap());
+}
+
+ResilienceResult ResilienceEngine::RunExact(const WitnessFamily& family,
                                             SolverKind kind,
                                             SolveOutcome* out) const {
   ResilienceResult result =
-      ComputeResilienceExact(q, db, options_.exact, &out->exact);
+      SolveWitnessFamily(family, options_.exact, &out->exact);
   result.solver = kind;
   if (out->exact.witness_budget_exceeded && out->error.empty()) {
     out->error = "witness budget exceeded (witness_limit=" +
@@ -78,7 +95,7 @@ SolveOutcome ResilienceEngine::Solve(const Query& q, const Database& db) {
   if (options_.force_exact) {
     SolveOutcome out;
     Clock::time_point start = Clock::now();
-    out.result = RunExact(q, db, SolverKind::kExact, &out);
+    out.result = RunExact(Collect(q, db), SolverKind::kExact, &out);
     out.solve_ms = MsSince(start);
     return out;
   }
@@ -103,7 +120,8 @@ SolveOutcome ResilienceEngine::Solve(
   Clock::time_point start = Clock::now();
 
   if (options_.force_exact) {
-    out.result = RunExact(plan->original, db, SolverKind::kExact, &out);
+    out.result =
+        RunExact(Collect(plan->original, db), SolverKind::kExact, &out);
     out.solve_ms = MsSince(start);
     return out;
   }
@@ -112,13 +130,21 @@ SolveOutcome ResilienceEngine::Solve(
   // rho(q, D) = min_i rho(q_i, D); a false component means rho = 0. A
   // construction needs no holds check: on a false component it finds no
   // witness and returns rho = 0 without `unbreakable`. Every component is
-  // settled this way before any exact search starts.
+  // settled this way before any exact search starts. The last component,
+  // when exact, is settled by collecting its witness family: nothing
+  // after it can end the solve, so that family is the one its search
+  // needs. An earlier exact component keeps the early-exit QueryHolds,
+  // since a later false component would discard its family.
   const size_t n = plan->components.size();
   std::vector<ResilienceResult> results(n);
+  WitnessFamily family;
   for (size_t i = 0; i < n; ++i) {
     const ComponentPlan& comp = plan->components[i];
     const SolverRow& row = SolverRowOf(comp.solver);
-    if (comp.no_endogenous || row.run == nullptr) {
+    if (i + 1 == n && !comp.no_endogenous && row.run == nullptr) {
+      family = Collect(comp.query, db);
+      if (Holds(family)) continue;
+    } else if (comp.no_endogenous || row.run == nullptr) {
       if (QueryHolds(comp.query, db)) continue;
     } else {
       results[i] = row.run(comp.query, db);
@@ -136,8 +162,10 @@ SolveOutcome ResilienceEngine::Solve(
     if (SolverRowOf(comp.solver).run == nullptr) {
       // An exact row only describes its solver (Explain, self-checks);
       // the engine runs it: only the engine can thread the witness / node
-      // budgets and collect search stats.
-      results[i] = RunExact(comp.query, db, comp.solver, &out);
+      // budgets and collect search stats. The last component's family
+      // is already collected.
+      if (i + 1 < n) family = Collect(comp.query, db);
+      results[i] = RunExact(family, comp.solver, &out);
       if (!out.error.empty()) {
         out.solve_ms = MsSince(start);
         return out;  // witness budget exceeded: result must not be used

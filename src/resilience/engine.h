@@ -110,13 +110,17 @@ class ResilienceEngine {
   std::shared_ptr<const ResiliencePlan> PlanInternal(const Query& q,
                                                      bool* cache_hit);
 
-  /// Runs the exact solver with the engine's budgets, labels the result
-  /// with `kind`, and merges search stats (and any witness-budget error)
-  /// into the outcome. The engine executes exact dispatches itself —
-  /// the solver table's exact rows describe them for Explain, but only
-  /// the engine can thread budgets and counters through.
-  ResilienceResult RunExact(const Query& q, const Database& db,
-                            SolverKind kind, SolveOutcome* out) const;
+  /// The witness family of q under the engine's witness budget.
+  WitnessFamily Collect(const Query& q, const Database& db) const;
+
+  /// Runs the exact solver on a family from Collect with the engine's
+  /// budgets, labels the result with `kind`, and merges search stats
+  /// (and any witness-budget error) into the outcome. The engine
+  /// executes exact dispatches itself — the solver table's exact rows
+  /// describe them for Explain, but only the engine can thread budgets
+  /// and counters through.
+  ResilienceResult RunExact(const WitnessFamily& family, SolverKind kind,
+                            SolveOutcome* out) const;
 
   EngineOptions options_;
 

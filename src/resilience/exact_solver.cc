@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <numeric>
 #include <utility>
 
@@ -953,17 +952,33 @@ HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
 HittingSetFamily HittingSetFamily::From(const WitnessFamily& family,
                                         std::vector<TupleId>* element_tuples) {
   element_tuples->clear();
-  std::map<TupleId, int> ids;
+  // A flat tuple -> element table: relation r's rows [0, max row] sit
+  // at base[r], so numbering a tuple is one array probe.
+  std::vector<size_t> base;
+  for (size_t i = 0; i < family.size(); ++i) {
+    for (const TupleId* t = family.begin(i); t != family.end(i); ++t) {
+      const size_t rel = static_cast<size_t>(t->relation);
+      if (base.size() < rel + 2) base.resize(rel + 2, 0);
+      base[rel + 1] =
+          std::max(base[rel + 1], static_cast<size_t>(t->row) + 1);
+    }
+  }
+  std::partial_sum(base.begin(), base.end(), base.begin());
+  std::vector<int> element(base.empty() ? 0 : base.back(), -1);
+
   HittingSetFamily hs;
   hs.pool.reserve(family.arena.pool_size());
   hs.sets.reserve(family.size());
   for (size_t i = 0; i < family.size(); ++i) {
     const uint32_t offset = static_cast<uint32_t>(hs.pool.size());
     for (const TupleId* t = family.begin(i); t != family.end(i); ++t) {
-      auto [it, inserted] =
-          ids.emplace(*t, static_cast<int>(element_tuples->size()));
-      if (inserted) element_tuples->push_back(*t);
-      hs.pool.push_back(it->second);
+      int& id = element[base[static_cast<size_t>(t->relation)] +
+                        static_cast<size_t>(t->row)];
+      if (id < 0) {
+        id = static_cast<int>(element_tuples->size());
+        element_tuples->push_back(*t);
+      }
+      hs.pool.push_back(id);
     }
     hs.sets.push_back(SetSpan{offset, family.sets[i].len});
   }
@@ -977,9 +992,15 @@ ResilienceResult ComputeResilienceExact(const Query& q, const Database& db) {
 ResilienceResult ComputeResilienceExact(const Query& q, const Database& db,
                                         const ExactOptions& options,
                                         ExactStats* stats) {
+  return SolveWitnessFamily(
+      CollectWitnessFamily(q, db, options.witness_cap()), options, stats);
+}
+
+ResilienceResult SolveWitnessFamily(const WitnessFamily& family,
+                                    const ExactOptions& options,
+                                    ExactStats* stats) {
   ResilienceResult result;
   result.solver = SolverKind::kExact;
-  WitnessFamily family = CollectWitnessFamily(q, db, options.witness_cap());
 
   ExactStats local;
   local.witnesses = family.witnesses;

@@ -44,8 +44,9 @@ struct HittingSetFamily {
   }
   /// The dense-id form of a witness family, straight from its spans:
   /// tuples are numbered in first-appearance order over the family's
-  /// (lexicographically sorted) sets. `element_tuples` is cleared and
-  /// receives the tuple of each element id.
+  /// (lexicographically sorted) sets, through a flat table indexed by
+  /// relation and row. `element_tuples` is cleared and receives the
+  /// tuple of each element id.
   static HittingSetFamily From(const WitnessFamily& family,
                                std::vector<TupleId>* element_tuples);
 };
@@ -153,12 +154,26 @@ int HittingSetLowerBound(const HittingSetFamily& family);
 /// query; exponential worst case.
 ResilienceResult ComputeResilienceExact(const Query& q, const Database& db);
 
-/// As above with budgets and counters. `stats` may be null. When the
-/// witness budget is exceeded the result is the default (resilience 0)
-/// and must not be used — check stats->witness_budget_exceeded.
+/// As above with budgets and counters: CollectWitnessFamily under
+/// options.witness_cap(), then SolveWitnessFamily. `stats` may be null.
+/// When the witness budget is exceeded the result is the default
+/// (resilience 0) and must not be used — check
+/// stats->witness_budget_exceeded.
 ResilienceResult ComputeResilienceExact(const Query& q, const Database& db,
                                         const ExactOptions& options,
                                         ExactStats* stats);
+
+/// The exact answer from a family already collected (under
+/// options.witness_cap()): unbreakable if a witness had no endogenous
+/// tuple, the default result (resilience 0) for an empty or
+/// budget-exceeded family, else the minimum hitting set, its elements
+/// mapped back to tuples. Merges the family's witness counters and the
+/// search counters into `stats` (may be null). The engine calls this on
+/// each exact component's family, the last one's collected by its holds
+/// check.
+ResilienceResult SolveWitnessFamily(const WitnessFamily& family,
+                                    const ExactOptions& options,
+                                    ExactStats* stats);
 
 }  // namespace rescq
 

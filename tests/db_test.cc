@@ -25,6 +25,35 @@ TEST(Database, InternIsIdempotent) {
   EXPECT_EQ(db.domain_size(), 2);
 }
 
+TEST(Database, InternIndexedNamesPrefixUnderscoreNumber) {
+  Database db;
+  Value c0 = db.InternIndexed("c", 0);
+  Value x12 = db.InternIndexed("hub", 12);
+  Value neg = db.InternIndexed("v", -3);
+  EXPECT_EQ(db.ValueName(c0), "c_0");
+  EXPECT_EQ(db.ValueName(x12), "hub_12");
+  EXPECT_EQ(db.ValueName(neg), "v_-3");
+  EXPECT_EQ(db.Intern("hub_12"), x12);
+  EXPECT_EQ(db.InternIndexed("c", 0), c0);
+  EXPECT_EQ((std::vector<Value>{c0, x12, neg}), (std::vector<Value>{0, 1, 2}));
+}
+
+TEST(Database, RelationsAreNumberedInCreationOrder) {
+  Database db;
+  Value a = db.Intern("a");
+  EXPECT_EQ(db.RelationId("R"), -1);
+  EXPECT_EQ(db.AddTuple("S", {a, a}).relation, 0);
+  EXPECT_EQ(db.AddTuple("R", {a}).relation, 1);
+  EXPECT_EQ(db.AddTuple("S", {a, a}).relation, 0);
+  EXPECT_EQ(db.AddRelation("R", 1), 1);
+  EXPECT_EQ(db.AddRelation("T", 3), 2);
+  EXPECT_EQ(db.RelationId("S"), 0);
+  EXPECT_EQ(db.RelationId("T"), 2);
+  EXPECT_EQ(db.RelationId("U"), -1);
+  EXPECT_EQ(db.num_relations(), 3);
+  EXPECT_FALSE(db.FindTuple("U", {a}).has_value());
+}
+
 TEST(Database, AddTupleDedups) {
   Database db;
   Value a = db.Intern("a"), b = db.Intern("b");
