@@ -41,20 +41,28 @@ int Database::AddRelation(const std::string& name, int arity) {
     RESCQ_CHECK_EQ(relations_[static_cast<size_t>(existing)].arity, arity);
     return existing;
   }
+  const int id = static_cast<int>(relations_.size());
   RelationData data;
   data.name = name;
   data.arity = arity;
   relations_.push_back(std::move(data));
-  return static_cast<int>(relations_.size()) - 1;
+  relation_ids_.emplace(name, id);
+  return id;
 }
 
 int Database::RelationId(const std::string& name) const {
-  // A scan: a database holds a handful of relations, and comparing a few
-  // short names costs less than hashing one on every AddTuple.
-  for (size_t rel = 0; rel < relations_.size(); ++rel) {
-    if (relations_[rel].name == name) return static_cast<int>(rel);
+  // Comparing a few short names costs less than hashing one on every
+  // AddTuple, so a database of up to kScannedRelations relations (every
+  // generated one) is scanned. A larger one, e.g. a loaded base that
+  // names many relations, keeps one hash lookup per call.
+  if (relations_.size() <= kScannedRelations) {
+    for (size_t rel = 0; rel < relations_.size(); ++rel) {
+      if (relations_[rel].name == name) return static_cast<int>(rel);
+    }
+    return -1;
   }
-  return -1;
+  auto it = relation_ids_.find(name);
+  return it == relation_ids_.end() ? -1 : it->second;
 }
 
 const std::string& Database::relation_name(int rel) const {

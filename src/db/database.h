@@ -123,7 +123,12 @@ class Database {
 
   std::vector<std::string> value_names_;
   std::unordered_map<std::string, Value> value_ids_;
+  /// RelationId scans relations_ up to this many relations, and looks a
+  /// name up in relation_ids_ beyond.
+  static constexpr size_t kScannedRelations = 8;
+
   std::vector<RelationData> relations_;
+  std::unordered_map<std::string, int> relation_ids_;
   int num_active_ = 0;
 };
 

@@ -137,13 +137,13 @@ SolveOutcome ResilienceEngine::Solve(
   // since a later false component would discard its family.
   const size_t n = plan->components.size();
   std::vector<ResilienceResult> results(n);
-  WitnessFamily family;
+  WitnessFamily last;  // the last component's family, when it is exact
   for (size_t i = 0; i < n; ++i) {
     const ComponentPlan& comp = plan->components[i];
     const SolverRow& row = SolverRowOf(comp.solver);
     if (i + 1 == n && !comp.no_endogenous && row.run == nullptr) {
-      family = Collect(comp.query, db);
-      if (Holds(family)) continue;
+      last = Collect(comp.query, db);
+      if (Holds(last)) continue;
     } else if (comp.no_endogenous || row.run == nullptr) {
       if (QueryHolds(comp.query, db)) continue;
     } else {
@@ -164,8 +164,9 @@ SolveOutcome ResilienceEngine::Solve(
       // the engine runs it: only the engine can thread the witness / node
       // budgets and collect search stats. The last component's family
       // is already collected.
-      if (i + 1 < n) family = Collect(comp.query, db);
-      results[i] = RunExact(family, comp.solver, &out);
+      results[i] = i + 1 < n
+                       ? RunExact(Collect(comp.query, db), comp.solver, &out)
+                       : RunExact(last, comp.solver, &out);
       if (!out.error.empty()) {
         out.solve_ms = MsSince(start);
         return out;  // witness budget exceeded: result must not be used

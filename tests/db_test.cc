@@ -54,6 +54,29 @@ TEST(Database, RelationsAreNumberedInCreationOrder) {
   EXPECT_FALSE(db.FindTuple("U", {a}).has_value());
 }
 
+TEST(Database, ManyRelationsResolveByName) {
+  // Past the handful of relations a scan covers, names resolve through
+  // the hash: every relation keeps its creation-order id, both before
+  // and after the switch, and a duplicate insert finds its first row.
+  Database db;
+  Value a = db.Intern("a");
+  const int kRelations = 40;
+  for (int i = 0; i < kRelations; ++i) {
+    const std::string name = "Rel" + std::to_string(i);
+    EXPECT_EQ(db.AddTuple(name, {a}).relation, i);
+    for (int j = 0; j <= i; ++j) {
+      ASSERT_EQ(db.RelationId("Rel" + std::to_string(j)), j) << i;
+    }
+    EXPECT_EQ(db.RelationId("Rel" + std::to_string(i + 1)), -1) << i;
+  }
+  EXPECT_EQ(db.num_relations(), kRelations);
+  EXPECT_EQ(db.AddTuple("Rel3", {a}), (TupleId{3, 0}));
+  EXPECT_EQ(db.AddRelation("Rel39", 1), 39);
+  EXPECT_EQ(db.FindTuple("Rel17", {a}), (TupleId{17, 0}));
+  EXPECT_FALSE(db.FindTuple("Rel40", {a}).has_value());
+  EXPECT_EQ(db.NumActiveTuples(), kRelations);
+}
+
 TEST(Database, AddTupleDedups) {
   Database db;
   Value a = db.Intern("a"), b = db.Intern("b");

@@ -314,6 +314,55 @@ TEST(Engine, OnlyTheFirstOfTwoExactComponentsHolding) {
   EXPECT_EQ(out.exact.witnesses, 0u);
 }
 
+TEST(Engine, TwoHoldingExactComponentsEachSolveTheirOwnFamily) {
+  // Both exact chains hold with different rho: two disjoint 2-paths on
+  // one relation (rho 2) and one 2-path on the other (rho 1). Each
+  // component must be searched on its own witness family, whichever of
+  // the two is the cheaper one, and the exact counters add up both
+  // families.
+  Query q = MustParseQuery("R(x,y), R(y,z), S(u,v), S(v,w)");
+  for (bool cheap_last : {true, false}) {
+    const std::string cheap = cheap_last ? "S" : "R";
+    const std::string dear = cheap_last ? "R" : "S";
+    Database db;
+    std::vector<Value> v;
+    for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
+      v.push_back(db.Intern(name));
+    }
+    db.AddTuple(dear, {v[0], v[1]});
+    db.AddTuple(dear, {v[1], v[2]});
+    db.AddTuple(dear, {v[3], v[4]});
+    db.AddTuple(dear, {v[4], v[5]});
+    db.AddTuple(cheap, {v[0], v[1]});
+    db.AddTuple(cheap, {v[1], v[2]});
+
+    ResilienceEngine engine;
+    const std::string label = "cheap " + cheap;
+    SolveOutcome out = engine.Solve(q, db);
+    ASSERT_EQ(out.plan->components.size(), 2u) << label;
+    EXPECT_EQ(out.plan->components[0].solver, SolverKind::kExact) << label;
+    EXPECT_EQ(out.plan->components[1].solver, SolverKind::kExact) << label;
+    ASSERT_TRUE(out.error.empty()) << label << ": " << out.error;
+    EXPECT_FALSE(out.result.unbreakable) << label;
+    EXPECT_EQ(out.result.resilience, 1) << label;
+    EXPECT_EQ(out.result.resilience,
+              ComputeResilienceReference(q, db).resilience)
+        << label;
+    ASSERT_EQ(out.result.contingency.size(), 1u) << label;
+    EXPECT_EQ(db.relation_name(out.result.contingency[0].relation), cheap)
+        << label;
+    Database copy = db;
+    EXPECT_TRUE(VerifyContingency(q, copy, out.result.contingency)) << label;
+
+    size_t witnesses = 0;
+    for (const ComponentPlan& comp : out.plan->components) {
+      witnesses +=
+          CollectWitnessFamily(comp.query, db, kNoWitnessLimit).witnesses;
+    }
+    EXPECT_EQ(out.exact.witnesses, witnesses) << label;
+  }
+}
+
 TEST(Engine, UnbreakableExactComponent) {
   // An all-exogenous query holds and cannot be broken. The exact path
   // (force_exact) reports it unbreakable after its first witness; the
