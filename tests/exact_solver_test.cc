@@ -197,6 +197,110 @@ TEST(HittingSet, DisjointComponentsAreSolvedIndependently) {
   EXPECT_EQ(stats.components, 3);
 }
 
+// q_vc's witness family over a forest: one set {R(u), S(u,v), R(v)} per
+// edge, with the S-tuple private to its set. Vertices are 0..29 and the
+// private elements 100 onward. The forest is a star, isolated edges, a
+// path of four vertices and a caterpillar with pendant edges, so the
+// fixpoint leaves only one-element sets. `with_triangle` adds a triangle
+// (25, 26, 27), a cover component that has to be searched among them.
+HittingSetFamily ForestFamily(bool with_triangle) {
+  std::vector<std::pair<int, int>> edges = {
+      {21, 22}, {0, 1}, {0, 2}, {0, 3}, {4, 5}, {9, 6}, {6, 7}, {7, 8},
+      {11, 12}, {12, 13}, {13, 14}, {11, 15}, {12, 16}, {13, 17}, {14, 18},
+      {20, 19}, {28, 29}, {23, 24}};
+  if (with_triangle) {
+    edges.insert(edges.begin() + 16, {{25, 26}, {26, 27}, {27, 25}});
+  }
+  HittingSetFamily f;
+  int next_private = 100;
+  for (const auto& [u, v] : edges) f.Add({u, next_private++, v});
+  return f;
+}
+
+TEST(HittingSet, ForestFixpointLeavesOneElementComponents) {
+  struct Case {
+    bool with_triangle;
+    std::vector<int> chosen;
+    int components;
+    uint64_t nodes;
+  };
+  const Case cases[] = {
+      {false, {0, 4, 6, 7, 11, 12, 13, 14, 19, 21, 23, 28}, 12, 12},
+      {true, {0, 4, 6, 7, 11, 12, 13, 14, 19, 21, 23, 25, 26, 28}, 13, 15},
+  };
+  for (const Case& c : cases) {
+    const HittingSetFamily family = ForestFamily(c.with_triangle);
+    ExactStats stats;
+    HittingSetResult r = SolveMinHittingSet(family, ExactOptions{}, &stats);
+    EXPECT_TRUE(r.proven_optimal);
+    EXPECT_FALSE(stats.node_budget_exceeded);
+    EXPECT_EQ(r.chosen, c.chosen);
+    EXPECT_EQ(r.size, static_cast<int>(c.chosen.size()));
+    EXPECT_EQ(stats.components, c.components);
+    EXPECT_EQ(stats.nodes, c.nodes);
+
+    // A budget that runs out partway through the components: every
+    // one-element component still takes its element, the node count
+    // stops at the budget, and the result is no longer proven.
+    for (uint64_t budget : {uint64_t{1}, uint64_t{5}, c.nodes - 1}) {
+      ExactOptions options;
+      options.node_budget = budget;
+      ExactStats budgeted;
+      HittingSetResult b = SolveMinHittingSet(family, options, &budgeted);
+      EXPECT_EQ(b.chosen, c.chosen) << "budget " << budget;
+      EXPECT_FALSE(b.proven_optimal) << "budget " << budget;
+      EXPECT_TRUE(budgeted.node_budget_exceeded) << "budget " << budget;
+      EXPECT_EQ(budgeted.nodes, budget) << "budget " << budget;
+      EXPECT_EQ(budgeted.components, c.components) << "budget " << budget;
+    }
+    // A budget of exactly the nodes needed is not exceeded.
+    ExactOptions exact_fit;
+    exact_fit.node_budget = c.nodes;
+    ExactStats fit;
+    EXPECT_TRUE(SolveMinHittingSet(family, exact_fit, &fit).proven_optimal);
+    EXPECT_EQ(fit.nodes, c.nodes);
+  }
+}
+
+TEST(HittingSet, MatchesBruteForceWithLongSpansAndLargeIds) {
+  // Spans of up to six elements, numbered 0..11 and then spread to ids
+  // past 2^20: the solver must not depend on how small or dense the ids
+  // are, nor on how long a span is.
+  Rng rng(0x5A0F);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int universe = 12;
+    const bool large = trial % 4 == 3;
+    const int spread = large ? 4099 : 1;
+    const int offset = large ? (1 << 20) + 3 : 0;
+    std::vector<std::vector<int>> sets, spread_sets;
+    int num_sets = static_cast<int>(rng.Range(3, 14));
+    for (int s = 0; s < num_sets; ++s) {
+      std::vector<int> set;
+      int size = static_cast<int>(rng.Range(1, 6));
+      for (int i = 0; i < size; ++i) {
+        set.push_back(
+            static_cast<int>(rng.Below(static_cast<uint64_t>(universe))));
+      }
+      sets.push_back(set);
+      for (int& e : set) e = offset + spread * e;
+      spread_sets.push_back(set);
+    }
+    HittingSetResult r =
+        SolveMinHittingSet(HittingSetFamily::From(spread_sets));
+    EXPECT_TRUE(r.proven_optimal);
+    EXPECT_EQ(r.size, BruteForceHittingSet(sets, universe))
+        << "trial " << trial;
+    for (const std::vector<int>& s : spread_sets) {
+      bool hit = false;
+      for (int e : s) {
+        hit = hit || std::find(r.chosen.begin(), r.chosen.end(), e) !=
+                         r.chosen.end();
+      }
+      EXPECT_TRUE(hit) << "trial " << trial;
+    }
+  }
+}
+
 TEST(HittingSet, DominatedElementsNeverNeeded) {
   // Element 9 appears only where 0 also appears: a q_vc-style private
   // element. The optimum never uses it.

@@ -462,6 +462,107 @@ TEST(IncrementalSession, DeletingAbsentFactsKeepsTheDomainAndTheAnswer) {
   ExpectMatchesScratch(session, session.Peek(), "absent deletes");
 }
 
+// The active facts of db, by name.
+std::set<std::string> ActiveFacts(const Database& db) {
+  std::set<std::string> facts;
+  for (int rel = 0; rel < db.num_relations(); ++rel) {
+    for (TupleId t : db.ActiveTuples(rel)) facts.insert(db.TupleToString(t));
+  }
+  return facts;
+}
+
+TEST(IncrementalSession, SameEpochNettingIsLastWriterWinsPerFact) {
+  // Within an epoch the last update of each fact wins. A fact the
+  // database lacks becomes a new row only if its last update inserts
+  // it, and new rows (and new constants) are numbered by the fact's
+  // first appearance in the epoch, not by its last update. Each epoch
+  // is also applied update by update to a mirror: the active facts and
+  // the answer must agree with it (its ids need not).
+  Query q = MustParseQuery("R(x), S(x,y), R(y)");
+  Database base;
+  for (const char* v : {"a", "b", "c", "d"}) {
+    base.AddTuple("R", {base.Intern(v)});
+  }
+  base.AddTuple("S", {base.Intern("a"), base.Intern("b")});
+  base.AddTuple("S", {base.Intern("b"), base.Intern("c")});
+  base.SetActive(TupleId{0, 3}, false);  // R(d) starts inactive
+  const int r = base.RelationId("R");
+  const int s = base.RelationId("S");
+  IncrementalSession session(q, base, ExactOptions{});
+  Database mirror = base;
+
+  auto apply = [&](std::vector<Update> updates, int inserted, int deleted,
+                   const std::string& where) {
+    Epoch epoch;
+    epoch.updates = std::move(updates);
+    EpochOutcome out = session.Apply(epoch);
+    ApplyEpoch(epoch, &mirror);
+    EXPECT_EQ(out.inserted, inserted) << where;
+    EXPECT_EQ(out.deleted, deleted) << where;
+    EXPECT_EQ(ActiveFacts(session.db()), ActiveFacts(mirror)) << where;
+    ResilienceResult exact = ComputeResilienceExact(q, mirror);
+    EXPECT_EQ(out.resilience, exact.resilience) << where;
+    ExpectMatchesScratch(session, out, where);
+  };
+  auto id = [&](const std::string& relation,
+                std::vector<std::string> constants) {
+    return session.db().FindTupleByNames(relation, constants);
+  };
+  const UpdateKind ins = UpdateKind::kInsert, del = UpdateKind::kDelete;
+  int domain = session.db().domain_size();
+
+  // Insert, delete, insert of an absent fact: one new row.
+  apply({MakeUpdate(ins, "S", {"c", "e"}), MakeUpdate(del, "S", {"c", "e"}),
+         MakeUpdate(ins, "S", {"c", "e"})},
+        1, 0, "insert-delete-insert of an absent fact");
+  EXPECT_EQ(id("S", {"c", "e"}), (TupleId{s, 2}));
+  EXPECT_EQ(session.db().domain_size(), ++domain);
+  EXPECT_EQ(session.db().ValueName(domain - 1), "e");
+
+  // Delete then insert of an active fact: no flip either way.
+  apply({MakeUpdate(del, "S", {"a", "b"}), MakeUpdate(ins, "S", {"a", "b"}),
+         MakeUpdate(del, "R", {"c"}), MakeUpdate(ins, "R", {"c"})},
+        0, 0, "delete-insert of an active fact");
+  EXPECT_EQ(session.db().domain_size(), domain);
+
+  // A double insert of an inactive fact reactivates it once.
+  apply({MakeUpdate(ins, "R", {"d"}), MakeUpdate(ins, "R", {"d"})}, 1, 0,
+        "double insert of an inactive fact");
+  EXPECT_EQ(id("R", {"d"}), (TupleId{r, 3}));
+  EXPECT_EQ(session.db().domain_size(), domain);
+
+  // New facts with new constants among updates to known facts. R(h)
+  // appears first (as a delete), so it and its constant come first.
+  apply({MakeUpdate(del, "R", {"h"}), MakeUpdate(ins, "S", {"f", "g"}),
+         MakeUpdate(del, "R", {"b"}), MakeUpdate(ins, "R", {"h"}),
+         MakeUpdate(ins, "R", {"c"}), MakeUpdate(ins, "S", {"g", "h"}),
+         MakeUpdate(del, "S", {"b", "c"}), MakeUpdate(ins, "R", {"g"})},
+        4, 2, "new facts mixed with known ones");
+  EXPECT_EQ(id("R", {"h"}), (TupleId{r, 4}));
+  EXPECT_EQ(id("R", {"g"}), (TupleId{r, 5}));
+  EXPECT_EQ(id("S", {"f", "g"}), (TupleId{s, 3}));
+  EXPECT_EQ(id("S", {"g", "h"}), (TupleId{s, 4}));
+  domain += 3;
+  ASSERT_EQ(session.db().domain_size(), domain);
+  EXPECT_EQ(session.db().ValueName(domain - 3), "h");
+  EXPECT_EQ(session.db().ValueName(domain - 2), "f");
+  EXPECT_EQ(session.db().ValueName(domain - 1), "g");
+  EXPECT_EQ(session.Peek().resilience, 1);  // the one witness R(g), S(g,h), R(h)
+
+  // A relation the database lacks: an insert creates it, a delete of a
+  // fact in another unknown relation interns nothing.
+  const int relations = session.db().num_relations();
+  apply({MakeUpdate(del, "V", {"q"}), MakeUpdate(ins, "T", {"a", "z"}),
+         MakeUpdate(del, "R", {"z"})},
+        1, 0, "a relation the database lacks");
+  ASSERT_EQ(session.db().num_relations(), relations + 1);
+  EXPECT_EQ(session.db().RelationId("T"), relations);
+  EXPECT_EQ(session.db().RelationId("V"), -1);
+  EXPECT_EQ(id("T", {"a", "z"}), (TupleId{relations, 0}));
+  EXPECT_EQ(session.db().domain_size(), ++domain);
+  EXPECT_EQ(session.db().ValueName(domain - 1), "z");
+}
+
 TEST(IncrementalSession, ExogenousChurnRespectsTheLowerBound) {
   // S is exogenous: churning it shifts witness support and can remove
   // or add whole sets, but the answer must track the exact solve and
