@@ -44,19 +44,20 @@ bool ParseFactLine(std::string_view line, std::string* relation,
     return false;
   }
   constants->clear();
-  for (const std::string& piece :
-       Split(line.substr(open + 1, close - open - 1), ',')) {
-    std::string constant(Trim(piece));
+  // Each comma-separated piece is a view into the line: only the kept
+  // constant is copied.
+  std::string_view rest = line.substr(open + 1, close - open - 1);
+  for (;;) {
+    const size_t comma = rest.find(',');
+    const std::string_view constant = Trim(rest.substr(0, comma));
     if (constant.empty() ||
-        constant.find_first_of("() \t") != std::string::npos) {
-      *error = "bad constant '" + constant + "' in fact";
+        constant.find_first_of("() \t") != std::string_view::npos) {
+      *error = "bad constant '" + std::string(constant) + "' in fact";
       return false;
     }
-    constants->push_back(std::move(constant));
-  }
-  if (constants->empty()) {
-    *error = "fact has no constants";
-    return false;
+    constants->emplace_back(constant);
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
   }
   return true;
 }

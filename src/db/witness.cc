@@ -1,7 +1,6 @@
 #include "db/witness.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/memstats.h"
 #include "obs/metrics.h"
@@ -23,8 +22,6 @@ uint64_t WitnessFamily::ApproxBytes() const {
 }
 
 namespace {
-
-using TupleIdSet = std::unordered_set<TupleId, TupleIdHash>;
 
 // Per (relation, column): the rows holding each value, chained in append
 // order. `head`/`tail`/`count` are indexed by Value — values are dense
@@ -61,10 +58,11 @@ struct Enumerator {
   WitnessVisitor visit;
   // Delta pinning: atom `pinned_atom` must match exactly `pinned_tuple`,
   // and atoms before it (query order) must avoid every tuple in
-  // `changed` — so each incident witness is emitted by exactly one pin.
+  // `changed` (sorted, distinct) — so each incident witness is emitted
+  // by exactly one pin.
   int pinned_atom = -1;
   TupleId pinned_tuple;
-  const TupleIdSet* changed = nullptr;
+  const std::vector<TupleId>* changed = nullptr;
   bool order_cached = false;
 
   // Scratch reused across runs: delta maintenance fires thousands of
@@ -156,8 +154,8 @@ struct Enumerator {
     return Recurse(0);
   }
 
-  bool RunPinned(int atom, TupleId tuple, const TupleIdSet& changed_set,
-                 WitnessVisitor v) {
+  bool RunPinned(int atom, TupleId tuple,
+                 const std::vector<TupleId>& changed_set, WitnessVisitor v) {
     visit = v;
     pinned_tuple = tuple;
     changed = &changed_set;
@@ -250,7 +248,8 @@ struct Enumerator {
       if (!db.IsActive(id)) return true;
       // Delta dedup: the pinned atom must be the first (query-order)
       // atom matching a changed tuple, so earlier atoms avoid them all.
-      if (changed != nullptr && ai < pinned_atom && changed->count(id) > 0) {
+      if (changed != nullptr && ai < pinned_atom &&
+          std::binary_search(changed->begin(), changed->end(), id)) {
         return true;
       }
       RowView t = db.Row(id);
@@ -357,16 +356,16 @@ bool RunDelta(Enumerator& e, const std::vector<TupleId>& changed,
               WitnessVisitor visit) {
   // Deduplicate and order the changed tuples: the pin loop must try each
   // tuple once, and a deterministic order keeps enumeration reproducible.
-  TupleIdSet changed_set(changed.begin(), changed.end());
-  std::vector<TupleId> pins(changed_set.begin(), changed_set.end());
+  std::vector<TupleId> pins(changed);
   std::sort(pins.begin(), pins.end());
+  pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
   // Atom-major so consecutive pins share one cached visit order.
   e.InvalidateOrder();
   for (int i = 0; i < e.q.num_atoms(); ++i) {
     for (TupleId t : pins) {
       if (e.atom_rel[static_cast<size_t>(i)] != t.relation) continue;
       if (!e.db.IsActive(t)) continue;
-      if (!e.RunPinned(i, t, changed_set, visit)) return false;
+      if (!e.RunPinned(i, t, pins, visit)) return false;
     }
   }
   return true;

@@ -132,38 +132,81 @@ int MaxElementPlusOne(const Family& f) {
 
 // Sorts every span in place, deduplicates the family, and drops
 // supersets (hitting a subset hits all of its supersets). Output spans
-// are size-ascending; the pool is shared and never copied — dedup
-// inside a span just shrinks its len, leaving a dead gap the family's
-// lifetime amortizes away. This runs twice per solve (around the
-// reduction fixpoint), so it must not allocate per set.
+// are size-ascending, then lexicographic; the pool is shared and never
+// copied — dedup inside a span just shrinks its len, leaving a dead gap
+// the family's lifetime amortizes away. This runs twice per solve
+// (around the reduction fixpoint), so it must not allocate per set.
+//
+// The order comes from a counting sort by length, then a sort of each
+// length's spans by one packed integer key: its elements, each in the
+// bit width of the family's largest element, first element highest, so
+// integer order is lexicographic order. Only a length whose key would
+// not fit 64 bits falls back to comparing spans in the pool.
 Family ReduceFamily(Family f) {
+  int max_element = 0;
+  uint32_t max_len = 0;
   for (SetSpan& s : f.sets) {
     RESCQ_CHECK(s.len > 0);
     int* b = f.pool.data() + s.offset;
     std::sort(b, b + s.len);
     s.len = static_cast<uint32_t>(std::unique(b, b + s.len) - b);
+    max_element = std::max(max_element, b[s.len - 1]);
+    max_len = std::max(max_len, s.len);
   }
+  uint32_t bits = 0;
+  while (bits < 31 && (max_element >> bits) != 0) ++bits;
+
+  std::vector<uint32_t> bucket(static_cast<size_t>(max_len) + 2, 0);
+  for (SetSpan s : f.sets) ++bucket[s.len + 1];
+  for (size_t len = 1; len < bucket.size(); ++len) {
+    bucket[len] += bucket[len - 1];
+  }
+  std::vector<SetSpan> sorted(f.sets.size());
+  for (SetSpan s : f.sets) sorted[bucket[s.len]++] = s;
+  // bucket[len] is now the end of that length's run.
+
   const int* pool = f.pool.data();
-  std::sort(f.sets.begin(), f.sets.end(), [pool](SetSpan a, SetSpan b) {
-    if (a.len != b.len) return a.len < b.len;
-    return std::lexicographical_compare(pool + a.offset,
-                                        pool + a.offset + a.len,
-                                        pool + b.offset,
-                                        pool + b.offset + b.len);
-  });
-  f.sets.erase(std::unique(f.sets.begin(), f.sets.end(),
-                           [pool](SetSpan a, SetSpan b) {
-                             return a.len == b.len &&
-                                    std::equal(pool + a.offset,
-                                               pool + a.offset + a.len,
-                                               pool + b.offset);
-                           }),
-               f.sets.end());
+  std::vector<std::pair<uint64_t, uint32_t>> keys;  // (key, offset)
+  size_t kept = 0;
+  for (uint32_t len = 1; len <= max_len; ++len) {
+    const uint32_t begin = bucket[len - 1], end = bucket[len];
+    if (begin == end) continue;
+    if (static_cast<uint64_t>(len) * bits <= 64) {
+      keys.clear();
+      for (uint32_t i = begin; i < end; ++i) {
+        uint64_t key = 0;
+        for (const int* e = pool + sorted[i].offset;
+             e != pool + sorted[i].offset + len; ++e) {
+          key = key << bits | static_cast<uint64_t>(*e);
+        }
+        keys.emplace_back(key, sorted[i].offset);
+      }
+      std::sort(keys.begin(), keys.end());
+      for (size_t k = 0; k < keys.size(); ++k) {
+        if (k > 0 && keys[k].first == keys[k - 1].first) continue;
+        f.sets[kept++] = SetSpan{keys[k].second, len};
+      }
+      continue;
+    }
+    auto less = [pool, len](SetSpan a, SetSpan b) {
+      return std::lexicographical_compare(pool + a.offset,
+                                          pool + a.offset + len,
+                                          pool + b.offset,
+                                          pool + b.offset + len);
+    };
+    std::sort(sorted.begin() + begin, sorted.begin() + end, less);
+    for (uint32_t i = begin; i < end; ++i) {
+      if (i > begin && !less(sorted[i - 1], sorted[i])) continue;
+      f.sets[kept++] = sorted[i];
+    }
+  }
+  f.sets.resize(kept);
+
   // A kept set t that is a proper subset of s contains its minimum
   // element, which then lies in s: kept sets are chained by their
   // minimum element, so s is only checked against the chains of its
   // own elements.
-  std::vector<int> first_head(static_cast<size_t>(MaxElementPlusOne(f)), -1);
+  std::vector<int> first_head(static_cast<size_t>(max_element) + 1, -1);
   std::vector<int> first_next;
   std::vector<SetSpan> out;
   out.reserve(f.sets.size());
@@ -836,68 +879,79 @@ HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
     const int* s = reduced.begin(i);
     for (size_t j = 1; j < reduced.len(i); ++j) components.Union(s[0], s[j]);
   }
-  // (root, span id) pairs in ascending order: the components in
-  // ascending-root order, each listing its spans in ascending order —
-  // one flat sort instead of a container per component.
-  std::vector<std::pair<int, uint32_t>> by_root(reduced.size());
+  // The spans grouped by root, in ascending-root order, each group in
+  // ascending span order: a counting sort over the roots.
+  std::vector<int> root_of(reduced.size());
+  std::vector<uint32_t> next(static_cast<size_t>(num_elements) + 1, 0);
   for (size_t i = 0; i < reduced.size(); ++i) {
-    by_root[i] = {components.Find(reduced.begin(i)[0]),
-                  static_cast<uint32_t>(i)};
+    root_of[i] = components.Find(reduced.begin(i)[0]);
+    ++next[static_cast<size_t>(root_of[i]) + 1];
   }
-  std::sort(by_root.begin(), by_root.end());
+  for (size_t e = 1; e < next.size(); ++e) next[e] += next[e - 1];
+  std::vector<uint32_t> by_root(reduced.size());
+  for (size_t i = 0; i < reduced.size(); ++i) {
+    by_root[next[static_cast<size_t>(root_of[i])]++] =
+        static_cast<uint32_t>(i);
+  }
 
   // Localize every component up front (serial, in that deterministic
   // order): dense local ids keep each component's solver small, and a
-  // flat task vector is what the worker pool fans out over.
+  // flat task vector is what the worker pool fans out over. A component
+  // of one set needs neither: the fixpoint leaves it a single forced
+  // element. `parts` lists the components in partition order, each as
+  // its task index or, for a one-set component, as ~element.
   struct ComponentTask {
     std::vector<int> local_to_global;
     Family local;
     bool all_small = true;
   };
   std::vector<ComponentTask> tasks;
+  std::vector<int> parts;
   std::vector<int> global_to_local(static_cast<size_t>(num_elements), -1);
-  for (size_t k = 0; k < by_root.size(); ++k) {
-    if (k == 0 || by_root[k].first != by_root[k - 1].first) {
-      tasks.emplace_back();
+  for (size_t k = 0; k < by_root.size();) {
+    const int root = root_of[by_root[k]];
+    size_t end = k + 1;
+    while (end < by_root.size() && root_of[by_root[end]] == root) ++end;
+    if (end == k + 1) {
+      parts.push_back(~reduced.begin(by_root[k])[0]);
+      k = end;
+      continue;
     }
-    ComponentTask& task = tasks.back();
-    const uint32_t si = by_root[k].second;
-    const uint32_t offset = static_cast<uint32_t>(task.local.pool.size());
-    for (const int* p = reduced.begin(si); p != reduced.end(si); ++p) {
-      int& slot = global_to_local[static_cast<size_t>(*p)];
-      if (slot < 0) {
-        slot = static_cast<int>(task.local_to_global.size());
-        task.local_to_global.push_back(*p);
+    parts.push_back(static_cast<int>(tasks.size()));
+    ComponentTask& task = tasks.emplace_back();
+    for (; k < end; ++k) {
+      const uint32_t si = by_root[k];
+      const uint32_t offset = static_cast<uint32_t>(task.local.pool.size());
+      for (const int* p = reduced.begin(si); p != reduced.end(si); ++p) {
+        int& slot = global_to_local[static_cast<size_t>(*p)];
+        if (slot < 0) {
+          slot = static_cast<int>(task.local_to_global.size());
+          task.local_to_global.push_back(*p);
+        }
+        task.local.pool.push_back(slot);
       }
-      task.local.pool.push_back(slot);
+      task.all_small = task.all_small && reduced.len(si) <= 2;
+      task.local.sets.push_back(SetSpan{offset, reduced.sets[si].len});
     }
-    task.all_small = task.all_small && reduced.len(si) <= 2;
-    task.local.sets.push_back(SetSpan{offset, reduced.sets[si].len});
   }
 
-  // One budget for the whole solve, one counter slot per component.
-  // Components share no elements, so each solve below is a pure
-  // function of its task (plus, under a budget, the raced budget
-  // atomics) — which worker runs it cannot change its answer or its
-  // counters. That is what makes the parallel path byte-identical to
-  // the serial one: same per-component searches, same counter slots,
-  // merged in the same partition order.
+  // One budget for the whole solve, one counter slot per task and one
+  // for all one-set components. Components share no elements, so each
+  // solve below is a pure function of its task (plus, under a budget,
+  // the raced budget atomics) — which worker runs it cannot change its
+  // answer or its counters. That is what makes the parallel path
+  // byte-identical to the serial one: same per-component searches, same
+  // counter slots, merged in the same partition order.
   NodeBudget budget;
   budget.limit = options.node_budget;
-  std::vector<SearchCtx> ctxs(tasks.size());
+  std::vector<SearchCtx> ctxs(tasks.size() + 1);
   for (SearchCtx& c : ctxs) c.budget = &budget;
+  SearchCtx& singles = ctxs.back();
   std::vector<std::vector<int>> chosen(tasks.size());  // local ids per task
 
-  auto solve_component = [&](size_t i) {
+  auto solve_task = [&](size_t i) {
     obs::Span span("component-solve", "exact");
     ComponentTask& task = tasks[i];
-    if (task.local.size() == 1) {
-      // The reduction leaves a one-set component as a single forced
-      // element: one root node, as the cover search would take.
-      ctxs[i].TakeNode();
-      chosen[i].push_back(0);
-      return;
-    }
     chosen[i] =
         task.all_small
             ? SolveAsVertexCover(task.local,
@@ -905,18 +959,33 @@ HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
                                  &ctxs[i])
             : SolveComponent(std::move(task.local), &ctxs[i]);
   };
+  // A one-set component takes its element and one root node, as the
+  // cover search would.
+  auto take_single = [&](int part) {
+    singles.TakeNode();
+    result.chosen.push_back(~part);
+  };
   int threads = std::max(1, options.solver_threads);
   if (threads <= 1 || tasks.size() <= 1) {
-    for (size_t i = 0; i < tasks.size(); ++i) solve_component(i);
+    for (int part : parts) {
+      if (part < 0) {
+        take_single(part);
+      } else {
+        solve_task(static_cast<size_t>(part));
+      }
+    }
   } else {
+    // The one-set components on this thread first, then the searches.
+    for (int part : parts) {
+      if (part < 0) take_single(part);
+    }
     WorkerPool pool(static_cast<int>(
         std::min<size_t>(static_cast<size_t>(threads), tasks.size())));
-    pool.Run(tasks.size(), solve_component);
+    pool.Run(tasks.size(), solve_task);
   }
 
-  // Deterministic component-index-ordered merge (the final sort makes
-  // the member order canonical regardless of which worker finished
-  // first).
+  // Deterministic task-ordered merge (the final sort makes the member
+  // order canonical regardless of which worker finished first).
   for (size_t i = 0; i < tasks.size(); ++i) {
     for (int e : chosen[i]) {
       result.chosen.push_back(
@@ -929,7 +998,7 @@ HittingSetResult SolveMinHittingSet(const HittingSetFamily& family,
   // Partition-order merge of the per-component slots (the order is the
   // deterministic ascending-root order the tasks were built in).
   ExactStats search;
-  search.components = static_cast<int>(tasks.size());
+  search.components = static_cast<int>(parts.size());
   for (const SearchCtx& c : ctxs) {
     search.nodes += c.nodes;
     search.packing_prunes += c.packing_prunes;

@@ -168,71 +168,80 @@ EpochOutcome IncrementalSession::Apply(const Epoch& epoch) {
   // family of the current database, restored after every batch) only
   // depends on the final database state — so an insert-then-delete of
   // an initially absent fact nets to nothing, exactly as if the
-  // sequence had been applied one by one. The netted epoch then
-  // coalesces into one insert batch and one delete batch: a batch of
-  // inserts is activated first and its incident witnesses arrive with
-  // +1 support; a batch of deletions streams its incident witnesses
-  // *while still active* with -1 support, then deactivates. Each
-  // witness born or killed by a batch is visited exactly once
-  // (ForEachDelta's first-changed-atom rule).
-  std::vector<const Update*> net;
-  net.reserve(epoch.updates.size());
-  {
-    std::unordered_map<std::string, size_t> last;  // fact key -> net slot
-    last.reserve(epoch.updates.size());
+  // sequence had been applied one by one.
+  //
+  // Each update is resolved to its TupleId once, before anything
+  // changes, and the known facts are netted over sorted (tuple, seq)
+  // pairs. Only facts the database lacks are keyed by name; they
+  // become new rows, in the order of their first appearance, when
+  // their last update inserts them (so tuple ids and interned values
+  // are those of applying the netted updates in first-appearance
+  // order). The netted epoch then coalesces into one insert batch and
+  // one delete batch: a batch of inserts is activated first and its
+  // incident witnesses arrive with +1 support; a batch of deletions
+  // streams its incident witnesses *while still active* with -1
+  // support, then deactivates. Each witness born or killed by a batch
+  // is visited exactly once (ForEachDelta's first-changed-atom rule).
+  if (!poisoned_) {
+    std::vector<std::pair<uint64_t, uint32_t>> known;  // (tuple, seq)
+    std::vector<const Update*> fresh;  // facts db_ lacks, first appearance
+    std::unordered_map<std::string, size_t> fresh_slot;  // fact key -> slot
+    known.reserve(epoch.updates.size());
     std::string key;
-    for (const Update& u : epoch.updates) {
+    for (uint32_t seq = 0; seq < epoch.updates.size(); ++seq) {
+      const Update& u = epoch.updates[seq];
+      std::optional<TupleId> id = db_.FindTupleByNames(u.relation,
+                                                       u.constants);
+      if (id.has_value()) {
+        known.emplace_back(PackTupleId(*id), seq);
+        continue;
+      }
       key = u.relation;
       for (const std::string& c : u.constants) {
         key += '\x01';
         key += c;
       }
-      auto [it, inserted] = last.emplace(key, net.size());
+      auto [it, inserted] = fresh_slot.emplace(key, fresh.size());
       if (inserted) {
-        net.push_back(&u);
+        fresh.push_back(&u);
       } else {
-        net[it->second] = &u;
+        fresh[it->second] = &u;
       }
     }
-  }
+    std::sort(known.begin(), known.end());
 
-  auto run_batch = [&](UpdateKind kind, const std::vector<const Update*>&
-                                            batch) {
-    if (batch.empty() || poisoned_) return;
-    std::vector<TupleId> changed;
-    for (const Update* u : batch) {
-      if (kind == UpdateKind::kInsert) {
-        std::optional<TupleId> id = ApplyUpdate(*u, &db_);
-        if (id.has_value()) changed.push_back(*id);
-      } else {
-        // Resolve without applying (the delta stream needs the tuple
-        // still active) and without interning.
-        std::optional<TupleId> id =
-            db_.FindTupleByNames(u->relation, u->constants);
-        if (id.has_value() && db_.IsActive(*id)) changed.push_back(*id);
+    std::vector<TupleId> inserts, deletes;
+    for (size_t k = 0; k < known.size(); ++k) {
+      if (k + 1 < known.size() && known[k + 1].first == known[k].first) {
+        continue;  // a later update of the same fact wins
+      }
+      const TupleId t = UnpackTupleId(known[k].first);
+      if (epoch.updates[known[k].second].kind == UpdateKind::kInsert) {
+        if (!db_.IsActive(t)) inserts.push_back(t);
+      } else if (db_.IsActive(t)) {
+        deletes.push_back(t);
       }
     }
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-    if (kind == UpdateKind::kInsert) {
-      out.inserted += static_cast<int>(changed.size());
+    for (TupleId t : inserts) db_.SetActive(t, true);
+    for (const Update* u : fresh) {
+      if (u->kind == UpdateKind::kInsert) {
+        inserts.push_back(*ApplyUpdate(*u, &db_));
+      }
+    }
+    // The delta streams take each batch in ascending tuple order
+    // (`deletes` already is: it comes out of `known`).
+    std::sort(inserts.begin(), inserts.end());
+    if (!inserts.empty()) {
+      out.inserted = static_cast<int>(inserts.size());
       index_->SyncNewRows();  // the batch may have appended rows
-      ShiftSupport(changed, +1, &out);
-    } else {
-      out.deleted += static_cast<int>(changed.size());
-      ShiftSupport(changed, -1, &out);
-      for (TupleId t : changed) db_.SetActive(t, false);
+      ShiftSupport(inserts, +1, &out);
     }
-  };
-
-  std::vector<const Update*> inserts, deletes;
-  inserts.reserve(net.size());
-  deletes.reserve(net.size());
-  for (const Update* u : net) {
-    (u->kind == UpdateKind::kInsert ? inserts : deletes).push_back(u);
+    if (!deletes.empty() && !poisoned_) {
+      out.deleted = static_cast<int>(deletes.size());
+      ShiftSupport(deletes, -1, &out);
+      for (TupleId t : deletes) db_.SetActive(t, false);
+    }
   }
-  run_batch(UpdateKind::kInsert, inserts);
-  run_batch(UpdateKind::kDelete, deletes);
 
   Refresh(&out);
   out.wall_ms = MsSince(start);

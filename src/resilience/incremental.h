@@ -61,6 +61,14 @@ struct EpochOutcome {
 /// set leaves the family when its last supporting witness dies; the
 /// empty set's support count is the number of unbreakable witnesses.
 ///
+/// An epoch resolves before it nets: each update is looked up to its
+/// TupleId once, then the last update of each fact wins (known facts
+/// are netted by TupleId, only facts the database lacks by name), and
+/// the netted epoch runs as one insert batch and one delete batch.
+/// Resolution happens inside Apply, under its exclusive access: an id
+/// resolved when the update was queued could name a row that another
+/// epoch has since changed.
+///
 /// The family lives in a SpanArena (util/span_arena.h): each distinct
 /// endogenous tuple-set is interned once — by content hash, straight
 /// from the enumerator's scratch, no key vector is ever allocated — and
@@ -134,9 +142,10 @@ class IncrementalSession {
   /// feasible upper bound and retries the component when next touched.)
   bool poisoned() const { return poisoned_; }
 
-  /// Applies the epoch's updates, maintains family and decomposition
-  /// from delta witness streams, and re-answers only the touched
-  /// region. Returns (and remembers) the epoch's outcome. When the
+  /// Resolves each of the epoch's updates to its tuple once, nets them
+  /// last-writer-wins per fact, applies them, maintains family and
+  /// decomposition from delta witness streams, and re-answers only the
+  /// touched region. Returns (and remembers) the epoch's outcome. When the
   /// session was evicted (EvictColdState), the witness index is
   /// rebuilt here first — lazily, so evicted sessions that are never
   /// touched again never pay for it.

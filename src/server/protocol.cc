@@ -1,5 +1,6 @@
 #include "server/protocol.h"
 
+#include <charconv>
 #include <utility>
 
 #include "complexity/classifier.h"
@@ -402,7 +403,14 @@ std::string ProtocolHandler::DoUpdate(std::string_view line) {
     }
   }
   pending_.push_back(std::move(update));
-  return StrFormat("ok queued %zu\n", pending_.size());
+  // One reply per update line: formatted without printf.
+  char digits[24];
+  std::string reply = "ok queued ";
+  reply.append(digits,
+               std::to_chars(digits, digits + sizeof(digits), pending_.size())
+                   .ptr);
+  reply += '\n';
+  return reply;
 }
 
 std::string ProtocolHandler::DoEpoch() {

@@ -42,8 +42,9 @@ void CopyOutcome(const BatchCell& from, BatchCell* to) {
   to->error = from.error;
 }
 
-BatchCell RunCell(const BatchJob& job, const BatchOptions& opts,
-                  ResilienceEngine* engine, Memo* memo) {
+BatchCell RunCell(const BatchJob& job, const Query& q,
+                  const BatchOptions& opts, ResilienceEngine* engine,
+                  Memo* memo) {
   BatchCell cell;
   cell.query = job.query_name;
   cell.query_text = job.query_text;
@@ -68,7 +69,6 @@ BatchCell RunCell(const BatchJob& job, const BatchOptions& opts,
     }
   }
 
-  Query q = MustParseQuery(job.query_text);
   auto start = Clock::now();
   SolveOutcome outcome = engine->Solve(q, db);
   cell.wall_ms = MsSince(start);
@@ -283,9 +283,24 @@ BatchReport RunBatch(const std::vector<BatchJob>& jobs,
   engine_options.exact = options.exact;
   ResilienceEngine engine(engine_options);
 
+  // Each distinct query text is parsed once, before the workers start:
+  // one text serves every size and seed of a scenario.
+  std::unordered_map<std::string, Query> parsed;
+  std::vector<const Query*> queries(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    auto it = parsed.find(jobs[i].query_text);
+    if (it == parsed.end()) {
+      it = parsed
+               .emplace(jobs[i].query_text,
+                        MustParseQuery(jobs[i].query_text))
+               .first;
+    }
+    queries[i] = &it->second;
+  }
+
   auto start = Clock::now();
   ParallelFor(std::max(1, options.threads), jobs.size(), [&](size_t i) {
-    report.cells[i] = RunCell(jobs[i], options, &engine, &memo);
+    report.cells[i] = RunCell(jobs[i], *queries[i], options, &engine, &memo);
   });
   report.elapsed_ms = MsSince(start);
 
